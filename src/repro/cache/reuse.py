@@ -88,7 +88,7 @@ hierarchy that shares a line size.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -97,8 +97,9 @@ import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.util.rng import DEFAULT_ROOT_SEED, RngStream
+from repro.util.store import Store
 
 #: reuse times below this stay exact histogram bins; larger ones are
 #: log-quantized so profile size stays bounded for multi-million-access
@@ -795,21 +796,23 @@ def profile_key(skey: str, line_size: int) -> str:
     functions of the keyed inputs).
     """
     return hashlib.sha256(
-        f"reuse-profile-v3|{skey}|{int(line_size)}".encode("utf-8")
+        f"reuse-profile-v4|{skey}|{int(line_size)}".encode("utf-8")
     ).hexdigest()
 
 
 @dataclass
-class ProfileCacheStats:
+class ProfileCacheStats(CounterSet):
     """Per-tier tallies of one :class:`ProfileCache` instance.
 
     The memory tier answers without touching disk; the disk tier pays a
-    ``.npz`` load; a miss pays a full re-profile.  ``evictions`` counts
+    verified load; a miss pays a full re-profile.  ``evictions`` counts
     memory-LRU ejections — the signal that ``mem_entries`` is undersized
     for the working set (serve-mode capacity tuning reads this from the
     run manifest).  Every bump mirrors into the global metrics registry
     under ``cachesim.reuse.*``.
     """
+
+    PREFIX = "cachesim.reuse"
 
     mem_hits: int = 0
     disk_hits: int = 0
@@ -817,127 +820,42 @@ class ProfileCacheStats:
     stores: int = 0
     evictions: int = 0
 
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"cachesim.reuse.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {
-            "mem_hits": self.mem_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"{self.mem_hits} mem hits, {self.disk_hits} disk hits, "
-            f"{self.misses} misses, {self.stores} stores, "
-            f"{self.evictions} evictions"
-        )
-
 
 class ProfileCache:
     """In-memory LRU + optional on-disk store of reuse profiles.
 
-    The disk layout mirrors the signature cache (content-keyed files,
-    atomic tempfile-then-replace writes, corrupt entries silently
-    recomputed); profiles live in ``.npz`` files under ``root``.
+    A :class:`~repro.util.store.Store` of pickled profiles under
+    ``root`` (sharded by key prefix): verified on every disk read, and a
+    corrupt entry is quarantined and recomputed.
     """
 
     def __init__(self, root: Optional[Path] = None, mem_entries: int = 128):
         self.root = Path(root) if root is not None else None
         self.mem_entries = mem_entries
-        self._mem: "OrderedDict[str, ReuseProfile]" = OrderedDict()
         self.stats = ProfileCacheStats()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
+        self.store = Store(
+            self.root,
+            suffix=".pkl",
+            shard=True,
+            mem_entries=mem_entries,
+            stats=self.stats,
+            counters={name: name for name in self.stats.to_dict()},
+        )
 
     def get(self, key: str) -> Optional[ReuseProfile]:
-        profile = self._mem.get(key)
+        profile = self.store.get(key, pickle.loads)
         if profile is not None:
-            self._mem.move_to_end(key)
-            self.stats.bump("mem_hits")
             REGISTRY.inc("cachesim.reuse.profile_hits")
-            return profile
-        if self.root is None:
-            self.stats.bump("misses")
-            return None
-        path = self._path(key)
-        try:
-            with np.load(path) as data:
-                congruence = {
-                    int(m): (
-                        data[f"m{int(m)}_distances"],
-                        data[f"m{int(m)}_variances"],
-                        data[f"m{int(m)}_counts"],
-                    )
-                    for m in data["moduli"]
-                }
-                profile = ReuseProfile(
-                    line_size=int(data["line_size"]),
-                    n_accesses=int(data["n_accesses"]),
-                    n_lines=int(data["n_lines"]),
-                    totals=data["totals"],
-                    distances=data["distances"],
-                    counts=data["counts"],
-                    first_counts=data["first_counts"],
-                    first_distances=data["first_distances"],
-                    congruence=congruence,
-                )
-        except (OSError, KeyError, ValueError):
-            self.stats.bump("misses")
-            return None  # absent or corrupt: recompute
-        self._remember(key, profile)
-        self.stats.bump("disk_hits")
-        REGISTRY.inc("cachesim.reuse.profile_hits")
         return profile
 
     def put(self, key: str, profile: ReuseProfile) -> None:
-        self.stats.bump("stores")
-        self._remember(key, profile)
-        if self.root is None:
-            return
-        path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".tmp")
-            arrays = {}
-            for m, (dists, variances, counts) in profile.congruence.items():
-                arrays[f"m{int(m)}_distances"] = dists
-                arrays[f"m{int(m)}_variances"] = variances
-                arrays[f"m{int(m)}_counts"] = counts
-            with open(tmp, "wb") as fh:
-                np.savez(
-                    fh,
-                    line_size=np.int64(profile.line_size),
-                    n_accesses=np.int64(profile.n_accesses),
-                    n_lines=np.int64(profile.n_lines),
-                    totals=profile.totals,
-                    distances=profile.distances,
-                    counts=profile.counts,
-                    first_counts=profile.first_counts,
-                    first_distances=profile.first_distances,
-                    moduli=np.array(
-                        sorted(profile.congruence), dtype=np.int64
-                    ),
-                    **arrays,
-                )
-            tmp.replace(path)
+            self.store.put(key, profile, pickle.dumps)
         except OSError:
             pass  # disk store is best-effort; memory entry stands
 
-    def _remember(self, key: str, profile: ReuseProfile) -> None:
-        self._mem[key] = profile
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.mem_entries:
-            self._mem.popitem(last=False)
-            self.stats.bump("evictions")
-
     def clear(self) -> None:
-        self._mem.clear()
+        self.store.clear_memory()
 
 
 #: process-global profile cache (memory-only until configured)

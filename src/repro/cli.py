@@ -34,9 +34,10 @@ Examples::
         python -m repro serve --app uh3d --train 1024,2048,4096
 
 Robustness: ``--task-timeout``/``--max-retries`` switch collection to
-the fault-tolerant executor, ``--checkpoint-dir``/``--resume``
-checkpoint and resume multi-unit runs, and any recovery events are
-summarized after the results.  Invalid inputs (unknown app or machine,
+the fault-tolerant executor, and any recovery events are summarized
+after the results.  An interrupted ``collect``/``table1`` resumes by
+re-running the same command with the same ``--cache-dir``: finished
+units are signature-cache hits.  Invalid inputs (unknown app or machine,
 malformed count lists, unwritable output paths) exit with status 2 and
 a one-line message — never a traceback.
 
@@ -79,14 +80,8 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
 from repro.pipeline.collect import CollectionSettings, collect_signatures
-from repro.pipeline.dag import (
-    SweepSpec,
-    dag_status,
-    default_code_version,
-    run_dag,
-)
+from repro.pipeline.dag import SweepSpec, dag_status, run_dag
 from repro.pipeline.experiment import Table1Config, run_table1
-from repro.pipeline.journal import RunJournal, default_journal_path
 from repro.pipeline.predict import measure_runtime, predict_runtime
 from repro.pipeline.report import table1_report
 from repro.trace.tracefile import TraceFile
@@ -216,16 +211,6 @@ def _add_exec_flags(p: argparse.ArgumentParser) -> None:
              "transient error (enables the fault-tolerant executor; "
              "default 2 when --task-timeout is given)",
     )
-    p.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="journal completed collection units here so an interrupted "
-             "run can be resumed (default with --resume: <cache>/journal)",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="skip units journaled by a previous run of this command "
-             "(requires the signature cache that run wrote)",
-    )
 
 
 def _build_cache(args: argparse.Namespace) -> Optional[SignatureCache]:
@@ -263,33 +248,6 @@ def _build_resilience(args: argparse.Namespace) -> Optional[ResilienceConfig]:
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
     return ResilienceConfig(**kwargs)
-
-
-def _build_journal(
-    args: argparse.Namespace,
-    cache: Optional[SignatureCache],
-    run_name: str,
-) -> Optional[RunJournal]:
-    checkpoint_dir = args.checkpoint_dir
-    if checkpoint_dir is None:
-        if not args.resume:
-            return None
-        if cache is None:
-            raise UsageError(
-                "--resume needs a checkpoint journal: pass --checkpoint-dir "
-                "(and do not combine --resume with --no-cache)"
-            )
-        checkpoint_dir = cache.root / "journal"
-    else:
-        _check_writable("--checkpoint-dir", str(checkpoint_dir), is_dir=True)
-    if args.resume and cache is None:
-        raise UsageError(
-            "--resume replays completed units from the signature cache; "
-            "it cannot be combined with --no-cache"
-        )
-    return RunJournal(
-        default_journal_path(checkpoint_dir, run_name), resume=args.resume
-    )
 
 
 def _add_guard_flags(
@@ -448,7 +406,6 @@ def _write_manifest(
     machine: Optional[str] = None,
     cache: Optional[SignatureCache] = None,
     report: Optional[RunReport] = None,
-    journal: Optional[RunJournal] = None,
     guard: Optional[DegradationReport] = None,
     serve=None,
     dag=None,
@@ -471,7 +428,6 @@ def _write_manifest(
         machine=machine,
         cache=cache,
         report=report,
-        journal=journal,
         guard=guard,
         tracer=obs_trace.current() if obs_trace.is_enabled() else None,
         profile_cache=profile_cache,
@@ -487,11 +443,7 @@ def _log_cache_stats(cache: Optional[SignatureCache]) -> None:
         log.info("signature cache [%s]: %s", cache.root, cache.stats)
 
 
-def _log_run_health(
-    report: Optional[RunReport], journal: Optional[RunJournal]
-) -> None:
-    if journal is not None:
-        log.info("checkpoint journal [%s]: %s", journal.path, journal.stats)
+def _log_run_health(report: Optional[RunReport]) -> None:
     if report is not None and not report.clean:
         log.warning("resilience: %s", report.summary())
         for event in report.events:
@@ -518,9 +470,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
     _check_writable("--out", args.out, is_dir=True)
     guard = _build_guard(args)
     cache = _build_cache(args)
-    journal = _build_journal(
-        args, cache, f"collect-{args.app}-{args.machine}-{args.ranks}"
-    )
     report = RunReport()
     degradation = _new_degradation(guard)
     settings = CollectionSettings(
@@ -531,14 +480,14 @@ def cmd_collect(args: argparse.Namespace) -> int:
     try:
         signature = collect_signatures(
             app, [args.ranks], machine.hierarchy, settings,
-            cache=cache, journal=journal, report=report,
+            cache=cache, report=report,
         )[0]
         check_signature(signature, config=guard, report=degradation)
     finally:
         _write_degradation(args, degradation)
     signature.save_dir(args.out)
     _log_cache_stats(cache)
-    _log_run_health(report, journal)
+    _log_run_health(report)
     _log_guard(degradation)
     outputs = {
         p.name: p
@@ -553,7 +502,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
         machine=args.machine,
         cache=cache,
         report=report,
-        journal=journal,
         guard=degradation,
         path=getattr(args, "manifest_out", None)
         or str(Path(args.out) / obs_manifest.MANIFEST_NAME),
@@ -707,11 +655,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     _check_machine(args.machine)
     guard = _build_guard(args)
     cache = _build_cache(args)
-    train = ",".join(str(c) for c in args.train)
-    journal = _build_journal(
-        args, cache,
-        f"table1-{args.app}-{args.machine}-{train}-{args.target}",
-    )
     config = Table1Config(
         machine=args.machine,
         collection=CollectionSettings(
@@ -720,7 +663,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
             resilience=_build_resilience(args),
         ),
         cache=cache,
-        journal=journal,
         guard=guard,
     )
     degradation = _new_degradation(guard)
@@ -740,7 +682,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if not result.degradation.clean:
         print(f"guard: {result.degradation.summary()}")
     _log_cache_stats(cache)
-    _log_run_health(result.run_report, journal)
+    _log_run_health(result.run_report)
     _log_guard(result.degradation)
     _write_manifest(
         args,
@@ -750,7 +692,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
         machine=args.machine,
         cache=cache,
         report=result.run_report,
-        journal=journal,
         guard=result.degradation,
     )
     return 0
@@ -776,7 +717,7 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         targets=tuple(args.targets),
         cache_engine=args.cache_engine,
         forms="extended" if args.extended_forms else "paper",
-        code_version=args.code_version or default_code_version(),
+        code_version=args.code_version or obs_manifest.default_code_version(),
         table1=not args.no_table1,
         rate_trust_factor=args.rate_trust_factor,
         accesses_per_probe=args.accesses_per_probe,
@@ -814,7 +755,7 @@ def cmd_dag_run(args: argparse.Namespace) -> int:
             outputs[artifact] = text.encode("utf-8")
     print(rendered, end="")
     log.info("dag [%s]: %s", root, result.stats)
-    _log_run_health(report, None)
+    _log_run_health(report)
     for name, message in sorted(result.errors.items()):
         log.error("dag node failed: %s: %s", name, message)
     for name, status in sorted(result.statuses.items()):
@@ -1605,8 +1546,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "everything (truncates the state store)")
     dp.add_argument("--resume", action="store_true",
                     help="reuse committed nodes from interrupted or "
-                         "previous runs (the default; spelled out for "
-                         "symmetry with the other commands)")
+                         "previous runs (the default)")
     dp.add_argument("--workers", type=int, default=None, metavar="N",
                     help="process-pool size for node fan-out "
                          "(default: one per CPU; 0 = serial)")

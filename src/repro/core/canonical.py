@@ -417,6 +417,10 @@ EXTENDED_FORMS: Tuple[CanonicalForm, ...] = PAPER_FORMS + (
     QuadraticForm(),
 )
 
+#: named form sets a fit may use; the names enter content digests (model
+#: specs, DAG node keys, fit bundles), so the mapping is append-only
+FORM_SETS = {"paper": PAPER_FORMS, "extended": EXTENDED_FORMS}
+
 
 @dataclass
 class FitResult:

@@ -20,6 +20,7 @@ Two engines produce the same report:
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,7 +28,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batchfit import BatchFitResult, batch_fit_series
-from repro.core.canonical import CanonicalForm, FitResult, PAPER_FORMS, fit_all
+from repro.core.canonical import (
+    FORM_SETS,
+    CanonicalForm,
+    FitResult,
+    PAPER_FORMS,
+    fit_all,
+)
 from repro.obs.trace import span
 from repro.trace.features import FeatureSchema
 from repro.util.errors import FitError
@@ -171,6 +178,14 @@ class SweepPrediction:
         return float(self.matrix_for(target)[p, self.schema.index(feature)])
 
 
+#: bump when the fit-bundle layout changes (it is part of DAG artifact
+#: digests and registry entries)
+FIT_SCHEMA_VERSION = 1
+
+#: the batch matrices a fit bundle stores, under their attribute names
+_FIT_ARRAYS = ("x", "Y", "sse", "applicable", "order", "n_candidates")
+
+
 @dataclass
 class BatchedFitReport(FitReport):
     """A :class:`FitReport` backed by whole-trace fit matrices.
@@ -302,6 +317,57 @@ class BatchedFitReport(FitReport):
             pair_keys=list(self.pair_keys),
             schema=schema,
             values=values,
+        )
+
+    # -- the fit-bundle codec: DAG fit artifacts and registry models ------
+
+    def save_npz(self, file, *, forms: str) -> None:
+        """Write the fit as one compressed ``.npz`` (path or binary file).
+
+        Members: the batch matrices, ``params_<f>`` per form, and a JSON
+        ``meta`` naming ``forms``, the :data:`FORM_SETS` entry the
+        batch's forms come from.
+        """
+        batch = self.batch
+        arrays = {name: getattr(batch, name) for name in _FIT_ARRAYS}
+        for f, params in enumerate(batch.params):
+            arrays[f"params_{f}"] = params
+        meta = {
+            "schema_version": FIT_SCHEMA_VERSION,
+            "core_counts": [int(c) for c in self.core_counts],
+            "level_names": list(self.schema.level_names),
+            "pair_keys": [[int(b), int(k)] for b, k in self.pair_keys],
+            "form_names": [f.name for f in batch.forms],
+            "forms_set": forms,
+        }
+        arrays["meta"] = np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez_compressed(file, **arrays)
+
+    @classmethod
+    def load_npz(cls, file) -> "BatchedFitReport":
+        """Read a fit written by :meth:`save_npz`."""
+        with np.load(file, allow_pickle=False) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if meta.get("schema_version") != FIT_SCHEMA_VERSION:
+                raise FitError(
+                    f"unsupported fit-bundle schema "
+                    f"{meta.get('schema_version')!r}",
+                    stage="fit",
+                )
+            by_name = {f.name: f for f in FORM_SETS[meta["forms_set"]]}
+            forms = tuple(by_name[n] for n in meta["form_names"])
+            batch = BatchFitResult(
+                forms=forms,
+                params=[data[f"params_{f}"] for f in range(len(forms))],
+                **{name: data[name] for name in _FIT_ARRAYS},
+            )
+        return cls(
+            core_counts=meta["core_counts"],
+            schema=FeatureSchema(meta["level_names"]),
+            pair_keys=[(int(b), int(k)) for b, k in meta["pair_keys"]],
+            batch=batch,
         )
 
 

@@ -25,8 +25,7 @@ Fault kinds:
            :class:`~repro.util.errors.TaskCrashError` so the parent
            process is never killed
 ``corrupt``  truncate a just-written signature-cache entry (matched
-           against the cache key; consumed by
-           :meth:`repro.exec.sigcache.SignatureCache.put`)
+           against the cache key, attempts counting stores of it)
 ``poison-trace``  overwrite one trace feature element with an invalid
            value (NaN by default; any float via ``value``) right after
            collection (matched against the rank task key; consumed by
@@ -59,6 +58,11 @@ Fault kinds:
            exercises stale-lock takeover between concurrent
            ``repro dag run`` processes
 =========  ==========================================================
+
+The four storage kinds (``corrupt``, ``corrupt-model-entry``,
+``corrupt-node-artifact``, ``stale-lock``) fire inside
+:class:`repro.util.store.Store`, the one lifecycle behind every
+content-addressed store; each store names the kinds it honors.
 """
 
 from __future__ import annotations
@@ -190,22 +194,10 @@ class FaultPlan:
 #: process-global override installed by tests (inherited by forked workers)
 _INSTALLED: Optional[FaultPlan] = None
 
-#: per-key count of cache stores, so ``corrupt`` specs can address the
-#: n-th store of a key; only advanced while a plan is active
-_STORE_COUNTS: Dict[str, int] = defaultdict(int)
-
-#: per-key count of serving batch executions, so serve specs can address
-#: the n-th batch of a key; only advanced while a plan is active
-_SERVE_COUNTS: Dict[str, int] = defaultdict(int)
-
-#: per-digest count of registry model stores (corrupt-model-entry)
-_MODEL_STORE_COUNTS: Dict[str, int] = defaultdict(int)
-
-#: per-key count of DAG artifact commits (corrupt-node-artifact)
-_DAG_STORE_COUNTS: Dict[str, int] = defaultdict(int)
-
-#: per-key count of DAG lock acquisition tries (stale-lock)
-_DAG_LOCK_COUNTS: Dict[str, int] = defaultdict(int)
+#: per-(kinds, key) occurrence counts behind :func:`planned`, so a spec
+#: can address the n-th store / validation / lock try / batch of a key;
+#: only advanced while a plan is active
+_COUNTS: Dict[Tuple[Tuple[str, ...], str], int] = defaultdict(int)
 
 
 @lru_cache(maxsize=8)
@@ -221,11 +213,7 @@ def install_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     global _INSTALLED
     previous = _INSTALLED
     _INSTALLED = plan
-    _STORE_COUNTS.clear()
-    _SERVE_COUNTS.clear()
-    _MODEL_STORE_COUNTS.clear()
-    _DAG_STORE_COUNTS.clear()
-    _DAG_LOCK_COUNTS.clear()
+    _COUNTS.clear()
     return previous
 
 
@@ -310,17 +298,24 @@ def poison_trace(trace, key: str, attempt: int = 1):
     return trace
 
 
-def check_corrupt(key: str) -> Optional[FaultSpec]:
-    """Corruption spec for the n-th store of cache ``key``, if planned.
+def planned(key: str, *kinds: str) -> Optional[FaultSpec]:
+    """The spec among ``kinds`` planned for this occurrence of ``key``.
 
-    The store counter only advances while a plan is active, so plans
-    installed mid-run address stores from their own activation onward.
+    Each call is one occurrence: the n-th call for a ``(kinds, key)``
+    pair is attempt n.  The storage faults use it through
+    :class:`repro.util.store.Store` (``corrupt`` and
+    ``corrupt-model-entry`` count stores of a key,
+    ``corrupt-node-artifact`` counts validations of an existing DAG
+    artifact, ``stale-lock`` counts lock acquisitions), the serving
+    faults per batch key.  Counts only advance while a plan is active,
+    so a plan installed mid-run addresses occurrences from its own
+    activation onward.
     """
     plan = active_plan()
     if plan is None:
         return None
-    _STORE_COUNTS[key] += 1
-    return plan.spec_for(key, _STORE_COUNTS[key], kinds=("corrupt",))
+    _COUNTS[kinds, key] += 1
+    return plan.spec_for(key, _COUNTS[kinds, key], kinds=kinds)
 
 
 def apply_serve_fault(key: str) -> Optional[FaultSpec]:
@@ -334,67 +329,13 @@ def apply_serve_fault(key: str) -> Optional[FaultSpec]:
     :class:`~repro.util.errors.ServeError` that fans out to the batch
     and feeds the model's circuit breaker.  A no-op without a plan.
     """
-    plan = active_plan()
-    if plan is None:
-        return None
-    _SERVE_COUNTS[key] += 1
-    attempt = _SERVE_COUNTS[key]
-    spec = plan.spec_for(key, attempt, kinds=("slow-predict", "predict-raise"))
+    kinds = ("slow-predict", "predict-raise")
+    spec = planned(key, *kinds)
     if spec is None:
         return None
     if spec.kind == "slow-predict":
         time.sleep(spec.seconds)
         return spec
-    raise ServeError(spec.message, stage="serve", task_key=key, attempts=attempt)
-
-
-def check_dag_corrupt(key: str) -> Optional[FaultSpec]:
-    """Corruption spec for the n-th reuse validation of DAG node ``key``.
-
-    Consumed by the DAG run engine right before it re-validates an
-    *existing* artifact for reuse: the committed file is truncated in
-    place, so the validation sees a digest mismatch, quarantines the
-    file, and recomputes the node — bit-rot between runs, the sigcache
-    corruption discipline at DAG-node granularity.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    _DAG_STORE_COUNTS[key] += 1
-    return plan.spec_for(
-        key, _DAG_STORE_COUNTS[key], kinds=("corrupt-node-artifact",)
-    )
-
-
-def check_stale_lock(key: str) -> Optional[FaultSpec]:
-    """Stale-lock spec for the n-th lock acquisition of DAG node ``key``.
-
-    Consumed by the DAG lock path right before ``O_CREAT|O_EXCL``: when
-    planned, the runner plants a lockfile whose mtime is already past
-    the staleness horizon, forcing the takeover path that a crashed
-    concurrent ``repro dag run`` would otherwise leave behind.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    _DAG_LOCK_COUNTS[key] += 1
-    return plan.spec_for(
-        key, _DAG_LOCK_COUNTS[key], kinds=("stale-lock",)
-    )
-
-
-def check_model_corrupt(digest: str) -> Optional[FaultSpec]:
-    """Corruption spec for the n-th registry store of ``digest``, if any.
-
-    Consumed by :meth:`repro.serve.registry.ModelRegistry.put`, which
-    truncates the file the spec's ``feature`` field names (``meta``,
-    ``matrix``, or ``template``) right after the atomic store — the
-    next *load* of that entry then trips quarantine + refit.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    _MODEL_STORE_COUNTS[digest] += 1
-    return plan.spec_for(
-        digest, _MODEL_STORE_COUNTS[digest], kinds=("corrupt-model-entry",)
+    raise ServeError(
+        spec.message, stage="serve", task_key=key, attempts=_COUNTS[kinds, key]
     )

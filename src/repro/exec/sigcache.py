@@ -15,13 +15,13 @@ across processes.  Anything whose repr embeds a memory address (the
 rather than silently never hitting, and counts the refusal in
 :class:`CacheStats`.
 
-Entries are **corruption-safe**: each file frames the pickled payload
-with a magic header and a SHA-256 content digest, verified on every
-read.  A truncated, bit-flipped, garbage, or pre-digest (legacy) file
-is never an error and never deleted silently — it is moved to a
-``quarantine/`` subdirectory for post-mortem, counted in
-``CacheStats.corrupt``, and reported to the caller as an ordinary miss,
-so pipeline code recollects and repairs the entry automatically.
+Entries live in a :class:`~repro.util.store.Store` (``<key>.pkl``
+files framed with their SHA-256), so they are **corruption-safe**: a
+truncated, bit-flipped, garbage, or foreign file is never an error and
+never deleted silently — the store moves it to ``quarantine/`` for
+post-mortem, it is counted in ``CacheStats.corrupt``, and the caller
+sees an ordinary miss, so pipeline code recollects and repairs the
+entry automatically.
 """
 
 from __future__ import annotations
@@ -29,31 +29,28 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.exec import faults
-from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
-from repro.util.errors import CacheCorruptionError
+from repro.obs.metrics import CounterSet
 from repro.util.rng import DEFAULT_ROOT_SEED
-
-log = get_logger("exec.sigcache")
+from repro.util.store import QUARANTINE_DIR, Store
 
 #: bump when collection output semantics change; invalidates all entries
-#: (2: digest-framed entry format)
-SCHEMA_VERSION = 2
+#: (2: digest-framed entry format; 3: the shared store's frame)
+SCHEMA_VERSION = 3
 
 #: environment override for the cache directory
 ENV_CACHE_ROOT = "REPRO_SIGNATURE_CACHE"
 
-#: entry framing: magic, 64 hex digest chars, newline, pickled payload
-ENTRY_MAGIC = b"repro-sig\x00v2\n"
-
-#: subdirectory corrupt entries are moved to (never silently deleted)
-QUARANTINE_DIR = "quarantine"
+#: store events -> :class:`CacheStats` counters
+_COUNTERS = {
+    "disk_hits": "hits",
+    "misses": "misses",
+    "stores": "stores",
+    "quarantined": "corrupt",
+}
 
 
 def _stable_token(obj) -> Optional[str]:
@@ -81,35 +78,16 @@ def app_token(app) -> Optional[str]:
 
 
 @dataclass
-class CacheStats:
-    """Counters for one cache instance's lifetime.
+class CacheStats(CounterSet):
+    """Counters for one cache instance's lifetime (``cache.*`` metrics)."""
 
-    A thin per-instance view: every increment goes through :meth:`bump`,
-    which mirrors into the global metrics registry as ``cache.<name>``,
-    so the ``--metrics-out`` export always agrees with this summary.
-    """
+    PREFIX = "cache"
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     uncacheable: int = 0
     corrupt: int = 0
-
-    COUNTER_FIELDS = ("hits", "misses", "stores", "uncacheable", "corrupt")
-
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"cache.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-
-    def __str__(self) -> str:
-        return (
-            f"hits={self.hits} misses={self.misses} "
-            f"stores={self.stores} uncacheable={self.uncacheable} "
-            f"corrupt={self.corrupt}"
-        )
 
 
 class SignatureCache:
@@ -129,10 +107,24 @@ class SignatureCache:
         self.root = Path(root)
         self.stats = CacheStats()
         self._report = None
+        self.store = Store(
+            self.root,
+            suffix=".pkl",
+            stats=self.stats,
+            counters=_COUNTERS,
+            faults={"put": "corrupt"},
+            on_quarantine=self._mirror_quarantine,
+        )
 
     def bind_report(self, report) -> None:
         """Mirror corruption events into a resilience ``RunReport``."""
         self._report = report
+
+    def _mirror_quarantine(self, key: str, reason: str) -> None:
+        if self._report is not None:
+            self._report.bump("cache_corruptions")
+            self._report.quarantined.append(key)
+            self._report.record(f"quarantined cache entry {key}: {reason}")
 
     @property
     def quarantine_root(self) -> Path:
@@ -175,102 +167,27 @@ class SignatureCache:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
     # ------------------------------------------------------------------
     # storage
-
-    def _read_verified(self, path: Path):
-        """Unpickle a digest-framed entry, or raise CacheCorruptionError.
-
-        Every failure mode maps to corruption: missing/short header,
-        wrong magic (including pre-digest legacy entries), digest
-        mismatch on truncated or bit-flipped payloads, and unpicklable
-        payloads (``pickle`` raises nearly arbitrary exceptions on
-        garbage bytes — ``UnpicklingError``, ``EOFError``,
-        ``AttributeError`` for renamed classes, ``ValueError`` from a
-        truncated opcode argument, ...).
-        """
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        header_len = len(ENTRY_MAGIC) + 64 + 1
-        if len(blob) < header_len or not blob.startswith(ENTRY_MAGIC):
-            raise CacheCorruptionError(
-                "missing or foreign entry header", stage="cache"
-            )
-        digest = blob[len(ENTRY_MAGIC):len(ENTRY_MAGIC) + 64]
-        payload = blob[header_len:]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-            raise CacheCorruptionError("content digest mismatch", stage="cache")
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:
-            raise CacheCorruptionError(
-                f"undigestible payload: {type(exc).__name__}", stage="cache"
-            )
-
-    def _quarantine(self, key: str, reason: str) -> None:
-        """Move a corrupt entry aside (never delete it) and count it."""
-        self.stats.bump("corrupt")
-        log.warning("quarantining cache entry %s: %s", key, reason)
-        try:
-            self.quarantine_root.mkdir(parents=True, exist_ok=True)
-            os.replace(self._path(key), self.quarantine_root / f"{key}.pkl")
-        except OSError:
-            # the entry raced away or the move failed; it stays counted
-            pass
-        if self._report is not None:
-            self._report.bump("cache_corruptions")
-            self._report.quarantined.append(key)
-            self._report.record(f"quarantined cache entry {key}: {reason}")
 
     def get(self, key: Optional[str]):
         """Cached signature for ``key``, or ``None`` on any miss.
 
-        Corrupt entries (failed digest, unpicklable, legacy format) are
+        Corrupt entries (failed digest, unpicklable, foreign format) are
         quarantined and reported as misses — callers never see an
         exception, they just recollect.
         """
         if key is None:
-            return None
-        path = self._path(key)
-        try:
-            sig = self._read_verified(path)
-        except CacheCorruptionError as exc:
-            if path.exists():
-                self._quarantine(key, str(exc))
             self.stats.bump("misses")
             return None
-        except OSError:
-            # plain miss: no entry (or unreadable directory)
-            self.stats.bump("misses")
-            return None
-        self.stats.bump("hits")
-        return sig
+        return self.store.get(key, pickle.loads)
 
     def put(self, key: Optional[str], signature) -> None:
         """Store ``signature`` under ``key`` atomically (no-op if None)."""
         if key is None:
             return
-        payload = pickle.dumps(signature, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(ENTRY_MAGIC + digest + b"\n" + payload)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.stats.bump("stores")
-        spec = faults.check_corrupt(key)
-        if spec is not None:
-            # injected corruption: truncate the just-published entry so
-            # the next read exercises the quarantine path
-            entry = self._path(key)
-            entry.write_bytes(entry.read_bytes()[: max(1, len(payload) // 2)])
+        self.store.put(
+            key,
+            signature,
+            lambda sig: pickle.dumps(sig, protocol=pickle.HIGHEST_PROTOCOL),
+        )

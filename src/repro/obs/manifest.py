@@ -67,6 +67,11 @@ def git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
+def default_code_version() -> str:
+    """The code-version token content-addressed specs default to."""
+    return git_sha() or "unversioned"
+
+
 def _describe_output(value: Union[str, Path, bytes]) -> dict:
     if isinstance(value, bytes):
         return {"sha256": digest_bytes(value), "bytes": len(value)}
@@ -88,7 +93,6 @@ def build_manifest(
     seed: int = DEFAULT_ROOT_SEED,
     cache=None,
     report=None,
-    journal=None,
     guard=None,
     tracer=None,
     profile_cache=None,
@@ -100,9 +104,9 @@ def build_manifest(
 
     ``outputs`` maps artifact names to file paths (digested from disk)
     or raw bytes (for stdout-rendered results like the Table I text).
-    ``cache``/``report``/``journal`` accept the live
-    ``SignatureCache``/``RunReport``/``RunJournal`` objects (or their
-    stats) and serialize through their ``to_dict()`` views; ``tracer``
+    ``cache``/``report`` accept the live ``SignatureCache``/``RunReport``
+    objects (or their stats) and serialize through their ``to_dict()``
+    views; ``tracer``
     contributes per-stage durations.  ``profile_cache`` accepts the
     reuse-engine :class:`~repro.cache.reuse.ProfileCache` (or its
     stats): per-tier hit/miss/eviction counts land under
@@ -142,9 +146,6 @@ def build_manifest(
         doc["resilience"] = report.to_dict()
     if guard is not None:
         doc["guard"] = guard.to_dict() if hasattr(guard, "to_dict") else guard
-    if journal is not None:
-        stats = getattr(journal, "stats", journal)
-        doc["journal"] = stats.to_dict()
     if profile_cache is not None:
         stats = getattr(profile_cache, "stats", profile_cache)
         doc["profile_cache"] = stats.to_dict()

@@ -23,8 +23,9 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import ClassVar, Dict, List, Union
 
 from repro.obs.telemetry import StreamingHistogram
 
@@ -271,3 +272,26 @@ class MetricsRegistry:
 
 #: the process-global registry every pipeline layer reports into
 REGISTRY = MetricsRegistry()
+
+
+@dataclass
+class CounterSet:
+    """A dataclass of integer counters mirrored into :data:`REGISTRY`.
+
+    Subclasses declare ``int`` fields and a ``PREFIX``; every increment
+    goes through :meth:`bump`, which also bumps ``<PREFIX>.<field>`` in
+    the registry, so the ``--metrics-out`` export always agrees with the
+    per-instance view.
+    """
+
+    PREFIX: ClassVar[str] = ""
+
+    def bump(self, name: str, n: int = 1) -> None:
+        setattr(self, name, getattr(self, name) + n)
+        REGISTRY.inc(f"{self.PREFIX}.{name}", n)
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __str__(self) -> str:
+        return " ".join(f"{k}={v}" for k, v in self.to_dict().items())

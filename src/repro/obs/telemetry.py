@@ -40,7 +40,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import os
 import re
 import time
 from dataclasses import dataclass

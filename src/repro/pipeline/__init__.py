@@ -12,8 +12,7 @@ Wires the substrates together into the paper's workflows:
   protocol: train on small counts, extrapolate, predict, compare with
   collected-trace prediction and measured runtime).
 - :mod:`repro.pipeline.report` — table rendering of experiment results.
-- :mod:`repro.pipeline.journal` — checkpoint journal making multi-unit
-  runs resumable after an interruption (``--resume``).
+- :mod:`repro.pipeline.journal` — the DAG's durable node-state store.
 - :mod:`repro.pipeline.dag` — the workflows above as a crash-consistent
   content-addressed DAG with incremental recomputation (``repro dag``).
 """
@@ -35,7 +34,7 @@ from repro.pipeline.dag import (
     node_key,
     run_dag,
 )
-from repro.pipeline.journal import RunJournal, make_journal, unit_key
+from repro.pipeline.journal import RunJournal
 from repro.pipeline.predict import (
     PredictionResult,
     measure_runtime,
@@ -68,8 +67,6 @@ __all__ = [
     "collect_signature",
     "collect_signatures",
     "RunJournal",
-    "make_journal",
-    "unit_key",
     "PredictionResult",
     "predict_runtime",
     "measure_runtime",

@@ -15,10 +15,11 @@ short-circuits recollection entirely.
 Fault tolerance is opt-in per call site: when
 ``CollectionSettings.resilience`` is set, the fan-out goes through
 :func:`repro.exec.resilience.run_tasks_resilient` (timeouts, retries,
-pool restart, serial fallback), and a :class:`RunJournal` passed to
-:func:`collect_signatures` checkpoints each completed ``(app, count)``
-unit so an interrupted sweep resumes where it stopped.  Neither can
-change results — tasks are pure functions of their arguments.
+pool restart, serial fallback).  It cannot change results — tasks are
+pure functions of their arguments.  An interrupted sweep resumes
+through the signature cache: each ``(app, count)`` unit is cached the
+moment it completes, so re-running with the same cache collects only
+the unfinished units.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.exec.sigcache import SignatureCache
 from repro.instrument.collector import CollectorConfig, collect_trace
 from repro.obs.log import get_logger
 from repro.obs.trace import span
-from repro.pipeline.journal import RunJournal, unit_key
 from repro.simmpi.profiler import profile_job
 from repro.simmpi.runtime import Job
 from repro.trace.signature import ApplicationSignature
@@ -237,7 +237,6 @@ def collect_signatures(
     settings: Optional[CollectionSettings] = None,
     *,
     cache: Optional[SignatureCache] = None,
-    journal: Optional[RunJournal] = None,
     report: Optional[RunReport] = None,
 ) -> List[ApplicationSignature]:
     """Collect signatures for several core counts, fanned out as a batch.
@@ -245,13 +244,9 @@ def collect_signatures(
     Cache lookups happen in the parent so warm entries never reach the
     pool; only the misses are (re)collected — concurrently when
     ``settings.workers`` allows — then stored.  Results are returned in
-    ``counts`` order.
-
-    With a ``journal``, each ``(app, count)`` unit is committed the
-    moment its signature is cached (in completion order, not batch
-    order), so a killed run resumes from the last completed unit; a
-    journaled unit is only trusted when its cache entry is still
-    readable, making resume safe against cleared or corrupted caches.
+    ``counts`` order.  Each signature is cached the moment it lands
+    (in completion order, not batch order), so a killed run re-run
+    with the same cache re-collects only the unfinished counts.
     """
     settings = settings or CollectionSettings()
     if cache is not None and report is not None:
@@ -259,19 +254,13 @@ def collect_signatures(
     results: List[Optional[ApplicationSignature]] = [None] * len(counts)
     missing: List[int] = []
     for i, count in enumerate(counts):
-        unit = unit_key("collect", app.name, hierarchy.name, count)
         cached = None
         if cache is not None:
             cached = cache.get(cache.key_for(app, count, hierarchy, settings))
         if cached is not None:
             results[i] = cached
-            if journal is not None:
-                # count the resume skip, and (re)commit cache-only hits
-                # so the journal converges to the full unit set
-                if not journal.skip(unit):
-                    journal.mark(unit)
-            continue
-        missing.append(i)
+        else:
+            missing.append(i)
 
     def _store(j: int, sig: ApplicationSignature) -> None:
         i = missing[j]
@@ -280,8 +269,6 @@ def collect_signatures(
             cache.put(
                 cache.key_for(app, counts[i], hierarchy, settings), sig
             )
-        if journal is not None:
-            journal.mark(unit_key("collect", app.name, hierarchy.name, counts[i]))
 
     log.info(
         "collecting %s: %d/%d counts cached, %d to collect",

@@ -19,20 +19,21 @@ model:
   (``state.jsonl``) with flush+fsync per record; a torn tail from a
   SIGKILL mid-append is skipped on recovery, so the store is readable
   after a kill at *any* instant and a committed node is never lost.
-- **Atomic artifacts.**  Node outputs commit via the shared
-  tmp + ``os.replace`` discipline (:mod:`repro.util.atomic`), so an
-  artifact either exists complete or not at all — re-running after a
-  crash recomputes exactly the nodes whose artifacts did not commit,
-  and the outputs are bit-identical to an uninterrupted run.
+- **Atomic, verified artifacts.**  Node outputs live in a
+  :class:`~repro.util.store.Store` (DESIGN.md §7.13): an artifact
+  commits atomically, so it either exists complete or not at all —
+  re-running after a crash recomputes exactly the nodes whose
+  artifacts did not commit, and the outputs are bit-identical to an
+  uninterrupted run.  Reuse re-verifies the digest the state store
+  recorded; a damaged artifact is quarantined and recomputed.
 - **Fault isolation.**  A failing node is recorded, not raised: its
   downstream cone is marked *poisoned* (one
   :class:`~repro.guard.violations.GuardViolation` per poisoned node)
   and every independent branch keeps executing.
-- **Concurrency.**  ``O_CREAT|O_EXCL`` lockfiles with stale-mtime
-  takeover (the :mod:`repro.serve.registry` idiom) let two ``repro dag
-  run`` processes share one cache directory: exactly one executes each
-  node; the loser polls, refreshes the state store, and adopts the
-  winner's artifact.
+- **Concurrency.**  The store's per-key lockfiles (stale-mtime
+  takeover, bounded wait) let two ``repro dag run`` processes share one
+  cache directory: exactly one executes each node; the loser polls,
+  refreshes the state store, and adopts the winner's artifact.
 
 Ready nodes execute in topological waves through
 :func:`~repro.exec.resilience.run_tasks_resilient`, so per-node
@@ -46,20 +47,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.cache.engine import ENGINE_NAMES
-from repro.core.batchfit import BatchFitResult
-from repro.core.canonical import EXTENDED_FORMS, PAPER_FORMS
+from repro.core.canonical import FORM_SETS
 from repro.core.extrapolate import fit_traces, synthesize_from_prediction
 from repro.core.fitting import BatchedFitReport
-from repro.exec import faults
 from repro.exec.resilience import (
     ResilienceConfig,
     RunReport,
@@ -69,14 +64,13 @@ from repro.guard.violations import GuardViolation
 from repro.instrument.collector import CollectorConfig
 from repro.machine.systems import get_machine, get_spec
 from repro.obs.log import get_logger
-from repro.obs.manifest import digest_file, git_sha
-from repro.obs.metrics import REGISTRY
+from repro.obs.manifest import default_code_version
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import span
 from repro.pipeline.journal import RunJournal
-from repro.trace.features import FeatureSchema
 from repro.trace.tracefile import TraceFile
-from repro.util.atomic import atomic_writer
 from repro.util.errors import DagError
+from repro.util.store import Store
 from repro.util.tables import Table
 
 log = get_logger("pipeline.dag")
@@ -87,29 +81,6 @@ DAG_SCHEMA_VERSION = 1
 
 STATE_FILE = "state.jsonl"
 ARTIFACTS_DIR = "artifacts"
-LOCKS_DIR = "locks"
-QUARANTINE_DIR = "quarantine"
-
-#: named canonical-form sets a spec may reference (mirrors the serving
-#: registry's map; defined locally so the DAG never imports the serve
-#: stack)
-FORM_SETS = {"paper": PAPER_FORMS, "extended": EXTENDED_FORMS}
-
-#: fit-bundle matrices persisted into the fit node's .npz, in manifest
-#: order: (array name, BatchFitResult attribute)
-_FIT_ARRAYS = (
-    ("x", "x"),
-    ("Y", "Y"),
-    ("sse", "sse"),
-    ("applicable", "applicable"),
-    ("order", "order"),
-    ("n_candidates", "n_candidates"),
-)
-
-
-def default_code_version() -> str:
-    """The code-version token baked into new specs."""
-    return git_sha() or "unversioned"
 
 
 @dataclass(frozen=True)
@@ -191,37 +162,15 @@ class SweepSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "machine": self.machine,
-            "train_counts": list(self.train_counts),
-            "targets": list(self.targets),
-            "cache_engine": self.cache_engine,
-            "forms": self.forms,
-            "code_version": self.code_version,
-            "table1": self.table1,
-            "rate_trust_factor": self.rate_trust_factor,
-            "accesses_per_probe": self.accesses_per_probe,
-            "sample_accesses": self.sample_accesses,
-            "max_sample_accesses": self.max_sample_accesses,
-        }
+        return dict(
+            asdict(self),
+            train_counts=list(self.train_counts),
+            targets=list(self.targets),
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
-        return cls(
-            app=doc["app"],
-            machine=doc["machine"],
-            train_counts=tuple(doc["train_counts"]),
-            targets=tuple(doc["targets"]),
-            cache_engine=doc["cache_engine"],
-            forms=doc["forms"],
-            code_version=doc["code_version"],
-            table1=doc["table1"],
-            rate_trust_factor=doc["rate_trust_factor"],
-            accesses_per_probe=doc["accesses_per_probe"],
-            sample_accesses=doc["sample_accesses"],
-            max_sample_accesses=doc["max_sample_accesses"],
-        )
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -377,7 +326,7 @@ def _rule_fit(name: str, spec: SweepSpec, parents: Dict[str, Path]):
 
 def _rule_extrapolate(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     target = _target_of(name)
-    report = _load_fit(parents["fit"])
+    report = BatchedFitReport.load_npz(parents["fit"])
     template_name = next(p for p in parents if p.startswith("collect:"))
     template = TraceFile.load_npz(parents[template_name])
     prediction = report.predict_many(
@@ -494,66 +443,44 @@ _RULES = {
 }
 
 
-# ---------------------------------------------------------------------------
-# fit-bundle serialization — one .npz mirroring the serving registry's
-# per-model directory, collapsed to a single artifact file
-# ---------------------------------------------------------------------------
+def artifact_store(
+    root: Union[str, Path],
+    stats: Optional["DagStats"] = None,
+    *,
+    lock_stale_s: float = 30.0,
+    lock_poll_s: float = 0.05,
+    lock_wait_s: float = 600.0,
+) -> Store:
+    """The node-artifact store under a DAG root.
 
-
-def _save_fit(report: BatchedFitReport, forms_set: str, path: Path) -> None:
-    batch = report.batch
-    arrays = {stem: getattr(batch, attr) for stem, attr in _FIT_ARRAYS}
-    for f, params in enumerate(batch.params):
-        arrays[f"params_{f}"] = params
-    meta = {
-        "schema_version": DAG_SCHEMA_VERSION,
-        "core_counts": [int(c) for c in report.core_counts],
-        "level_names": list(report.schema.level_names),
-        "pair_keys": [[int(b), int(k)] for b, k in report.pair_keys],
-        "form_names": [f.name for f in batch.forms],
-        "forms_set": forms_set,
-    }
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+    Entries are ``artifacts/<node key><ext>`` files committed bare (other
+    rules read them by path), verified against the digest the state
+    store recorded; locks are per node key.
+    """
+    return Store(
+        root,
+        entries=ARTIFACTS_DIR,
+        stats=stats,
+        counters={e: e for e in ("quarantined", "lock_waits", "lock_takeovers")},
+        faults={"get": "corrupt-node-artifact", "lock": "stale-lock"},
+        lock_stale_s=lock_stale_s,
+        lock_poll_s=lock_poll_s,
+        lock_wait_s=lock_wait_s,
     )
-    np.savez_compressed(Path(path), **arrays)
 
 
-def _load_fit(path: Path) -> BatchedFitReport:
-    with np.load(Path(path), allow_pickle=False) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("schema_version") != DAG_SCHEMA_VERSION:
-            raise DagError(
-                f"unsupported fit-bundle schema "
-                f"{meta.get('schema_version')!r} in {path}",
-                stage="dag",
-            )
-        by_name = {f.name: f for f in FORM_SETS[meta["forms_set"]]}
-        try:
-            forms = tuple(by_name[n] for n in meta["form_names"])
-        except KeyError as exc:
-            raise DagError(
-                f"fit bundle {path} references unknown form {exc}",
-                stage="dag",
-            )
-        batch = BatchFitResult(
-            x=np.asarray(data["x"], dtype=np.float64),
-            Y=np.asarray(data["Y"]),
-            forms=forms,
-            params=[
-                np.asarray(data[f"params_{f}"]) for f in range(len(forms))
-            ],
-            sse=np.asarray(data["sse"]),
-            applicable=np.asarray(data["applicable"]),
-            order=np.asarray(data["order"]),
-            n_candidates=np.asarray(data["n_candidates"]),
-        )
-    return BatchedFitReport(
-        core_counts=meta["core_counts"],
-        schema=FeatureSchema(meta["level_names"]),
-        pair_keys=[(int(b), int(k)) for b, k in meta["pair_keys"]],
-        batch=batch,
-    )
+def _entry(node: "Node", key: str) -> str:
+    """The artifact store key of ``node`` under content key ``key``."""
+    return f"{key}{node.ext}"
+
+
+def _write(payload, spec: SweepSpec, path: Path) -> None:
+    if isinstance(payload, TraceFile):
+        payload.save_npz(path)
+    elif isinstance(payload, BatchedFitReport):
+        payload.save_npz(path, forms=spec.forms)
+    else:
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _execute_node(
@@ -561,7 +488,8 @@ def _execute_node(
     rule: str,
     spec: SweepSpec,
     parent_paths: Dict[str, str],
-    out_path: str,
+    root: str,
+    entry: str,
 ) -> dict:
     """Run one node and atomically commit its artifact.
 
@@ -569,21 +497,14 @@ def _execute_node(
     (``raise``/``hang``/``crash``/``node-crash``) were already applied
     by the executor under the key ``dag:<name>``.
     """
-    out = Path(out_path)
     with span("dag.node", node=name, rule=rule):
         payload = _RULES[rule](
             name, spec, {k: Path(v) for k, v in parent_paths.items()}
         )
-        with atomic_writer(out) as tmp:
-            if isinstance(payload, TraceFile):
-                payload.save_npz(tmp)
-            elif isinstance(payload, BatchedFitReport):
-                _save_fit(payload, spec.forms, tmp)
-            else:
-                tmp.write_text(
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
-                )
-    return {"sha256": digest_file(out)}
+        sha256 = artifact_store(root).put_file(
+            entry, lambda tmp: _write(payload, spec, tmp)
+        )
+    return {"sha256": sha256}
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +513,10 @@ def _execute_node(
 
 
 @dataclass
-class DagStats:
+class DagStats(CounterSet):
     """Counters for one DAG run, mirrored to ``dag.*`` registry metrics."""
+
+    PREFIX = "dag"
 
     executed: int = 0  #: nodes this run computed and committed
     clean: int = 0  #: nodes reused (valid artifact already present)
@@ -603,23 +526,6 @@ class DagStats:
     lock_waits: int = 0  #: polls spent waiting on another process's lock
     lock_takeovers: int = 0  #: stale locks removed (crashed holder)
     node_crashes: int = 0  #: worker deaths observed while executing nodes
-
-    COUNTER_FIELDS = (
-        "executed", "clean", "failed", "poisoned", "quarantined",
-        "lock_waits", "lock_takeovers", "node_crashes",
-    )
-
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"dag.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-
-    def __str__(self) -> str:
-        return " ".join(
-            f"{name}={getattr(self, name)}" for name in self.COUNTER_FIELDS
-        )
 
 
 @dataclass
@@ -654,89 +560,10 @@ class DagRunResult:
         }
 
 
-def _artifact_path(root: Path, key: str, ext: str) -> Path:
-    return root / ARTIFACTS_DIR / f"{key}{ext}"
-
-
-def _lock_path(root: Path, key: str) -> Path:
-    return root / LOCKS_DIR / f"{key}.lock"
-
-
-def _try_lock(
-    root: Path, key: str, stats: DagStats, lock_stale_s: float
-) -> bool:
-    """O_EXCL advisory node lock; False = somebody else is executing.
-
-    A lock older than ``lock_stale_s`` is presumed abandoned (the
-    executor was SIGKILLed between acquire and release) and removed, so
-    the next poll can take over.
-    """
-    path = _lock_path(root, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        try:
-            age = time.time() - path.stat().st_mtime
-        except OSError:
-            return False  # holder released between checks; re-poll
-        if age > lock_stale_s:
-            try:
-                os.remove(path)
-            except OSError:  # pragma: no cover - lost the takeover race
-                pass
-            else:
-                stats.bump("lock_takeovers")
-                log.warning(
-                    "took over stale node lock %s (age %.1fs)", key[:12], age
-                )
-        return False
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"{os.getpid()} {time.time():.6f}\n")
-    return True
-
-
-def _unlock(root: Path, key: str) -> None:
-    try:
-        os.remove(_lock_path(root, key))
-    except OSError:  # pragma: no cover - already taken over
-        pass
-
-
-def _plant_stale_lock(root: Path, key: str, lock_stale_s: float) -> None:
-    """``stale-lock`` fault: materialize an abandoned holder's lockfile."""
-    path = _lock_path(root, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("0 0.0\n")
-    stale = time.time() - lock_stale_s - 60.0
-    os.utime(path, (stale, stale))
-
-
-def _quarantine_artifact(
-    root: Path, art: Path, key: str, stats: DagStats
-) -> None:
-    """Move a corrupt artifact aside (never delete: forensics first)."""
-    qdir = root / QUARANTINE_DIR
-    qdir.mkdir(parents=True, exist_ok=True)
-    n = 0
-    while True:
-        dest = qdir / f"{key}-{n}{art.suffix}"
-        if not dest.exists():
-            break
-        n += 1
-    try:
-        os.replace(art, dest)
-    except OSError:  # pragma: no cover - a concurrent run moved it first
-        return
-    stats.bump("quarantined")
-    log.warning("quarantined corrupt artifact %s -> %s", art.name, dest.name)
-
-
-def _artifact_valid(art: Path, meta: Optional[dict]) -> bool:
-    """Does the on-disk artifact match its committed digest?"""
-    if not meta or meta.get("status") != "done" or not art.exists():
-        return False
-    return digest_file(art) == meta.get("sha256")
+def _committed(journal: RunJournal, key: str) -> Optional[str]:
+    """The artifact digest the state store committed for ``key``."""
+    meta = journal.meta(key) or {}
+    return meta.get("sha256") if meta.get("status") == "done" else None
 
 
 def run_dag(
@@ -769,7 +596,11 @@ def run_dag(
     report = report if report is not None else RunReport()
     stats = DagStats()
     REGISTRY.gauge("dag.nodes_total").set(float(len(dag.nodes)))
-    store = RunJournal(root / STATE_FILE, resume=not fresh)
+    store = artifact_store(
+        root, stats, lock_stale_s=lock_stale_s, lock_poll_s=lock_poll_s,
+        lock_wait_s=lock_wait_s,
+    )
+    journal = RunJournal(root / STATE_FILE, resume=not fresh)
     statuses: Dict[str, str] = {}
     digests: Dict[str, str] = {}
     artifacts: Dict[str, str] = {}
@@ -781,14 +612,12 @@ def run_dag(
         with span("dag.run", app=spec.app, nodes=len(dag.nodes)):
             while pending:
                 _run_wave(
-                    dag, root, store, pending, statuses, digests, artifacts,
-                    errors, bad, violations, stats, report,
+                    dag, store, journal, pending, statuses, digests,
+                    artifacts, errors, bad, violations, stats, report,
                     workers=workers, resilience=resilience,
-                    lock_stale_s=lock_stale_s, lock_poll_s=lock_poll_s,
-                    lock_wait_s=lock_wait_s,
                 )
     finally:
-        store.close()
+        journal.close()
     log.info("dag run complete: %s", stats)
     return DagRunResult(
         spec=spec, root=root, statuses=statuses, digests=digests,
@@ -799,8 +628,8 @@ def run_dag(
 
 def _run_wave(
     dag: Dag,
-    root: Path,
-    store: RunJournal,
+    store: Store,
+    journal: RunJournal,
     pending: Dict[str, Node],
     statuses: Dict[str, str],
     digests: Dict[str, str],
@@ -813,9 +642,6 @@ def _run_wave(
     *,
     workers: Optional[int],
     resilience: ResilienceConfig,
-    lock_stale_s: float,
-    lock_poll_s: float,
-    lock_wait_s: float,
 ) -> None:
     spec = dag.spec
     # poison-cone propagation first: a node below any failed/poisoned
@@ -848,99 +674,80 @@ def _run_wave(
             )
         return
 
-    def adopt_clean(node: Node, key: str, art: Path) -> None:
-        digests[node.name] = store.meta(key)["sha256"]
-        artifacts[node.name] = str(art)
+    def adopt_clean(node: Node, key: str) -> None:
+        digests[node.name] = _committed(journal, key)
+        artifacts[node.name] = str(store.path(_entry(node, key)))
         statuses[node.name] = "clean"
         stats.bump("clean")
         del pending[node.name]
 
-    # split the wave: reuse committed-and-intact artifacts, run the rest
-    to_run: List[Tuple[Node, str, Path]] = []
+    # split the wave: reuse committed-and-intact artifacts (the store
+    # quarantines damaged ones), run the rest
+    to_run: List[Tuple[Node, str]] = []
     for node in ready:
         key = node_key(node, spec, digests)
-        art = _artifact_path(root, key, node.ext)
-        if art.exists() and (
-            faults.check_dag_corrupt(f"dag:{node.name}") is not None
+        if store.verify(
+            _entry(node, key), _committed(journal, key),
+            fault_key=f"dag:{node.name}",
         ):
-            # bit-rot fault: damage the committed bytes right before
-            # reuse validation, which must catch and quarantine them
-            data = art.read_bytes()
-            art.write_bytes(data[: len(data) // 2])
-            log.warning("fault plan corrupted artifact of %s", node.name)
-        meta = store.meta(key)
-        if _artifact_valid(art, meta):
-            adopt_clean(node, key, art)
-            continue
-        if meta and meta.get("status") == "done" and art.exists():
-            # committed digest no longer matches the bytes: bit-rot or
-            # an injected corrupt-node-artifact — quarantine, then redo
-            _quarantine_artifact(root, art, key, stats)
-        to_run.append((node, key, art))
+            adopt_clean(node, key)
+        else:
+            to_run.append((node, key))
 
     # node locks: exactly one process executes each node; losers poll,
     # refresh the shared state store, and adopt the winner's artifact
-    runnable: List[Tuple[Node, str, Path]] = []
-    for node, key, art in to_run:
-        if faults.check_stale_lock(f"dag:{node.name}") is not None:
-            _plant_stale_lock(root, key, lock_stale_s)
-        adopted = False
-        waited = 0.0
-        while not _try_lock(root, key, stats, lock_stale_s):
-            stats.bump("lock_waits")
-            time.sleep(lock_poll_s)
-            waited += lock_poll_s
-            store.refresh()
-            if _artifact_valid(art, store.meta(key)):
-                adopted = True
-                break
-            if waited >= lock_wait_s:
-                raise DagError(
-                    f"timed out after {lock_wait_s:.0f}s waiting for the "
-                    f"node lock of {node.name}",
-                    stage="dag", task_key=key,
-                )
-        if not adopted:
-            # double-check under the lock: the previous holder may have
-            # committed while we raced for it
-            store.refresh()
-            if _artifact_valid(art, store.meta(key)):
-                _unlock(root, key)
-                adopted = True
+    runnable: List[Tuple[Node, str]] = []
+    for node, key in to_run:
+
+        def committed_elsewhere(node=node, key=key):
+            journal.refresh()
+            return store.intact(_entry(node, key), _committed(journal, key)) or None
+
+        try:
+            adopted = store.acquire(
+                key, committed_elsewhere, fault_key=f"dag:{node.name}"
+            )
+        except TimeoutError:
+            raise DagError(
+                f"timed out after {store.lock_wait_s:.0f}s waiting for the "
+                f"node lock of {node.name}",
+                stage="dag", task_key=key,
+            ) from None
         if adopted:
-            adopt_clean(node, key, art)
+            adopt_clean(node, key)
         else:
-            runnable.append((node, key, art))
+            runnable.append((node, key))
     if not runnable:
         return
 
     tasks = [
         (
             node.name, node.rule, spec,
-            {p: artifacts[p] for p in node.parents}, str(art),
+            {p: artifacts[p] for p in node.parents}, str(store.root),
+            _entry(node, key),
         )
-        for node, key, art in runnable
+        for node, key in runnable
     ]
-    keys = [f"dag:{node.name}" for node, _key, _art in runnable]
+    keys = [f"dag:{node.name}" for node, _key in runnable]
 
     def on_result(i: int, value) -> None:
         # durable per-node commit, written the moment the node settles:
         # a SIGKILL after this line never re-executes the node
-        node, key, _art = runnable[i]
+        node, key = runnable[i]
         if isinstance(value, Exception):
-            store.amend(
+            journal.amend(
                 key, node=node.name, rule=node.rule, status="failed",
                 error=str(value),
             )
         else:
-            store.amend(
+            journal.amend(
                 key, node=node.name, rule=node.rule, status="done",
                 sha256=value["sha256"],
             )
 
     log.info(
         "wave: executing %d node(s): %s",
-        len(runnable), ", ".join(n.name for n, _k, _a in runnable),
+        len(runnable), ", ".join(n.name for n, _k in runnable),
     )
     crashes_before = report.crashes
     results, _ = run_tasks_resilient(
@@ -950,8 +757,8 @@ def _run_wave(
     )
     if report.crashes > crashes_before:
         stats.bump("node_crashes", report.crashes - crashes_before)
-    for (node, key, art), value in zip(runnable, results):
-        _unlock(root, key)
+    for (node, key), value in zip(runnable, results):
+        store.release(key)
         del pending[node.name]
         if isinstance(value, Exception) or value is None:
             message = str(value) if value is not None else "no result"
@@ -969,7 +776,7 @@ def _run_wave(
             )
         else:
             digests[node.name] = value["sha256"]
-            artifacts[node.name] = str(art)
+            artifacts[node.name] = str(store.path(_entry(node, key)))
             statuses[node.name] = "executed"
             stats.bump("executed")
 
@@ -1009,12 +816,12 @@ def dag_status(spec: SweepSpec, root: Union[str, Path]) -> List[NodeStatus]:
     """
     dag = build_dag(spec)
     root = Path(root)
+    store = artifact_store(root)
     metas: Dict[str, Optional[dict]] = {}
     state_path = root / STATE_FILE
     if state_path.exists():
-        store = RunJournal(state_path, resume=True)
-        metas = store.metas()
-        store.close()
+        with RunJournal(state_path, resume=True) as journal:
+            metas = journal.metas()
     built_names = {
         meta.get("node") for meta in metas.values() if meta
     }
@@ -1029,12 +836,12 @@ def dag_status(spec: SweepSpec, root: Union[str, Path]) -> List[NodeStatus]:
             ))
             continue
         key = node_key(node, spec, digests)
-        art = _artifact_path(root, key, node.ext)
+        entry = _entry(node, key)
         meta = metas.get(key)
         if meta and meta.get("status") == "done":
-            if not art.exists():
+            if not store.path(entry).exists():
                 state, reason = "stale", "artifact missing"
-            elif digest_file(art) != meta.get("sha256"):
+            elif not store.intact(entry, meta.get("sha256")):
                 state, reason = "stale", "artifact corrupt (will quarantine)"
             else:
                 state, reason = "clean", "artifact matches committed digest"

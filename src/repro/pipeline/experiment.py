@@ -39,7 +39,6 @@ from repro.machine.systems import get_machine, get_spec
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.pipeline.collect import CollectionSettings, collect_signatures
-from repro.pipeline.journal import RunJournal
 from repro.pipeline.predict import measure_runtime, predict_runtime
 from repro.psins.ground_truth import GroundTruthConfig
 from repro.trace.tracefile import TraceFile
@@ -61,9 +60,6 @@ class Table1Config:
     cache: Optional[SignatureCache] = None
     #: fitting engine: "batched" (vectorized) or "reference" (scalar)
     engine: str = "batched"
-    #: optional checkpoint journal: completed collection units are
-    #: committed as they land, so an interrupted run can resume
-    journal: Optional[RunJournal] = None
     #: stage-boundary guardrails (None = off, the library default; the
     #: CLI defaults to policy "degrade")
     guard: Optional[GuardConfig] = None
@@ -134,8 +130,8 @@ def run_table1(
 
     # 1+3. signatures at every core count — the three training runs and
     # the target run are independent, so they are collected as one batch
-    # (concurrently when the pool allows, memoized when a cache is set,
-    # checkpointed per unit when a journal is set)
+    # (concurrently when the pool allows, memoized per unit when a cache
+    # is set)
     report = RunReport()
     counts = sorted(train_counts) + [target_count]
     signatures = collect_signatures(
@@ -144,7 +140,6 @@ def run_table1(
         machine.hierarchy,
         config.collection,
         cache=config.cache,
-        journal=config.journal,
         report=report,
     )
     training: List[TraceFile] = [
@@ -245,7 +240,6 @@ def collect_training_traces(
         machine.hierarchy,
         config.collection,
         cache=config.cache,
-        journal=config.journal,
         report=report,
     )
     return [sig.slowest_trace() for sig in signatures]

@@ -8,7 +8,7 @@ many targets in one array pass.  This package turns that asymmetry into
 a service:
 
 - :mod:`repro.serve.registry` — fitted models keyed by content digest,
-  persisted mmap-friendly, LRU-cached in memory;
+  persisted in a verified content-addressed store, LRU-cached in memory;
 - :mod:`repro.serve.batcher` — micro-batching of compatible concurrent
   queries (size/deadline flush, per-query fan-out);
 - :mod:`repro.serve.engine` — the asyncio front-end: admission control,

@@ -11,103 +11,44 @@ same ``git_sha`` the run manifest records) — so a registry can never
 serve a stale fit for changed inputs: a different identity is a
 different digest is a different entry.
 
-Persistence is mmap-friendly: each model lives in its own
-``<digest>/`` directory holding one bare ``.npy`` file per fit matrix
-(``np.load(mmap_mode="r")`` only maps bare ``.npy`` files, not ``.npz``
-members), the template as a normal trace ``.npz``, and a ``meta.json``
-carrying the spec and array manifest.  A warm serving process therefore
-pages in only the matrix rows a query batch actually touches.  Writes
-go to a temp directory renamed into place, so a crashed writer never
-leaves a half-model loadable.
-
-In front of the disk tier sits a small in-memory LRU (the
-:class:`~repro.cache.reuse.ProfileCache` idiom), with per-tier
-hit/miss/eviction counters exported as ``serve.registry.*`` metrics.
-
-The disk tier is *self-healing and bounded*:
-
-- every entry carries a ``files`` manifest (byte size + sha256 per
-  artifact); a load that fails verification — or fails to parse at all
-  — moves the whole entry to ``<root>/quarantine/`` (the PR-3 sigcache
-  discipline) and reports a **miss**, so ``get_or_fit`` transparently
-  refits.  Corruption never surfaces to serving code as an exception;
-- an optional **size budget** (``budget_mb``) garbage-collects
-  least-recently-used entries after each store: access time lives in a
-  per-entry ``atime`` sidecar (touched on every disk hit, so GC order
-  is usage order, not store order), deletes are rename-then-remove so
-  a concurrent reader never sees a half-deleted entry;
-- ``get_or_fit`` takes a per-digest advisory **lockfile** before
-  fitting, so concurrent processes asked for the same model fit it
-  once: the loser polls, then loads the winner's artifact (a lock
-  older than ``lock_stale_s`` is taken over — a crashed fitter cannot
-  wedge the registry).
+Persistence is one :class:`~repro.util.store.Store` (DESIGN.md §7.13):
+each model is a ``<digest[:2]>/<digest>/`` directory of ``fit.npz``
+(:meth:`~repro.core.fitting.BatchedFitReport.save_npz`, the file the
+pipeline DAG's fit node commits), ``template.npz`` and a ``meta.json``
+manifest with the spec, behind a small memory LRU (``serve.registry.*``
+metrics).  The store makes the registry self-healing and bounded: a
+load that fails verification is quarantined and reported as a **miss**,
+so ``get_or_fit`` refits; an optional ``budget_mb`` GCs
+least-recently-used entries after each store; and ``get_or_fit`` fits
+under a per-digest lock, so concurrent processes fit a model once (a
+lock older than ``lock_stale_s`` is taken over).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import shutil
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+import io
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.cache.engine import ENGINE_NAMES
-from repro.exec import faults
-from repro.core.batchfit import BatchFitResult
-from repro.core.canonical import EXTENDED_FORMS, PAPER_FORMS
+from repro.core.canonical import FORM_SETS
 from repro.core.extrapolate import fit_traces, synthesize_from_prediction
 from repro.core.fitting import BatchedFitReport, SweepPrediction
-from repro.obs.log import get_logger
-from repro.obs.manifest import git_sha
-from repro.obs.metrics import REGISTRY
+from repro.obs.manifest import default_code_version
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import span
-from repro.trace.features import FeatureSchema
 from repro.trace.tracefile import TraceFile
-from repro.util.atomic import atomic_dir
 from repro.util.errors import ServeError
+from repro.util.store import EVENTS, Store
 
-SCHEMA_VERSION = 1
-
-log = get_logger("serve.registry")
-
-#: named canonical-form sets a spec may select (names are part of the
-#: content digest, so the mapping must stay append-only)
-FORM_SETS = {"paper": PAPER_FORMS, "extended": EXTENDED_FORMS}
-
-#: registry housekeeping directories (never valid shard names — shards
-#: are two hex characters)
-QUARANTINE_DIR = "quarantine"
-LOCKS_DIR = "locks"
-
-#: per-entry access-time sidecar (excluded from the files manifest:
-#: it mutates on every read)
-ATIME_FILE = "atime"
+#: 2: one fit bundle per entry instead of a file per matrix
+SCHEMA_VERSION = 2
 
 #: fault-plan ``feature`` → the entry file a ``corrupt-model-entry``
 #: spec truncates
-FAULT_FILES = {"meta": "meta.json", "matrix": "Y.npy", "template": "template.npz"}
-
-#: the per-model fit matrices persisted as bare .npy files, in manifest
-#: order: (filename stem, BatchFitResult attribute)
-_ARRAY_FIELDS = (
-    ("x", "x"),
-    ("Y", "Y"),
-    ("sse", "sse"),
-    ("applicable", "applicable"),
-    ("order", "order"),
-    ("n_candidates", "n_candidates"),
-)
-
-
-def default_code_version() -> str:
-    """The code-version token baked into new specs (manifest ``git_sha``)."""
-    return git_sha() or "unversioned"
+FAULT_FILES = {"meta": "meta.json", "matrix": "fit.npz", "template": "template.npz"}
 
 
 @dataclass(frozen=True)
@@ -172,25 +113,11 @@ class ModelSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "machine": self.machine,
-            "train_counts": list(self.train_counts),
-            "cache_engine": self.cache_engine,
-            "forms": self.forms,
-            "code_version": self.code_version,
-        }
+        return dict(asdict(self), train_counts=list(self.train_counts))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelSpec":
-        return cls(
-            app=doc["app"],
-            machine=doc["machine"],
-            train_counts=tuple(doc["train_counts"]),
-            cache_engine=doc["cache_engine"],
-            forms=doc["forms"],
-            code_version=doc["code_version"],
-        )
+        return cls(**doc)
 
 
 @dataclass
@@ -268,8 +195,10 @@ def fit_model(spec: ModelSpec, *, config=None, report=None) -> FittedModel:
 
 
 @dataclass
-class RegistryStats:
+class RegistryStats(CounterSet):
     """Tiered hit/miss tallies, mirrored into ``serve.registry.*``."""
+
+    PREFIX = "serve.registry"
 
     mem_hits: int = 0
     disk_hits: int = 0
@@ -283,8 +212,7 @@ class RegistryStats:
     lock_takeovers: int = 0
 
     def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"serve.registry.{name}", n)
+        super().bump(name, n)
         if name in ("mem_hits", "disk_hits", "misses"):
             REGISTRY.gauge("serve.registry.hit_rate").set(self.hit_rate())
 
@@ -295,19 +223,32 @@ class RegistryStats:
             return 0.0
         return (self.mem_hits + self.disk_hits) / lookups
 
-    def to_dict(self) -> dict:
-        return {
-            "mem_hits": self.mem_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "fits": self.fits,
-            "quarantined": self.quarantined,
-            "gc_evictions": self.gc_evictions,
-            "lock_waits": self.lock_waits,
-            "lock_takeovers": self.lock_takeovers,
-        }
+
+def _encode(model: FittedModel) -> Tuple[Dict[str, bytes], dict]:
+    fit, template = io.BytesIO(), io.BytesIO()
+    model.report.save_npz(fit, forms=model.spec.forms)
+    model.template.save_npz(template)
+    files = {"fit.npz": fit.getvalue(), "template.npz": template.getvalue()}
+    return files, {"schema_version": SCHEMA_VERSION, "spec": model.spec.to_dict()}
+
+
+def _decode(digest: str, meta: dict, files: Dict[str, bytes]) -> FittedModel:
+    if meta.get("schema_version") != SCHEMA_VERSION:
+        raise ServeError(
+            f"unsupported model schema version {meta.get('schema_version')!r}",
+            stage="serve",
+        )
+    spec = ModelSpec.from_dict(meta["spec"])
+    if spec.digest() != digest:
+        raise ServeError(
+            f"entry {digest[:12]} holds model {spec.digest()[:12]}",
+            stage="serve",
+        )
+    return FittedModel(
+        spec=spec,
+        report=BatchedFitReport.load_npz(io.BytesIO(files["fit.npz"])),
+        template=TraceFile.load_npz(io.BytesIO(files["template.npz"])),
+    )
 
 
 class ModelRegistry:
@@ -315,9 +256,7 @@ class ModelRegistry:
 
     ``root=None`` keeps everything in memory (tests, embedded use); with
     a root directory, :meth:`put` persists and :meth:`get` falls back to
-    disk on a memory miss, loading fit matrices with
-    ``np.load(mmap_mode="r")`` so a big registry costs page-cache, not
-    heap.
+    disk on a memory miss.
     """
 
     def __init__(
@@ -343,125 +282,81 @@ class ModelRegistry:
             self.root.mkdir(parents=True, exist_ok=True)
         self.mem_entries = mem_entries
         self.budget_mb = budget_mb
-        self.lock_stale_s = lock_stale_s
-        self.lock_poll_s = lock_poll_s
-        self._mem: "OrderedDict[str, FittedModel]" = OrderedDict()
         self.stats = RegistryStats()
-
-    # -- keying ---------------------------------------------------------
+        self.store = Store(
+            self.root,
+            shard=True,
+            mem_entries=mem_entries,
+            stats=self.stats,
+            counters={event: event for event in EVENTS},
+            faults={"put": "corrupt-model-entry"},
+            fault_files=FAULT_FILES,
+            lock_stale_s=lock_stale_s,
+            lock_poll_s=lock_poll_s,
+        )
 
     @staticmethod
     def _digest_of(key: Union[str, ModelSpec]) -> str:
         return key.digest() if isinstance(key, ModelSpec) else str(key)
 
-    def _model_dir(self, digest: str) -> Path:
-        assert self.root is not None
-        return self.root / digest[:2] / digest
-
-    # -- memory tier ----------------------------------------------------
-
-    def _remember(self, digest: str, model: FittedModel) -> None:
-        self._mem[digest] = model
-        self._mem.move_to_end(digest)
-        while len(self._mem) > self.mem_entries:
-            self._mem.popitem(last=False)
-            self.stats.bump("evictions")
-        REGISTRY.gauge("serve.registry.mem_entries").set(
-            float(len(self._mem))
-        )
-
-    # -- public API -----------------------------------------------------
-
     def __contains__(self, key: Union[str, ModelSpec]) -> bool:
-        digest = self._digest_of(key)
-        if digest in self._mem:
-            return True
-        return (
-            self.root is not None
-            and (self._model_dir(digest) / "meta.json").exists()
-        )
+        return self._digest_of(key) in self.store
 
     def __len__(self) -> int:
         return len(self.digests())
 
     def digests(self) -> List[str]:
         """Every digest the registry can answer for (both tiers)."""
-        found = set(self._mem)
-        if self.root is not None:
-            for meta in self.root.glob("*/*/meta.json"):
-                if meta.parent.parent.name == QUARANTINE_DIR:
-                    continue
-                found.add(meta.parent.name)
-        return sorted(found)
+        return sorted(set(self.store.memory_keys()) | set(self.store.keys()))
 
     def get(self, key: Union[str, ModelSpec]) -> Optional[FittedModel]:
         digest = self._digest_of(key)
-        model = self._mem.get(digest)
+        model = self.store.get_dir(
+            digest, lambda meta, files: _decode(digest, meta, files)
+        )
         if model is not None:
-            self._mem.move_to_end(digest)
-            self.stats.bump("mem_hits")
-            return model
-        if self.root is not None:
-            model_dir = self._model_dir(digest)
-            if (model_dir / "meta.json").exists():
-                try:
-                    model = self._load_dir(model_dir)
-                except Exception as exc:  # noqa: BLE001 - any corruption
-                    # self-healing: corruption is a quarantine + miss,
-                    # never an exception surfaced to serving code
-                    self._quarantine(model_dir, digest, exc)
-                else:
-                    self.stats.bump("disk_hits")
-                    self._touch_atime(model_dir)
-                    self._remember(digest, model)
-                    return model
-        self.stats.bump("misses")
-        return None
+            self._gauge_memory()
+        return model
 
     def put(self, model: FittedModel) -> str:
         digest = model.digest
-        if self.root is not None:
-            self._store_dir(model, self._model_dir(digest))
-            spec_fault = faults.check_model_corrupt(digest)
-            if spec_fault is not None:
-                self._truncate_entry(digest, spec_fault.feature)
-        self.stats.bump("stores")
-        self._remember(digest, model)
+        self.store.put_dir(digest, model, _encode)
+        self._gauge_memory()
         if self.root is not None and self.budget_mb is not None:
-            self._gc(protect=digest)
+            left = self.store.gc(self.budget_mb * 1024 * 1024, protect=digest)
+            REGISTRY.gauge("serve.registry.disk_mb").set(left / (1024 * 1024))
         return digest
+
+    def _gauge_memory(self) -> None:
+        REGISTRY.gauge("serve.registry.mem_entries").set(
+            float(len(self.store.memory_keys()))
+        )
 
     def get_or_fit(
         self, spec: ModelSpec, *, config=None, report=None
     ) -> FittedModel:
         """Answer from either tier, fitting (and persisting) on a miss.
 
-        With a disk root, the fit runs under a per-digest advisory
-        lockfile: a second process asked for the same model waits for
-        the first and loads its artifact instead of re-fitting.
+        With a disk root, the fit runs under the digest's store lock: a
+        second process asked for the same model waits for the first and
+        loads its entry instead of re-fitting.
         """
         model = self.get(spec)
         if model is not None:
             return model
-        digest = spec.digest()
         if self.root is None:
             return self._fit_and_put(spec, config=config, report=report)
-        while True:
-            if self._try_lock(digest):
-                try:
-                    # double-check under the lock: the previous holder
-                    # may have stored the artifact while we waited
-                    model = self.get(spec)
-                    if model is not None:
-                        return model
-                    return self._fit_and_put(spec, config=config, report=report)
-                finally:
-                    self._unlock(digest)
-            self.stats.bump("lock_waits")
-            time.sleep(self.lock_poll_s)
-            model = self.get(spec)
-            if model is not None:
-                return model
+        digest = spec.digest()
+        try:
+            model = self.store.acquire(digest, lambda: self.get(spec))
+        except TimeoutError as exc:
+            raise ServeError(str(exc), stage="serve") from exc
+        if model is not None:
+            return model
+        try:
+            return self._fit_and_put(spec, config=config, report=report)
+        finally:
+            self.store.release(digest)
 
     def _fit_and_put(self, spec, *, config=None, report=None) -> FittedModel:
         model = fit_model(spec, config=config, report=report)
@@ -471,281 +366,12 @@ class ModelRegistry:
 
     def clear_memory(self) -> None:
         """Drop the memory tier (disk survives) — cold-start testing."""
-        self._mem.clear()
-
-    # -- self-healing ---------------------------------------------------
-
-    def _quarantine(self, model_dir: Path, digest: str, exc: Exception) -> None:
-        """Move a corrupt entry aside (atomically) and count it.
-
-        The entry keeps its bytes under ``<root>/quarantine/<digest>-<n>``
-        for post-mortems; the registry reports a miss, so the caller's
-        ``get_or_fit`` refits transparently.
-        """
-        assert self.root is not None
-        qdir = self.root / QUARANTINE_DIR
-        qdir.mkdir(parents=True, exist_ok=True)
-        n = 0
-        while (qdir / f"{digest}-{n}").exists():
-            n += 1
-        try:
-            os.replace(model_dir, qdir / f"{digest}-{n}")
-        except OSError:  # pragma: no cover - cross-device fallback
-            shutil.rmtree(model_dir, ignore_errors=True)
-        self.stats.bump("quarantined")
-        log.warning("quarantined corrupt model %s: %s", digest[:12], exc)
+        self.store.clear_memory()
 
     def quarantined_digests(self) -> List[str]:
         """Digests with at least one quarantined copy (diagnostics)."""
-        if self.root is None:
-            return []
-        found = {
-            p.name.rsplit("-", 1)[0]
-            for p in (self.root / QUARANTINE_DIR).glob("*")
-            if p.is_dir()
-        }
-        return sorted(found)
-
-    def _truncate_entry(self, digest: str, feature: str) -> None:
-        """Apply one injected ``corrupt-model-entry`` fault in place."""
-        name = FAULT_FILES.get(feature, "meta.json")
-        path = self._model_dir(digest) / name
-        try:
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 2])
-        except OSError:  # pragma: no cover - entry raced away
-            return
-        log.warning(
-            "injected corruption: truncated %s of model %s", name, digest[:12]
-        )
-
-    # -- fit locking ----------------------------------------------------
-
-    def _lock_path(self, digest: str) -> Path:
-        assert self.root is not None
-        return self.root / LOCKS_DIR / f"{digest}.lock"
-
-    def _try_lock(self, digest: str) -> bool:
-        """O_EXCL advisory lock; False = somebody else is fitting.
-
-        A lock older than ``lock_stale_s`` is presumed abandoned (the
-        fitter crashed between acquire and release) and removed, so the
-        next poll can take over.
-        """
-        path = self._lock_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                age = time.time() - path.stat().st_mtime
-            except OSError:
-                return False  # holder released between checks; re-poll
-            if age > self.lock_stale_s:
-                try:
-                    os.remove(path)
-                except OSError:  # pragma: no cover - lost the takeover race
-                    pass
-                else:
-                    self.stats.bump("lock_takeovers")
-                    log.warning(
-                        "took over stale fit lock for %s (age %.1fs)",
-                        digest[:12],
-                        age,
-                    )
-            return False
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()} {time.time():.6f}\n")
-        return True
-
-    def _unlock(self, digest: str) -> None:
-        try:
-            os.remove(self._lock_path(digest))
-        except OSError:  # pragma: no cover - already taken over
-            pass
-
-    # -- disk GC --------------------------------------------------------
-
-    def _entries(self) -> List[Path]:
-        assert self.root is not None
-        dirs = []
-        for meta in self.root.glob("*/*/meta.json"):
-            if meta.parent.parent.name == QUARANTINE_DIR:
-                continue
-            dirs.append(meta.parent)
-        return dirs
-
-    @staticmethod
-    def _dir_bytes(model_dir: Path) -> int:
-        try:
-            return sum(
-                p.stat().st_size for p in model_dir.iterdir() if p.is_file()
-            )
-        except OSError:  # pragma: no cover - concurrent delete
-            return 0
+        return sorted(self.store.quarantined())
 
     def disk_usage_bytes(self) -> int:
         """Total bytes of live (non-quarantined) disk entries."""
-        if self.root is None:
-            return 0
-        return sum(self._dir_bytes(d) for d in self._entries())
-
-    def _touch_atime(self, model_dir: Path) -> None:
-        try:
-            (model_dir / ATIME_FILE).write_text(f"{time.time():.6f}\n")
-        except OSError:  # pragma: no cover - read-only registry is fine
-            pass
-
-    @staticmethod
-    def _entry_atime(model_dir: Path) -> float:
-        try:
-            return float((model_dir / ATIME_FILE).read_text().strip())
-        except (OSError, ValueError):
-            try:
-                return (model_dir / "meta.json").stat().st_mtime
-            except OSError:  # pragma: no cover - concurrent delete
-                return 0.0
-
-    def _gc(self, protect: str) -> None:
-        """Evict least-recently-used entries until under ``budget_mb``.
-
-        Deletes are rename-then-remove: the entry vanishes from the
-        namespace atomically, so a concurrent loader sees a miss, never
-        a half-deleted directory.  The just-stored digest is protected —
-        GC must not evict the entry whose store triggered it.
-        """
-        assert self.root is not None and self.budget_mb is not None
-        budget = self.budget_mb * 1024 * 1024
-        entries = [
-            (self._entry_atime(d), self._dir_bytes(d), d)
-            for d in self._entries()
-        ]
-        total = sum(nbytes for _, nbytes, _ in entries)
-        for atime, nbytes, model_dir in sorted(entries, key=lambda e: e[0]):
-            if total <= budget:
-                break
-            if model_dir.name == protect:
-                continue
-            doomed = model_dir.with_name(model_dir.name + ".gc")
-            try:
-                os.replace(model_dir, doomed)
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            shutil.rmtree(doomed, ignore_errors=True)
-            self._mem.pop(model_dir.name, None)
-            total -= nbytes
-            self.stats.bump("gc_evictions")
-            log.warning(
-                "registry GC evicted %s (%d bytes)", model_dir.name[:12], nbytes
-            )
-        REGISTRY.gauge("serve.registry.disk_mb").set(total / (1024 * 1024))
-
-    # -- persistence ----------------------------------------------------
-
-    def _store_dir(self, model: FittedModel, model_dir: Path) -> None:
-        batch = model.report.batch
-        # the shared tmp-sibling + os.replace commit discipline; a
-        # concurrent writer winning the race discards our tmp tree
-        # (same digest = same content)
-        with atomic_dir(model_dir) as tmp:
-            for stem, attr in _ARRAY_FIELDS:
-                np.save(tmp / f"{stem}.npy", getattr(batch, attr))
-            for f, params in enumerate(batch.params):
-                np.save(tmp / f"params_{f}.npy", params)
-            model.template.save_npz(tmp / "template.npz")
-            files = {}
-            for path in sorted(tmp.iterdir()):
-                data = path.read_bytes()
-                files[path.name] = {
-                    "bytes": len(data),
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                }
-            meta = {
-                "schema_version": SCHEMA_VERSION,
-                "spec": model.spec.to_dict(),
-                "core_counts": [int(c) for c in model.report.core_counts],
-                "level_names": list(model.report.schema.level_names),
-                "pair_keys": [[int(b), int(k)] for b, k in model.report.pair_keys],
-                "form_names": [f.name for f in batch.forms],
-                "files": files,
-            }
-            (tmp / "meta.json").write_text(
-                json.dumps(meta, indent=2, sort_keys=True) + "\n"
-            )
-            (tmp / ATIME_FILE).write_text(f"{time.time():.6f}\n")
-
-    def _load_dir(self, model_dir: Path) -> FittedModel:
-        try:
-            meta = json.loads((model_dir / "meta.json").read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ServeError(
-                f"unreadable model metadata in {model_dir}: {exc}",
-                stage="serve",
-            )
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            raise ServeError(
-                f"unsupported model schema version "
-                f"{meta.get('schema_version')!r} in {model_dir}",
-                stage="serve",
-            )
-        # integrity gate: every manifest-listed artifact must exist at
-        # its recorded size (truncation — the realistic partial-write /
-        # injected corruption — always changes the byte count; content
-        # hashes are kept in the manifest for forensics, not re-hashed
-        # on the hot load path)
-        for name, entry in meta.get("files", {}).items():
-            path = model_dir / name
-            if not path.exists():
-                raise ServeError(
-                    f"model artifact {name} missing from {model_dir}",
-                    stage="serve",
-                )
-            actual = path.stat().st_size
-            if actual != int(entry["bytes"]):
-                raise ServeError(
-                    f"model artifact {name} in {model_dir} is "
-                    f"{actual} bytes, manifest says {entry['bytes']}",
-                    stage="serve",
-                )
-        spec = ModelSpec.from_dict(meta["spec"])
-        form_set = FORM_SETS[spec.forms]
-        by_name = {f.name: f for f in form_set}
-        try:
-            forms = tuple(by_name[name] for name in meta["form_names"])
-        except KeyError as exc:
-            raise ServeError(
-                f"model in {model_dir} references unknown form {exc}",
-                stage="serve",
-            )
-
-        def _load(stem: str, *, mmap: bool = True) -> np.ndarray:
-            return np.load(
-                model_dir / f"{stem}.npy",
-                mmap_mode="r" if mmap else None,
-                allow_pickle=False,
-            )
-
-        arrays: Dict[str, np.ndarray] = {}
-        for stem, attr in _ARRAY_FIELDS:
-            # x / n_candidates are tiny and consulted per lookup — load
-            # them eagerly; the big matrices stay memory-mapped
-            arrays[attr] = _load(stem, mmap=stem in ("Y", "sse", "applicable", "order"))
-        batch = BatchFitResult(
-            x=np.asarray(arrays["x"], dtype=np.float64),
-            Y=arrays["Y"],
-            forms=forms,
-            params=[_load(f"params_{f}") for f in range(len(forms))],
-            sse=arrays["sse"],
-            applicable=arrays["applicable"],
-            order=arrays["order"],
-            n_candidates=np.asarray(arrays["n_candidates"]),
-        )
-        template = TraceFile.load_npz(model_dir / "template.npz")
-        schema = FeatureSchema(meta["level_names"])
-        report = BatchedFitReport(
-            core_counts=[int(c) for c in meta["core_counts"]],
-            schema=schema,
-            pair_keys=[(int(b), int(k)) for b, k in meta["pair_keys"]],
-            batch=batch,
-        )
-        return FittedModel(spec=spec, report=report, template=template)
+        return self.store.disk_bytes() if self.root is not None else 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import BinaryIO, Dict, List, Union
 
 import numpy as np
 
@@ -121,8 +121,8 @@ class TraceFile:
     # ------------------------------------------------------------------
     # NPZ serialization
 
-    def save_npz(self, path: Union[str, Path]) -> None:
-        """Write the trace as a columnar .npz file."""
+    def save_npz(self, path: Union[str, Path, BinaryIO]) -> None:
+        """Write the trace as a columnar .npz file (path or binary file)."""
         block_ids: List[int] = []
         instr_ids: List[int] = []
         kinds: List[str] = []
@@ -156,7 +156,7 @@ class TraceFile:
             "blocks": meta_blocks,
         }
         np.savez_compressed(
-            Path(path),
+            path,
             meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
             block_ids=np.asarray(block_ids, dtype=np.int64),
             instr_ids=np.asarray(instr_ids, dtype=np.int64),
@@ -165,9 +165,9 @@ class TraceFile:
         )
 
     @classmethod
-    def load_npz(cls, path: Union[str, Path]) -> "TraceFile":
+    def load_npz(cls, path: Union[str, Path, BinaryIO]) -> "TraceFile":
         """Load a trace previously written by :meth:`save_npz`."""
-        with np.load(Path(path), allow_pickle=False) as data:
+        with np.load(path, allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             if meta.get("version") != _FORMAT_VERSION:
                 raise ValueError(

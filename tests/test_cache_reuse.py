@@ -324,9 +324,21 @@ def test_profile_cache_disk_round_trip(tmp_path):
 def test_profile_cache_corrupt_entry_recomputed(tmp_path):
     cache = ProfileCache(tmp_path)
     cache.put("k" * 64, _small_profile())
-    cache._path("k" * 64).write_bytes(b"not an npz")
+    cache.store.path("k" * 64).write_bytes(b"not an npz")
     cache.clear()
     assert cache.get("k" * 64) is None  # absent/corrupt -> recompute
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_profile_cache_truncated_entry_recomputed(tmp_path, fraction):
+    # regression: a truncated .npz raised zipfile.BadZipFile out of get()
+    cache = ProfileCache(tmp_path)
+    cache.put("k" * 64, _small_profile())
+    (entry,) = [p for p in tmp_path.rglob("*") if p.is_file()]
+    data = entry.read_bytes()
+    entry.write_bytes(data[: int(len(data) * fraction)])
+    cache.clear()
+    assert cache.get("k" * 64) is None
 
 
 def test_profiles_for_extends_cached_moduli(tmp_path):

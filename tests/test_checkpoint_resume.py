@@ -1,10 +1,12 @@
 """Checkpoint/resume: a killed sweep picks up where it stopped.
 
-The contract (DESIGN.md §7.5): the journal is bookkeeping, the cache is
-data.  A unit is committed (flush+fsync) only after its signature is
-cached; on ``--resume`` only journaled units whose cache entry is still
-readable are skipped, so resume can never change results — it only
-avoids redoing finished work.
+The contract (DESIGN.md §7.5): the signature cache is the checkpoint.
+Each ``(app, count)`` unit is cached the moment it completes, so
+re-running a killed sweep with the same cache re-collects only the
+units whose entries are missing — resume can never change results, it
+only avoids redoing finished work.  The :class:`RunJournal` tests pin
+the crash model of the DAG's state store (fsync'd appends, torn tails
+skipped on recovery).
 """
 
 import json
@@ -17,12 +19,7 @@ from repro.exec.faults import FaultPlan, FaultSpec
 from repro.exec.resilience import ResilienceConfig, RunReport
 from repro.exec.sigcache import SignatureCache
 from repro.pipeline.collect import CollectionSettings, collect_signatures
-from repro.pipeline.journal import (
-    RunJournal,
-    default_journal_path,
-    make_journal,
-    unit_key,
-)
+from repro.pipeline.journal import RunJournal
 from repro.util.errors import TaskCrashError
 
 from tests.conftest import FAST_COLLECTOR
@@ -55,40 +52,42 @@ def _assert_signatures_equal(got, expected):
 class TestRunJournal:
     def test_mark_and_done(self, tmp_path):
         with RunJournal(tmp_path / "run.jsonl") as journal:
-            assert not journal.done("u1")
-            journal.mark("u1", n_ranks=8)
-            assert journal.done("u1")
-            assert journal.stats.marked == 1
+            assert journal.meta("u1") is None
+            journal.amend("u1", status="done", n_ranks=8)
+            assert journal.meta("u1") == {"status": "done", "n_ranks": 8}
+            assert journal.stats.amended == 1
 
     def test_resume_skips_and_counts(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
-            journal.mark_many(["u1", "u2"])
+            journal.amend("u1", status="done")
+            journal.amend("u2", status="done")
         with RunJournal(path, resume=True) as journal:
-            assert journal.skip("u1") and journal.skip("u2")
-            assert not journal.skip("u3")
-            assert journal.stats.resumed == 2
-            journal.mark("u3")
-        assert RunJournal(path, resume=True).completed == {"u1", "u2", "u3"}
+            assert set(journal.metas()) == {"u1", "u2"}
+            assert journal.meta("u3") is None
+            journal.amend("u3", status="done")
+            assert journal.stats.amended == 1  # only this instance's
+        assert set(RunJournal(path, resume=True).metas()) == {"u1", "u2", "u3"}
 
     def test_fresh_run_truncates_stale_journal(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
-            journal.mark("stale")
+            journal.amend("stale", status="done")
         with RunJournal(path, resume=False) as journal:
-            assert not journal.done("stale")
+            assert journal.meta("stale") is None
 
     def test_torn_tail_line_ignored(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
-            journal.mark("u1")
+            journal.amend("u1", status="done")
         # simulate a writer killed mid-write: append half a record
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"unit": "u2"')
         with RunJournal(path, resume=True) as journal:
-            assert journal.done("u1")
-            assert not journal.done("u2")  # never committed -> redone
-            journal.mark("u2")  # and the journal keeps working
+            assert journal.meta("u1") == {"status": "done"}
+            assert "u2" not in journal.metas()  # never committed -> redone
+            journal.amend("u2", status="done")  # and the journal keeps working
+            assert journal.meta("u2") == {"status": "done"}
 
     def test_torn_tail_recovery_at_every_byte_offset(self, tmp_path):
         """Property: truncate the journal at *every* byte offset inside
@@ -97,9 +96,9 @@ class TestRunJournal:
         store ("readable after a kill at any instant")."""
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as journal:
-            journal.mark("u1", n_ranks=4)
-            journal.mark("u2", n_ranks=8)
-            journal.mark("u3", n_ranks=16, note="final record")
+            journal.amend("u1", n_ranks=4)
+            journal.amend("u2", n_ranks=8)
+            journal.amend("u3", n_ranks=16, note="final record")
         data = path.read_bytes()
         prefix = data[: data.rindex(b'{"meta"')]  # bytes before record 3
         for cut in range(len(prefix), len(data) + 1):
@@ -112,19 +111,18 @@ class TestRunJournal:
                 committed = False
             with RunJournal(path, resume=True) as journal:
                 # committed units always survive, with their metadata
-                assert journal.done("u1") and journal.done("u2")
                 assert journal.meta("u1") == {"n_ranks": 4}
                 assert journal.meta("u2") == {"n_ranks": 8}
                 # the torn record is trusted only when byte-complete,
                 # and then only with its full metadata
-                assert journal.done("u3") == committed
+                assert ("u3" in journal.metas()) == committed
                 if committed:
                     assert journal.meta("u3") == {
                         "n_ranks": 16, "note": "final record"
                     }
                 # and the journal keeps accepting appends afterwards
-                journal.mark("u4")
-                assert journal.done("u4")
+                journal.amend("u4", n_ranks=32)
+                assert journal.meta("u4") == {"n_ranks": 32}
         # sanity on the property itself: both verdicts were exercised
         assert len(prefix) < len(data) - 1
 
@@ -144,40 +142,19 @@ class TestRunJournal:
     def test_refresh_folds_in_other_writers(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunJournal(path) as mine:
-            mine.mark("u1")
+            mine.amend("u1", status="done")
             with RunJournal(path, resume=True) as other:
-                other.mark("u2", via="other")
-            assert not mine.done("u2")
+                other.amend("u2", via="other")
+            assert mine.meta("u2") is None
             mine.refresh()
-            assert mine.done("u2")
             assert mine.meta("u2") == {"via": "other"}
-
-    def test_remark_is_idempotent(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            journal.mark("u1")
-            journal.mark("u1")
-            assert journal.stats.marked == 1
-        assert len(path.read_text().splitlines()) == 1
-
-    def test_default_path_sanitizes_run_name(self, tmp_path):
-        path = default_journal_path(tmp_path, "table1 jacobi 4,8/16")
-        assert path.parent == tmp_path
-        assert "/" not in path.name.replace(".jsonl", "")
-        assert path.name.endswith(".jsonl")
-
-    def test_make_journal_optional(self, tmp_path):
-        assert make_journal(None, "x") is None
-        journal = make_journal(tmp_path, "x", resume=True)
-        assert journal is not None and journal.path.parent == tmp_path
-        journal.close()
 
 
 class TestCollectionResume:
-    def _run(self, small_jacobi, bw_spec, cache, journal, report=None):
+    def _run(self, small_jacobi, bw_spec, cache, report=None):
         return collect_signatures(
             small_jacobi, COUNTS, bw_spec.hierarchy, _settings(),
-            cache=cache, journal=journal,
+            cache=cache,
             report=report if report is not None else RunReport(),
         )
 
@@ -185,38 +162,27 @@ class TestCollectionResume:
         self, tmp_path, small_jacobi, bw_spec
     ):
         # reference: clean uncached run
-        clean = self._run(small_jacobi, bw_spec, None, None)
-
-        journal_path = tmp_path / "ckpt" / "run.jsonl"
-        hier = bw_spec.hierarchy.name
+        clean = self._run(small_jacobi, bw_spec, None)
 
         # --- run 1 "dies" on the third unit: the crash fault fires on
         # every attempt, so retries exhaust and the run aborts with the
-        # first two units committed
+        # first two units cached
         cache1 = SignatureCache(tmp_path / "cache")
         plan = FaultPlan(
             specs=(FaultSpec(key="collect:jacobi:16", kind="crash",
                              attempts=(1, 2, 3)),)
         )
-        with RunJournal(journal_path) as journal:
-            with faults.injected(plan):
-                with pytest.raises(TaskCrashError):
-                    self._run(small_jacobi, bw_spec, cache1, journal)
-            assert journal.completed == {
-                unit_key("collect", "jacobi", hier, 4),
-                unit_key("collect", "jacobi", hier, 8),
-            }
+        with faults.injected(plan):
+            with pytest.raises(TaskCrashError):
+                self._run(small_jacobi, bw_spec, cache1)
         assert cache1.stats.stores == 2
 
-        # --- run 2 resumes: only count 16 is re-collected
+        # --- run 2, same cache: only count 16 is re-collected
         cache2 = SignatureCache(tmp_path / "cache")
         report = RunReport()
-        with RunJournal(journal_path, resume=True) as journal:
-            resumed = self._run(small_jacobi, bw_spec, cache2, journal, report)
-            assert journal.stats.resumed == 2  # units served by the cache
-            assert journal.stats.marked == 1  # only the unfinished one
-        assert cache2.stats.hits == 2
-        assert cache2.stats.stores == 1
+        resumed = self._run(small_jacobi, bw_spec, cache2, report)
+        assert cache2.stats.hits == 2  # units served by the cache
+        assert cache2.stats.stores == 1  # only the unfinished one
         assert report.clean  # no faults this time
 
         # resume changed nothing about the results
@@ -225,36 +191,19 @@ class TestCollectionResume:
     def test_journaled_unit_with_lost_cache_entry_is_recollected(
         self, tmp_path, small_jacobi, bw_spec
     ):
-        journal_path = tmp_path / "ckpt" / "run.jsonl"
         cache1 = SignatureCache(tmp_path / "cache")
-        with RunJournal(journal_path) as journal:
-            clean = self._run(small_jacobi, bw_spec, cache1, journal)
+        clean = self._run(small_jacobi, bw_spec, cache1)
 
         # the cache entry for count 8 vanishes (cleared cache, pruned
-        # file, quarantined entry...) while the journal still lists it
+        # file, quarantined entry...) after the run completed
         key8 = cache1.key_for(
             small_jacobi, 8, bw_spec.hierarchy, _settings()
         )
-        (cache1.root / f"{key8}.pkl").unlink()
+        cache1.store.path(key8).unlink()
 
         cache2 = SignatureCache(tmp_path / "cache")
-        with RunJournal(journal_path, resume=True) as journal:
-            resumed = self._run(small_jacobi, bw_spec, cache2, journal)
-            # journal said "done", cache said "gone" -> recollect
-            assert journal.stats.resumed == 2
-            assert cache2.stats.stores == 1
+        resumed = self._run(small_jacobi, bw_spec, cache2)
+        # two entries left -> two hits; the lost one is recollected
+        assert cache2.stats.hits == 2
+        assert cache2.stats.stores == 1
         _assert_signatures_equal(resumed, clean)
-
-    def test_journal_lines_carry_unit_names(self, tmp_path, small_jacobi, bw_spec):
-        journal_path = tmp_path / "ckpt" / "run.jsonl"
-        cache = SignatureCache(tmp_path / "cache")
-        with RunJournal(journal_path) as journal:
-            self._run(small_jacobi, bw_spec, cache, journal)
-        units = [
-            json.loads(line)["unit"]
-            for line in journal_path.read_text().splitlines()
-        ]
-        hier = bw_spec.hierarchy.name
-        assert units == [
-            unit_key("collect", "jacobi", hier, c) for c in COUNTS
-        ]

@@ -164,27 +164,6 @@ class TestGuardFlags:
 
 
 class TestResilienceFlags:
-    def test_resume_without_cache_rejected(self, tmp_path, capsys):
-        rc, _, err = _run(
-            capsys,
-            ["collect", "--app", "jacobi", "--ranks", "4",
-             "--out", str(tmp_path / "sig"), "--no-cache", "--resume"],
-        )
-        assert rc == 2
-        assert "--resume" in err and "--no-cache" in err
-
-    def test_resume_with_checkpoint_dir_still_needs_cache(
-        self, tmp_path, capsys
-    ):
-        rc, _, err = _run(
-            capsys,
-            ["collect", "--app", "jacobi", "--ranks", "4",
-             "--out", str(tmp_path / "sig"), "--no-cache", "--resume",
-             "--checkpoint-dir", str(tmp_path / "ckpt")],
-        )
-        assert rc == 2
-        assert "--no-cache" in err
-
     def test_non_positive_task_timeout(self, tmp_path, capsys):
         rc, _, err = _run(
             capsys,

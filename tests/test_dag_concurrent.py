@@ -26,7 +26,7 @@ from repro.obs.manifest import digest_file
 from repro.pipeline.dag import (
     STATE_FILE,
     SweepSpec,
-    _lock_path,
+    artifact_store,
     build_dag,
     dag_status,
     run_dag,
@@ -92,7 +92,7 @@ class TestLockContention:
         with RunJournal(root / STATE_FILE, resume=True) as store:
             store.amend(key, node=victim, rule="report-whatif",
                         status="failed", error="simulated")
-        lock = _lock_path(root, key)
+        lock = artifact_store(root).lock_path(key)
         lock.parent.mkdir(parents=True, exist_ok=True)
         lock.write_text(f"{os.getpid()} winner\n")
 
@@ -126,7 +126,7 @@ class TestLockContention:
         art = Path(result.artifacts[victim])
         payload = art.read_bytes()
         art.unlink()
-        lock = _lock_path(root, key)
+        lock = artifact_store(root).lock_path(key)
         lock.write_text("0 forever\n")
         try:
             with pytest.raises(DagError, match="timed out"):
@@ -146,7 +146,7 @@ class TestLockContention:
         key = _status_key(root, victim)
         art = Path(result.artifacts[victim])
         art.unlink()
-        lock = _lock_path(root, key)
+        lock = artifact_store(root).lock_path(key)
         lock.write_text("99999 dead-holder\n")
         stale = time.time() - 3600.0
         os.utime(lock, (stale, stale))

@@ -184,9 +184,9 @@ class TestApplyFault:
             specs=(FaultSpec(key="c", kind="corrupt", attempts=(2,)),)
         )
         with faults.injected(plan):
-            assert faults.check_corrupt("c") is None  # first store clean
-            assert faults.check_corrupt("c").kind == "corrupt"  # second hit
-            assert faults.check_corrupt("other") is None
+            assert faults.planned("c", "corrupt") is None  # first store clean
+            assert faults.planned("c", "corrupt").kind == "corrupt"  # second
+            assert faults.planned("other", "corrupt") is None
 
 
 def _probe(x):

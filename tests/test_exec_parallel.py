@@ -14,18 +14,14 @@ import numpy as np
 import pytest
 
 from repro.exec.pool import _WORKER_ENV, in_worker, resolve_workers, run_tasks
-from repro.exec.sigcache import (
-    ENTRY_MAGIC,
-    SCHEMA_VERSION,
-    SignatureCache,
-    app_token,
-)
+from repro.exec.sigcache import SCHEMA_VERSION, SignatureCache, app_token
 from repro.pipeline.collect import (
     CollectionSettings,
     collect_signature,
     collect_signatures,
 )
 
+from repro.util.store import FRAME_MAGIC
 from tests.conftest import FAST_COLLECTOR
 
 
@@ -277,7 +273,7 @@ class TestQuarantine:
         (tmp_path / f"{key}.pkl").write_bytes(b"\x00" * 32)
         assert cache.get(key) is None
         assert not (tmp_path / f"{key}.pkl").exists()
-        quarantined = cache.quarantine_root / f"{key}.pkl"
+        (quarantined,) = cache.store.quarantined()[key]
         assert quarantined.read_bytes() == b"\x00" * 32  # preserved intact
 
     def test_hand_truncated_entry_is_quarantined(
@@ -287,11 +283,11 @@ class TestQuarantine:
         cache, key = self._seeded(tmp_path, small_jacobi, bw_machine)
         path = tmp_path / f"{key}.pkl"
         blob = path.read_bytes()
-        assert blob.startswith(ENTRY_MAGIC)
+        assert blob.startswith(FRAME_MAGIC)
         path.write_bytes(blob[: len(blob) // 2])
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
-        assert (cache.quarantine_root / f"{key}.pkl").exists()
+        assert len(cache.store.quarantined()[key]) == 1
         # the slot is free again: a re-store round-trips
         cache.put(key, {"payload": list(range(100))})
         assert cache.get(key) == {"payload": list(range(100))}
@@ -307,7 +303,21 @@ class TestQuarantine:
         )
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
-        assert (cache.quarantine_root / f"{key}.pkl").exists()
+        assert len(cache.store.quarantined()[key]) == 1
+
+    def test_repeated_corruption_keeps_every_copy(
+        self, tmp_path, small_jacobi, bw_machine
+    ):
+        # regression: a second corruption of the same key used to move
+        # its bytes over the first quarantined copy
+        cache, key = self._seeded(tmp_path, small_jacobi, bw_machine)
+        for junk in (b"first junk", b"second junk"):
+            (tmp_path / f"{key}.pkl").write_bytes(junk)
+            assert cache.get(key) is None
+            cache.put(key, {"payload": list(range(100))})
+        assert cache.stats.corrupt == 2
+        kept = sorted(p.read_bytes() for p in cache.quarantine_root.iterdir())
+        assert kept == [b"first junk", b"second junk"]
 
     def test_corruption_mirrored_into_run_report(
         self, tmp_path, small_jacobi, bw_machine

@@ -21,12 +21,13 @@ from repro.exec.resilience import (
     RunReport,
     run_tasks_resilient,
 )
-from repro.exec.sigcache import ENTRY_MAGIC, SignatureCache
+from repro.exec.sigcache import SignatureCache
 from repro.obs import manifest as obs_manifest
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
 from repro.pipeline.collect import CollectionSettings, collect_signature
 from repro.pipeline.journal import RunJournal
+from repro.util.store import FRAME_MAGIC
 from tests.conftest import FAST_COLLECTOR
 from tests.schema_utils import assert_valid
 
@@ -130,8 +131,8 @@ class TestMetricsMirroring:
         cache.put(key, {"payload": 1})  # store
         assert cache.get(key) == {"payload": 1}  # hit
         # corrupt the entry -> quarantine -> counted miss
-        path = cache._path(key)
-        path.write_bytes(ENTRY_MAGIC + b"f" * 64 + b"\n" + b"garbage")
+        path = cache.store.path(key)
+        path.write_bytes(FRAME_MAGIC + b"f" * 64 + b"\n" + b"garbage")
         assert cache.get(key) is None
         expected = cache.stats.to_dict()
         assert expected == {
@@ -162,15 +163,14 @@ class TestMetricsMirroring:
 
     def test_journal_stats_equal_registry(self, tmp_path):
         with RunJournal(tmp_path / "j.jsonl") as journal:
-            journal.mark("unit:a")
-            journal.mark("unit:b")
+            journal.amend("unit:a", status="done")
+            journal.amend("unit:b", status="done")
         with RunJournal(tmp_path / "j.jsonl", resume=True) as journal:
-            assert journal.skip("unit:a")
-            journal.mark("unit:c")
+            assert journal.meta("unit:a") == {"status": "done"}
+            journal.amend("unit:c", status="failed")
             doc = journal.stats.to_dict()
-        assert doc == {"resumed": 1, "marked": 1, "amended": 0}
-        assert REGISTRY.counters["journal.marked"] == 3
-        assert REGISTRY.counters["journal.resumed"] == 1
+        assert doc == {"amended": 1}
+        assert REGISTRY.counters["journal.amended"] == 3
 
 
 class TestManifest:

@@ -28,11 +28,11 @@ import pytest
 
 from repro.exec import faults
 from repro.exec.faults import FaultPlan, FaultSpec
+from repro.core.fitting import BatchedFitReport
 from repro.exec.resilience import ResilienceConfig
 from repro.pipeline.dag import (
     STATE_FILE,
     SweepSpec,
-    _load_fit,
     build_dag,
     dag_status,
     node_key,
@@ -232,7 +232,7 @@ class TestColdWarmIncremental:
 
     def test_fit_bundle_round_trips(self, cold_run):
         _root, result = cold_run
-        report = _load_fit(Path(result.artifacts["fit"]))
+        report = BatchedFitReport.load_npz(Path(result.artifacts["fit"]))
         assert list(report.core_counts) == [4, 8]
         prediction = report.predict_many([16], rate_trust_factor=2.0)
         assert prediction is not None
@@ -310,6 +310,27 @@ class TestFaultIsolation:
         # and the store converged: the follow-up run is a no-op
         again = run_dag(_spec(), warm_root, resilience=_fast())
         assert again.stats.executed == 0 and again.stats.quarantined == 0
+
+    def test_bit_flipped_artifact_is_quarantined_not_raised(
+        self, warm_root, cold_run
+    ):
+        # regression: one flipped byte inside a compressed .npz member
+        # used to escape digest verification as a zlib.error from both
+        # the status walk and the run
+        _root, cold = cold_run
+        victim = "collect:4"
+        art = Path(cold.artifacts[victim].replace(str(_root), str(warm_root)))
+        data = bytearray(art.read_bytes())
+        data[len(data) // 3] ^= 0xFF
+        art.write_bytes(bytes(data))
+        by_name = {s.name: s for s in dag_status(_spec(), warm_root)}
+        assert by_name[victim].state == "stale"
+        assert "corrupt" in by_name[victim].reason
+        result = run_dag(_spec(), warm_root, resilience=_fast())
+        assert result.ok
+        assert result.statuses[victim] == "executed"
+        assert result.stats.quarantined == 1
+        assert result.digests == cold.digests
 
     def test_stale_lock_is_taken_over(self, warm_root, cold_run):
         _root, cold = cold_run

@@ -90,8 +90,6 @@ class TestRegistryTiers:
         loaded = reg.get(serve_model.spec)
         assert loaded is not None and loaded is not serve_model
         assert reg.stats.disk_hits == 1
-        # the big fit matrices come back memory-mapped
-        assert isinstance(loaded.report.batch.Y, np.memmap)
         assert loaded.spec == serve_model.spec
 
     def test_persisted_model_predicts_bit_identically(
@@ -158,6 +156,27 @@ class TestRegistryTiers:
         assert reg.quarantined_digests() == [serve_model.digest]
         # the digest is no longer listed, so get_or_fit would refit
         assert serve_model.digest not in reg.digests()
+
+    def test_bit_flip_in_any_entry_file_quarantines(
+        self, tmp_path, serve_model
+    ):
+        # regression: loads used to check only byte sizes, so a flipped
+        # byte inside a matrix loaded cleanly and broke predictions later
+        root = tmp_path / "models"
+        reg = ModelRegistry(root)
+        reg.put(serve_model)
+        entry = root / serve_model.digest[:2] / serve_model.digest
+        names = sorted(p.name for p in entry.iterdir())
+        for n, name in enumerate(names, start=1):
+            reg.clear_memory()
+            path = entry / name
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            path.write_bytes(bytes(data))
+            assert reg.get(serve_model.spec) is None, name
+            assert reg.stats.quarantined == n
+            reg.put(serve_model)  # a clean entry for the next file
+        assert reg.quarantined_digests() == [serve_model.digest]
 
     def test_bad_mem_entries_rejected(self):
         with pytest.raises(ServeError):

@@ -469,7 +469,7 @@ class TestRegistryGC:
         reg.put(serve_model)
         live = reg.disk_usage_bytes()
         reg.clear_memory()
-        entry = reg._model_dir(serve_model.digest)
+        entry = reg.store.path(serve_model.digest)
         (entry / "meta.json").write_text("{ broken")
         assert reg.get(serve_model.spec) is None
         assert reg.disk_usage_bytes() == 0 < live
@@ -492,7 +492,7 @@ class TestCorruptModelEntryFault:
         with faults.injected(plan):
             reg.put(serve_model)
         reg.clear_memory()
-        # the truncated artifact fails the size gate -> quarantine + miss
+        # the truncated artifact fails verification -> quarantine + miss
         assert reg.get(serve_model.spec) is None
         assert reg.stats.quarantined == 1
         assert reg.quarantined_digests() == [digest]
@@ -544,7 +544,7 @@ class TestFitLock:
         root = tmp_path / "models"
         reg = ModelRegistry(root, lock_poll_s=0.01)
         digest = serve_model.digest
-        lock = reg._lock_path(digest)
+        lock = reg.store.lock_path(digest)
         lock.parent.mkdir(parents=True, exist_ok=True)
         lock.write_text("9999 0\n")  # another process holds the fit lock
 
@@ -577,22 +577,22 @@ class TestFitLock:
     def test_stale_lock_is_taken_over(self, tmp_path, serve_model):
         reg = ModelRegistry(tmp_path / "models", lock_stale_s=30.0)
         digest = serve_model.digest
-        lock = reg._lock_path(digest)
+        lock = reg.store.lock_path(digest)
         lock.parent.mkdir(parents=True, exist_ok=True)
         lock.write_text("dead 0\n")
         old = time.time() - 120.0
         os.utime(lock, (old, old))  # the fitter crashed two minutes ago
-        assert not reg._try_lock(digest)  # takeover removes the corpse...
+        assert not reg.store.try_lock(digest)  # takeover removes the corpse...
         assert reg.stats.lock_takeovers == 1
-        assert reg._try_lock(digest)  # ...so the next poll acquires
-        reg._unlock(digest)
+        assert reg.store.try_lock(digest)  # ...so the next poll acquires
+        reg.store.release(digest)
 
     def test_fresh_lock_is_respected(self, tmp_path, serve_model):
         reg = ModelRegistry(tmp_path / "models", lock_stale_s=30.0)
         digest = serve_model.digest
-        assert reg._try_lock(digest)
-        assert not reg._try_lock(digest)
+        assert reg.store.try_lock(digest)
+        assert not reg.store.try_lock(digest)
         assert reg.stats.lock_takeovers == 0
-        reg._unlock(digest)
-        assert reg._try_lock(digest)
-        reg._unlock(digest)
+        reg.store.release(digest)
+        assert reg.store.try_lock(digest)
+        reg.store.release(digest)
