@@ -80,9 +80,8 @@ class ReuseEngine(CacheEngine):
     Parameters
     ----------
     guard:
-        Spot-check policy and tolerances; defaults to a fresh
-        :class:`~repro.guard.config.GuardConfig` (check enabled).
-        ``policy="off"`` disables the cross-engine check.
+        Guard policy (:class:`~repro.guard.config.GuardConfig`); the
+        cross-engine check runs unless it is ``policy="off"``.
     cache:
         Profile store; defaults to the process-global
         :func:`repro.cache.reuse.profile_cache`.
@@ -178,16 +177,13 @@ class ReuseEngine(CacheEngine):
 
     def _spot_check(self, instrumented, profiled) -> None:
         """Cross-engine guard gate: refuse silent reuse/exact divergence."""
-        from repro.guard.config import GuardConfig
         from repro.guard.gates import cache_engine_spot_check
 
-        guard = self._guard if self._guard is not None else GuardConfig()
-        if not guard.enabled or not profiled:
+        if not profiled or (self._guard is not None and not self._guard.enabled):
             return
         outcome = cache_engine_spot_check(
             instrumented.hierarchy,
             profiled,
-            config=guard,
             chunk=instrumented.chunk,
             seed_tokens=(
                 instrumented.program.name,

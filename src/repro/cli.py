@@ -444,8 +444,8 @@ def _log_cache_stats(cache: Optional[SignatureCache]) -> None:
 
 
 def _log_run_health(report: Optional[RunReport]) -> None:
-    if report is not None and not report.clean:
-        log.warning("resilience: %s", report.summary())
+    if report is not None and report.events:
+        log.warning("resilience: %s", report)
         for event in report.events:
             log.warning("  - %s", event)
 
@@ -1163,10 +1163,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if load_report is not None:
         summary["load"] = load_report
     if drained:
-        s = engine.stats
+        r = engine.report
         print(
-            f"serve-drain: answered={s.answered} failed={s.failed} "
-            f"rejected={s.rejected} {engine.report.summary()}",
+            f"serve-drain: {engine.stats} "
+            f"deadline_expired={r.deadline_expired} {r} worker[{r.worker}]",
             file=sys.stderr,
         )
     log.info("serve summary: %s", summary)

@@ -46,7 +46,7 @@ from repro.exec import faults
 from repro.exec.pool import _mp_context, _worker_init, resolve_workers
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.util.errors import (
     TaskCrashError,
     TaskTimeoutError,
@@ -80,8 +80,13 @@ class ResilienceConfig:
 
 
 @dataclass
-class RunReport:
-    """Tally of every recovery event in one run (shared across batches)."""
+class RunReport(CounterSet):
+    """Tally of every recovery event in one run (shared across batches).
+
+    The counters mirror into ``resilience.<name>`` metrics.
+    """
+
+    PREFIX = "resilience"
 
     retries: int = 0  #: task re-submissions, all causes
     transient_errors: int = 0  #: retryable exceptions observed
@@ -93,61 +98,10 @@ class RunReport:
     quarantined: List[str] = field(default_factory=list)
     events: List[str] = field(default_factory=list)
 
-    #: counter fields, in summary() order (the metrics mirroring surface)
-    COUNTER_FIELDS = (
-        "retries",
-        "transient_errors",
-        "timeouts",
-        "crashes",
-        "pool_restarts",
-        "serial_fallbacks",
-        "cache_corruptions",
-    )
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Increment one tally, mirrored into the global metrics registry.
-
-        The report stays the per-run view; ``resilience.<name>`` in
-        :data:`repro.obs.metrics.REGISTRY` accumulates the same counts
-        for the metrics exporter.
-        """
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"resilience.{name}", n)
-
     def record(self, message: str) -> None:
         self.events.append(message)
         REGISTRY.inc("resilience.events")
         log.warning("%s", message)
-
-    def to_dict(self) -> dict:
-        """JSON view: every tally plus the event/quarantine lists."""
-        doc = {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-        doc["quarantined"] = list(self.quarantined)
-        doc["events"] = list(self.events)
-        return doc
-
-    @property
-    def clean(self) -> bool:
-        """True when no recovery machinery fired."""
-        return not self.events and not (
-            self.retries
-            or self.transient_errors
-            or self.timeouts
-            or self.crashes
-            or self.pool_restarts
-            or self.serial_fallbacks
-            or self.cache_corruptions
-        )
-
-    def summary(self) -> str:
-        return (
-            f"retries={self.retries} transient={self.transient_errors} "
-            f"timeouts={self.timeouts} crashes={self.crashes} "
-            f"pool_restarts={self.pool_restarts} "
-            f"serial_fallbacks={self.serial_fallbacks} "
-            f"cache_corruptions={self.cache_corruptions} "
-            f"quarantined={len(self.quarantined)}"
-        )
 
 
 def backoff_s(key: str, attempt: int, config: ResilienceConfig) -> float:

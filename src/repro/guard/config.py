@@ -35,44 +35,20 @@ POLICIES = ("strict", "degrade", "off")
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Policy plus every gate threshold, validated at construction."""
+    """Policy plus the thresholds a run may set, validated at construction.
+
+    The gates' other thresholds are module constants next to their
+    readers (:mod:`repro.guard.gates`, :mod:`repro.guard.engine`).
+    """
 
     #: ladder behavior: "strict" | "degrade" | "off"
     policy: str = "degrade"
     #: leave-one-out held-out relative error above which an element is
     #: flagged by the cross-validation gate (advisory)
     trust_threshold: float = 0.2
-    #: worst training relative residual above which an element is
-    #: flagged by the residual gate (advisory)
-    residual_threshold: float = 0.5
-    #: fraction of (block, instr) pairs spot-checked against the
-    #: reference engine (0 disables the spot check)
-    spot_check_fraction: float = 0.05
-    #: spot-check at least this many pairs (when the trace has them)
-    spot_check_min: int = 4
-    #: relative tolerance beyond which the engines "disagree"; the
-    #: engines agree to ~1e-9 on clean inputs, so 1e-6 never fires there
-    spot_check_rtol: float = 1e-6
     #: flagged-element fraction beyond which per-element holds give way
     #: to whole-trace substitution (ladder rung 2)
     max_degraded_fraction: float = 0.5
-    #: fraction of profiled blocks the reuse cache engine re-simulates
-    #: exactly per run (0 disables the cross-engine check)
-    cache_check_fraction: float = 0.25
-    #: spot-check at least this many blocks (when the program has them)
-    cache_check_min: int = 1
-    #: per-block access budget of one cross-engine spot check; both
-    #: engines evaluate the same truncated stream, so this bounds the
-    #: exact-replay cost the check pays
-    cache_check_accesses: int = 32_768
-    #: relative tolerance of the cross-engine check (on aggregate
-    #: per-level cumulative hit rates)
-    cache_check_rtol: float = 0.05
-    #: absolute tolerance floor of the cross-engine check; the reuse
-    #: model's set-mixing approximation can sit a few percent off the
-    #: exact replay at a capacity knee, which is approximation error,
-    #: not divergence (DESIGN.md §7.8)
-    cache_check_atol: float = 0.05
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -80,24 +56,10 @@ class GuardConfig:
                 f"unknown guard policy {self.policy!r}; known: {POLICIES}"
             )
         check_positive("trust_threshold", self.trust_threshold)
-        check_positive("residual_threshold", self.residual_threshold)
-        check_in_range(
-            "spot_check_fraction", self.spot_check_fraction, low=0.0, high=1.0
-        )
-        check_in_range("spot_check_min", self.spot_check_min, low=0)
-        check_positive("spot_check_rtol", self.spot_check_rtol)
         check_in_range(
             "max_degraded_fraction", self.max_degraded_fraction,
             low=0.0, high=1.0,
         )
-        check_in_range(
-            "cache_check_fraction", self.cache_check_fraction,
-            low=0.0, high=1.0,
-        )
-        check_in_range("cache_check_min", self.cache_check_min, low=0)
-        check_positive("cache_check_accesses", self.cache_check_accesses)
-        check_positive("cache_check_rtol", self.cache_check_rtol)
-        check_in_range("cache_check_atol", self.cache_check_atol, low=0.0)
 
     @property
     def enabled(self) -> bool:

@@ -176,25 +176,6 @@ class DegradationReport:
             and self.n_spot_disagreements == 0
         )
 
-    def merge(self, other: "DegradationReport") -> None:
-        """Fold another report in (e.g. per-stage reports into the run's).
-
-        Counters are re-bumped so the metrics mirror stays consistent
-        only when ``other`` was accumulated on a different registry;
-        within one process, prefer sharing a single report instead.
-        """
-        self.violations.extend(other.violations)
-        self.gate_flags.extend(other.gate_flags)
-        self.degraded_elements.extend(other.degraded_elements)
-        self.degraded_traces.extend(other.degraded_traces)
-        self.refusal_messages.extend(other.refusal_messages)
-        for name in self.COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        if other.trust_fraction is not None:
-            self.trust_fraction = other.trust_fraction
-        if other.crossval_median_error is not None:
-            self.crossval_median_error = other.crossval_median_error
-
     def summary(self) -> str:
         parts = [
             f"{name[2:].replace('_', ' ')}: {getattr(self, name)}"

@@ -71,6 +71,10 @@ from repro.util.errors import FitError
 
 ElementKey = Tuple[int, int, str]  #: (block_id, instr_index, feature)
 
+#: worst training relative residual above which an element is flagged
+#: by the residual gate (advisory)
+RESIDUAL_THRESHOLD = 0.5
+
 
 def _refusal_violation(message: str, boundary: str) -> GuardViolation:
     return GuardViolation(
@@ -321,9 +325,7 @@ def guarded_extrapolate_many(
         held[key] = (float(np.clip(value, lo, hi)), "non-finite fit")
 
     # -- quality gates --------------------------------------------------
-    report.add_gate_flags(
-        residual_gate(sweep.report, config.residual_threshold)
-    )
+    report.add_gate_flags(residual_gate(sweep.report, RESIDUAL_THRESHOLD))
     crossval = crossval_gate(
         sanitized, config.trust_threshold, forms=forms
     )
@@ -346,7 +348,6 @@ def guarded_extrapolate_many(
             vectors,
             forms=forms,
             rate_trust_factor=rate_trust_factor,
-            config=config,
             seed_tokens=(template.app, template.target),
         )
         report.bump("n_spot_checks", len(outcome.checked_pairs))

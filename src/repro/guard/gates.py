@@ -42,7 +42,6 @@ from repro.core.canonical import CanonicalForm, fit_all
 from repro.core.crossval import cross_validate_traces
 from repro.core.extrapolate import synthesize_element_vector
 from repro.core.fitting import BatchedFitReport, ElementFit, FitReport
-from repro.guard.config import GuardConfig
 from repro.trace.tracefile import TraceFile
 from repro.util.rng import stream
 
@@ -158,6 +157,16 @@ def crossval_gate(
     return outcome
 
 
+#: fraction of (block, instr) pairs spot-checked against the reference
+#: engine
+SPOT_CHECK_FRACTION = 0.05
+#: spot-check at least this many pairs (when the trace has them)
+SPOT_CHECK_MIN = 4
+#: relative tolerance beyond which the engines "disagree"; the engines
+#: agree to ~1e-9 on clean inputs, so 1e-6 never fires there
+SPOT_CHECK_RTOL = 1e-6
+
+
 @dataclass
 class SpotCheckOutcome:
     """Cross-engine comparison result over a keyed-RNG pair sample."""
@@ -176,7 +185,6 @@ def spot_check_gate(
     *,
     forms: Sequence[CanonicalForm],
     rate_trust_factor: float,
-    config: GuardConfig,
     seed_tokens: Sequence = (),
 ) -> SpotCheckOutcome:
     """Compare batched-engine output with a reference refit of a sample.
@@ -188,12 +196,9 @@ def spot_check_gate(
     """
     outcome = SpotCheckOutcome()
     n_pairs = len(report.pair_keys)
-    if n_pairs == 0 or config.spot_check_fraction <= 0:
+    if n_pairs == 0:
         return outcome
-    want = max(
-        config.spot_check_min,
-        int(np.ceil(config.spot_check_fraction * n_pairs)),
-    )
+    want = max(SPOT_CHECK_MIN, int(np.ceil(SPOT_CHECK_FRACTION * n_pairs)))
     want = min(want, n_pairs)
     rng = stream("guard", "spotcheck", *seed_tokens, n_pairs)
     sample = sorted(
@@ -225,9 +230,7 @@ def spot_check_gate(
                 fits, schema, target, rate_trust_factor
             )
             actual = vectors[(bid, k)]
-            close = np.isclose(
-                actual, ref, rtol=config.spot_check_rtol, atol=1e-12
-            )
+            close = np.isclose(actual, ref, rtol=SPOT_CHECK_RTOL, atol=1e-12)
             if close.all():
                 continue
             outcome.reference[(target, (bid, k))] = ref
@@ -240,10 +243,29 @@ def spot_check_gate(
                         instr_id=k,
                         feature=schema.fields[int(j)],
                         score=abs(float(actual[j]) - float(ref[j])) / denom,
-                        threshold=config.spot_check_rtol,
+                        threshold=SPOT_CHECK_RTOL,
                     )
                 )
     return outcome
+
+
+#: fraction of profiled blocks the reuse cache engine re-simulates
+#: exactly per run
+CACHE_CHECK_FRACTION = 0.25
+#: spot-check at least this many blocks (when the program has them)
+CACHE_CHECK_MIN = 1
+#: per-block access budget of one cross-engine spot check; both engines
+#: evaluate the same truncated stream, so this bounds the exact-replay
+#: cost the check pays
+CACHE_CHECK_ACCESSES = 32_768
+#: relative tolerance of the cross-engine check (on aggregate per-level
+#: cumulative hit rates)
+CACHE_CHECK_RTOL = 0.05
+#: absolute tolerance floor of the cross-engine check; the reuse model's
+#: set-mixing approximation can sit a few percent off the exact replay
+#: at a capacity knee, which is approximation error, not divergence
+#: (DESIGN.md §7.8)
+CACHE_CHECK_ATOL = 0.05
 
 
 @dataclass
@@ -260,7 +282,6 @@ def cache_engine_spot_check(
     hierarchy,
     blocks: Sequence[Tuple[object, int]],
     *,
-    config: GuardConfig,
     chunk: int = 1 << 16,
     seed_tokens: Sequence = (),
 ) -> CacheCheckOutcome:
@@ -269,7 +290,7 @@ def cache_engine_spot_check(
     ``blocks`` holds ``(BasicBlockSpec, sampled_iterations)`` pairs the
     reuse engine evaluated.  For each keyed-RNG-sampled block the check
     materializes one *truncated* stream (at most
-    ``config.cache_check_accesses`` accesses, so the exact replay stays
+    :data:`CACHE_CHECK_ACCESSES` accesses, so the exact replay stays
     cheap), runs it through :class:`HierarchySimulator` — warm pass,
     then a filler sweep standing in for the *other* blocks' program-
     order traffic (the same ``cross_block_lines`` estimate the reuse
@@ -277,7 +298,7 @@ def cache_engine_spot_check(
     through the reuse profile math with the identical cross-block term,
     then compares aggregate per-level cumulative hit rates.  Both
     engines consume the identical addresses, so disagreement beyond
-    ``cache_check_atol + cache_check_rtol * exact`` is model
+    ``CACHE_CHECK_ATOL + CACHE_CHECK_RTOL * exact`` is model
     divergence, not sampling noise.
     """
     from repro.cache import reuse as _reuse
@@ -285,11 +306,10 @@ def cache_engine_spot_check(
     from repro.memstream.generator import interleave_streams
 
     outcome = CacheCheckOutcome()
-    if not blocks or config.cache_check_fraction <= 0:
+    if not blocks:
         return outcome
     want = max(
-        config.cache_check_min,
-        int(np.ceil(config.cache_check_fraction * len(blocks))),
+        CACHE_CHECK_MIN, int(np.ceil(CACHE_CHECK_FRACTION * len(blocks)))
     )
     want = min(want, len(blocks))
     rng = stream("guard", "cachesim", *seed_tokens, len(blocks))
@@ -321,7 +341,7 @@ def cache_engine_spot_check(
         block, iters = blocks[i]
         per_iter = max(1, block.mem_accesses_per_iteration)
         check_iters = max(
-            1, min(int(iters), config.cache_check_accesses // per_iter)
+            1, min(int(iters), CACHE_CHECK_ACCESSES // per_iter)
         )
         patterns = [m.pattern for m in block.mem_instructions]
         counts = [m.per_iteration * check_iters for m in block.mem_instructions]
@@ -363,7 +383,7 @@ def cache_engine_spot_check(
         }
         approx = _reuse.aggregate_rates(profiles, hierarchy, block_extras)
         err = np.abs(approx - exact)
-        tol = config.cache_check_atol + config.cache_check_rtol * np.abs(exact)
+        tol = CACHE_CHECK_ATOL + CACHE_CHECK_RTOL * np.abs(exact)
         outcome.checked_blocks.append(block.block_id)
         outcome.max_abs_err = max(outcome.max_abs_err, float(err.max()))
         for j in np.flatnonzero(err > tol):

@@ -11,8 +11,8 @@ three pieces:
   storage).  O(1) memory regardless of stream length, exact ``count`` /
   ``sum`` / ``min`` / ``max``, mergeable across processes, and
   bucket-interpolated quantiles with bounded relative error
-  (about ``1 / SUBBUCKETS``).  :class:`repro.obs.metrics.TimerState`
-  backs every registry timer with one of these.
+  (about ``1 / SUBBUCKETS``).  Every registry timer
+  (:meth:`repro.obs.metrics.MetricsRegistry.observe`) is one of these.
 - :class:`TelemetrySampler` — a periodic asyncio task that snapshots
   the metrics registry (and, when attached, a
   :class:`~repro.serve.engine.QueryEngine`) every interval and appends
@@ -338,7 +338,7 @@ class TelemetrySampler:
         }
         if loop_lag_s is not None:
             record["loop_lag_s"] = round(loop_lag_s, 6)
-            registry.gauge("serve.loop_lag_s").set(loop_lag_s)
+            registry.set_gauge("serve.loop_lag_s", loop_lag_s)
 
         counters: Dict[str, Union[int, float]] = {}
         for name in sorted(registry.counters):
@@ -355,10 +355,7 @@ class TelemetrySampler:
         hists: Dict[str, dict] = {}
         new_prev: Dict[str, dict] = {}
         for name in sorted(registry.timers):
-            hist = getattr(registry.timers[name], "hist", None)
-            if hist is None:  # a foreign/legacy timer shape: skip
-                continue
-            cur = hist.to_dict()
+            cur = registry.timers[name].to_dict()
             new_prev[name] = cur
             delta = hist_delta(cur, self._prev_hists.get(name))
             if delta is not None:
@@ -584,9 +581,7 @@ def render_prometheus(registry: Any = None) -> str:
             lines.append(f"{family}{labels} {_prom_value(value)}")
 
     for name in sorted(registry.timers):
-        hist = getattr(registry.timers[name], "hist", None)
-        if hist is None:
-            continue
+        hist = registry.timers[name]
         base = _prom_name(name)
         if base.endswith("_s"):
             base = base[:-2] + "_seconds"

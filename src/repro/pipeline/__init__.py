@@ -44,11 +44,8 @@ from repro.pipeline.experiment import (
     Table1Config,
     Table1Row,
     Table1Result,
-    WhatIfResult,
-    WhatIfRow,
     collect_training_traces,
     run_table1,
-    run_whatif_sweep,
 )
 from repro.pipeline.report import table1_report
 
@@ -74,9 +71,6 @@ __all__ = [
     "Table1Row",
     "Table1Result",
     "run_table1",
-    "WhatIfRow",
-    "WhatIfResult",
     "collect_training_traces",
-    "run_whatif_sweep",
     "table1_report",
 ]

@@ -595,7 +595,7 @@ def run_dag(
     resilience = resilience or ResilienceConfig()
     report = report if report is not None else RunReport()
     stats = DagStats()
-    REGISTRY.gauge("dag.nodes_total").set(float(len(dag.nodes)))
+    REGISTRY.set_gauge("dag.nodes_total", float(len(dag.nodes)))
     store = artifact_store(
         root, stats, lock_stale_s=lock_stale_s, lock_poll_s=lock_poll_s,
         lock_wait_s=lock_wait_s,

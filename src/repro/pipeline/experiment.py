@@ -10,11 +10,10 @@
 5. measure the "real" runtime via the ground-truth simulator,
 6. report predicted runtimes and % errors for both trace types.
 
-``run_whatif_sweep`` is the design-space companion (§V's "what if we ran
-at N cores?" question asked many times over): collect the training
-series once, fit once, synthesize a trace per target core count via the
-multi-target sweep API, and predict the runtime of each — the
-fit-once/evaluate-many path the Tables II/III benches exercise.
+``collect_training_traces`` is its collection half on its own; the
+model registry fits through it.  The what-if sweep over many target
+core counts is the DAG's what-if arm (:mod:`repro.pipeline.dag`:
+``extrapolate:*`` -> ``predict:extrap:*`` -> ``report:whatif``).
 """
 
 from __future__ import annotations
@@ -25,16 +24,12 @@ from typing import List, Optional, Sequence
 from repro.apps.base import AppModel
 from repro.core.canonical import CanonicalForm, PAPER_FORMS
 from repro.core.errors import abs_rel_error
-from repro.core.extrapolate import ExtrapolationResult, ExtrapolationSweep
+from repro.core.extrapolate import ExtrapolationResult
 from repro.exec.resilience import RunReport
 from repro.exec.sigcache import SignatureCache
 from repro.guard.config import GuardConfig
 from repro.guard.degrade import DegradationReport
-from repro.guard.engine import (
-    check_prediction_inputs,
-    guarded_extrapolate,
-    guarded_extrapolate_many,
-)
+from repro.guard.engine import check_prediction_inputs, guarded_extrapolate
 from repro.machine.systems import get_machine, get_spec
 from repro.obs.log import get_logger
 from repro.obs.trace import span
@@ -243,77 +238,3 @@ def collect_training_traces(
         report=report,
     )
     return [sig.slowest_trace() for sig in signatures]
-
-
-@dataclass
-class WhatIfRow:
-    """One target core count of a what-if sweep."""
-
-    app: str
-    core_count: int
-    predicted_runtime_s: float
-
-
-@dataclass
-class WhatIfResult:
-    """Predicted runtimes across a sweep of target core counts."""
-
-    rows: List[WhatIfRow]
-    sweep: ExtrapolationSweep
-    training_traces: List[TraceFile]
-    degradation: DegradationReport = field(default_factory=DegradationReport)
-
-
-def run_whatif_sweep(
-    app: AppModel,
-    train_counts: Sequence[int],
-    target_counts: Sequence[int],
-    config: Optional[Table1Config] = None,
-    training: Optional[Sequence[TraceFile]] = None,
-    report: Optional[RunReport] = None,
-) -> WhatIfResult:
-    """Predict runtimes at many target core counts from one training fit.
-
-    Collects the training series (unless ``training`` supplies it),
-    fits every feature element once, synthesizes a trace per target via
-    :func:`~repro.core.extrapolate.extrapolate_trace_many`, and predicts
-    each target's runtime on the configured machine.
-    """
-    config = config or Table1Config()
-    log.info(
-        "whatif sweep: app=%s train=%s targets=%d machine=%s",
-        app.name,
-        list(train_counts),
-        len(target_counts),
-        config.machine,
-    )
-    machine = get_machine(
-        config.machine, accesses_per_probe=config.accesses_per_probe
-    )
-    if training is None:
-        training = collect_training_traces(app, train_counts, config, report=report)
-    sweep, degradation = guarded_extrapolate_many(
-        training,
-        target_counts,
-        forms=config.forms,
-        engine=config.engine,
-        config=config.guard,
-    )
-    rows = []
-    for result in sweep.results:
-        prediction = predict_runtime(
-            app, result.target_n_ranks, result.trace, machine
-        )
-        rows.append(
-            WhatIfRow(
-                app=app.name,
-                core_count=result.target_n_ranks,
-                predicted_runtime_s=prediction.runtime_s,
-            )
-        )
-    return WhatIfResult(
-        rows=rows,
-        sweep=sweep,
-        training_traces=list(training),
-        degradation=degradation,
-    )

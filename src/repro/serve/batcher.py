@@ -37,14 +37,16 @@ from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import span
 from repro.util.errors import ServeError
 
 
 @dataclass
-class BatcherStats:
+class BatcherStats(CounterSet):
     """Flush accounting, mirrored into ``serve.batch.*`` metrics."""
+
+    PREFIX = "serve.batch"
 
     queries: int = 0
     batches: int = 0
@@ -54,23 +56,10 @@ class BatcherStats:
     cancelled: int = 0
     expired: int = 0
 
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"serve.batch.{name}", n)
-
     def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "batches": self.batches,
-            "size_flushes": self.size_flushes,
-            "deadline_flushes": self.deadline_flushes,
-            "drain_flushes": self.drain_flushes,
-            "cancelled": self.cancelled,
-            "expired": self.expired,
-            "mean_batch": (
-                self.queries / self.batches if self.batches else 0.0
-            ),
-        }
+        doc = super().to_dict()
+        doc["mean_batch"] = self.queries / self.batches if self.batches else 0.0
+        return doc
 
 
 @dataclass

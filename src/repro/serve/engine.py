@@ -64,7 +64,8 @@ import numpy as np
 
 from repro.exec import faults
 from repro.exec.resilience import run_tasks_resilient
-from repro.obs.metrics import REGISTRY, TimerState
+from repro.obs.metrics import REGISTRY, CounterSet, timer_summary
+from repro.obs.telemetry import StreamingHistogram
 from repro.obs.trace import span
 from repro.serve.batcher import MicroBatcher
 from repro.serve.registry import FittedModel, ModelRegistry
@@ -200,27 +201,16 @@ class ServeConfig:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(CounterSet):
     """Per-engine tallies (metrics land under ``serve.*`` too)."""
+
+    PREFIX = "serve"
 
     queries: int = 0
     answered: int = 0
     failed: int = 0
     rejected: int = 0
     backpressure_waits: int = 0
-
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"serve.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "answered": self.answered,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "backpressure_waits": self.backpressure_waits,
-        }
 
 
 class QueryEngine:
@@ -267,11 +257,11 @@ class QueryEngine:
         self.dispatch_log: List[str] = []
         self._queues: Dict[str, Deque[tuple]] = {}
         self._space: Dict[str, asyncio.Event] = {}
-        self._latencies = TimerState()
+        self._latencies = StreamingHistogram()
         self._inflight_by_tenant: Dict[str, int] = {}
         # metric names are interned per (family, tenant): building one
-        # f-string (and a Gauge handle) per query raises the allocation
-        # rate enough to drag GC pauses into the dispatch hot loop
+        # f-string per query raises the allocation rate enough to drag
+        # GC pauses into the dispatch hot loop
         self._metric_names: Dict[tuple, str] = {}
         self._runtime_ctx: Dict[str, tuple] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -753,7 +743,7 @@ class QueryEngine:
     # -- reporting ------------------------------------------------------
 
     def latency_summary(self) -> Dict[str, float]:
-        summary = self._latencies.summary()
+        summary = timer_summary(self._latencies)
         summary.pop("sum_s")
         return summary
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import REGISTRY, _quantile
+from repro.obs.metrics import REGISTRY
 from repro.serve.engine import Answer, Query, QueryEngine
 from repro.util.errors import ServeError
 from repro.util.rng import DEFAULT_ROOT_SEED, stream
@@ -194,13 +194,13 @@ async def run_load(
                 raise outcome
         else:
             answers.append(None)
-    latencies.sort()
+    p50, p95 = np.quantile(latencies, (0.50, 0.95)) if latencies else (0.0, 0.0)
     report = LoadReport(
         n_queries=len(queries),
         wall_s=wall,
         qps=len(latencies) / wall if wall > 0 else 0.0,
-        p50_ms=_quantile(latencies, 0.50) * 1e3,
-        p95_ms=_quantile(latencies, 0.95) * 1e3,
+        p50_ms=float(p50) * 1e3,
+        p95_ms=float(p95) * 1e3,
         mean_batch=(
             float(np.mean(batch_sizes)) if batch_sizes else 0.0
         ),
@@ -208,6 +208,6 @@ async def run_load(
         errors=errors,
         error_kinds=error_kinds,
     )
-    REGISTRY.gauge("serve.qps").set(report.qps)
-    REGISTRY.gauge("serve.p95_ms").set(report.p95_ms)
+    REGISTRY.set_gauge("serve.qps", report.qps)
+    REGISTRY.set_gauge("serve.p95_ms", report.p95_ms)
     return report, answers

@@ -214,7 +214,7 @@ class RegistryStats(CounterSet):
     def bump(self, name: str, n: int = 1) -> None:
         super().bump(name, n)
         if name in ("mem_hits", "disk_hits", "misses"):
-            REGISTRY.gauge("serve.registry.hit_rate").set(self.hit_rate())
+            REGISTRY.set_gauge("serve.registry.hit_rate", self.hit_rate())
 
     def hit_rate(self) -> float:
         """Fraction of lookups served by either tier (mem or disk)."""
@@ -324,12 +324,12 @@ class ModelRegistry:
         self._gauge_memory()
         if self.root is not None and self.budget_mb is not None:
             left = self.store.gc(self.budget_mb * 1024 * 1024, protect=digest)
-            REGISTRY.gauge("serve.registry.disk_mb").set(left / (1024 * 1024))
+            REGISTRY.set_gauge("serve.registry.disk_mb", left / (1024 * 1024))
         return digest
 
     def _gauge_memory(self) -> None:
-        REGISTRY.gauge("serve.registry.mem_entries").set(
-            float(len(self.store.memory_keys()))
+        REGISTRY.set_gauge(
+            "serve.registry.mem_entries", float(len(self.store.memory_keys()))
         )
 
     def get_or_fit(

@@ -44,7 +44,7 @@ from typing import List, Optional
 
 from repro.exec.resilience import RunReport
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.util.rng import stream
 
 log = get_logger("serve.resilience")
@@ -58,7 +58,7 @@ BREAKER_STATES = ("closed", "open", "half_open")
 
 
 @dataclass
-class ServeReport:
+class ServeReport(CounterSet):
     """Tally of every serving-tier recovery event (one per engine).
 
     Counter semantics:
@@ -83,6 +83,8 @@ class ServeReport:
     retries, and timeouts land there under the PR-3 taxonomy.
     """
 
+    PREFIX = "serve.resilience"
+
     deadline_admission: int = 0
     deadline_dispatch: int = 0
     deadline_flush: int = 0
@@ -98,31 +100,13 @@ class ServeReport:
     #: worker-pool recovery tallies from offloaded runtime replay
     worker: RunReport = field(default_factory=RunReport)
 
-    COUNTER_FIELDS = (
-        "deadline_admission",
-        "deadline_dispatch",
-        "deadline_flush",
-        "breaker_opens",
-        "breaker_half_opens",
-        "breaker_closes",
-        "breaker_rejected",
-        "batch_failures",
-        "slow_predicts",
-        "offloads",
-    )
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Increment one tally, mirrored into ``serve.resilience.<name>``."""
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"serve.resilience.{name}", n)
-
     def transition(self, model: str, state: str) -> None:
         tag = f"{model[:12]}:{state}"
         self.transitions.append(tag)
         # live state gauge (closed=0 open=1 half_open=2): the telemetry
         # sampler and Prometheus exposition read breaker health from it
-        REGISTRY.gauge(f"serve.breaker.{model[:12]}").set(
-            float(BREAKER_STATES.index(state))
+        REGISTRY.set_gauge(
+            f"serve.breaker.{model[:12]}", float(BREAKER_STATES.index(state))
         )
         log.warning("breaker %s", tag)
 
@@ -135,31 +119,10 @@ class ServeReport:
             + self.deadline_flush
         )
 
-    @property
-    def clean(self) -> bool:
-        """True when no serving recovery machinery fired."""
-        return (
-            not any(getattr(self, name) for name in self.COUNTER_FIELDS)
-            and self.worker.clean
-        )
-
     def to_dict(self) -> dict:
-        doc = {name: getattr(self, name) for name in self.COUNTER_FIELDS}
+        doc = super().to_dict()
         doc["deadline_expired"] = self.deadline_expired
-        doc["transitions"] = list(self.transitions)
-        doc["worker"] = self.worker.to_dict()
         return doc
-
-    def summary(self) -> str:
-        return (
-            f"deadline_expired={self.deadline_expired} "
-            f"breaker_opens={self.breaker_opens} "
-            f"breaker_closes={self.breaker_closes} "
-            f"breaker_rejected={self.breaker_rejected} "
-            f"batch_failures={self.batch_failures} "
-            f"offloads={self.offloads} "
-            f"worker[{self.worker.summary()}]"
-        )
 
 
 class CircuitBreaker:

@@ -63,7 +63,7 @@ KNOWN_DEVIATIONS = {("system_a", 0, 0): 0.12}
 
 
 def _counter(name: str):
-    return REGISTRY.counter(name).value
+    return REGISTRY.counters.get(name, 0)
 
 
 def _collect(hierarchy, engine: str):

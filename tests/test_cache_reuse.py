@@ -348,9 +348,9 @@ def test_profiles_for_extends_cached_moduli(tmp_path):
     kwargs = dict(chunk=CHUNK, cache=cache)
     profiles = profiles_for(patterns, counts, [64], moduli=(8,), **kwargs)
     assert sorted(profiles[64].congruence) == [8]
-    before = REGISTRY.counter("cachesim.reuse.profile_extensions").value
+    before = REGISTRY.counters.get("cachesim.reuse.profile_extensions", 0)
     profiles = profiles_for(patterns, counts, [64], moduli=(8, 64), **kwargs)
-    after = REGISTRY.counter("cachesim.reuse.profile_extensions").value
+    after = REGISTRY.counters.get("cachesim.reuse.profile_extensions", 0)
     # only the missing modulus was measured, onto the cached profile
     assert sorted(profiles[64].congruence) == [8, 64]
     assert after == before + 1
@@ -360,19 +360,19 @@ def test_profiles_shared_across_geometries():
     patterns = [RandomPattern(region_bytes=64 * 1024)]
     counts = [30_000]
     cache = ProfileCache()
-    before = REGISTRY.counter("cachesim.reuse.profiles").value
+    before = REGISTRY.counters.get("cachesim.reuse.profiles", 0)
     for geometry in ZOO:
         profiles_for(
             patterns, counts, [64], chunk=CHUNK, cache=cache, moduli=()
         )
-    after = REGISTRY.counter("cachesim.reuse.profiles").value
+    after = REGISTRY.counters.get("cachesim.reuse.profiles", 0)
     # one profile serves the whole geometry zoo
     assert after == before + 1
 
 
 def test_profile_cache_tier_stats_and_eviction_metrics(tmp_path):
     cache = ProfileCache(tmp_path, mem_entries=2)
-    before = REGISTRY.counter("cachesim.reuse.evictions").value
+    before = REGISTRY.counters.get("cachesim.reuse.evictions", 0)
     profile = _small_profile()
     keys = [c * 64 for c in "abc"]
     for key in keys:
@@ -380,7 +380,7 @@ def test_profile_cache_tier_stats_and_eviction_metrics(tmp_path):
     # three stores through a 2-entry LRU: one eviction, mirrored
     assert cache.stats.stores == 3
     assert cache.stats.evictions == 1
-    assert REGISTRY.counter("cachesim.reuse.evictions").value == before + 1
+    assert REGISTRY.counters.get("cachesim.reuse.evictions", 0) == before + 1
     # evicted key comes back from the disk tier; warm key from memory
     assert cache.get(keys[0]) is not None
     assert cache.get(keys[2]) is not None
@@ -402,9 +402,9 @@ def test_profile_cache_tier_stats_and_eviction_metrics(tmp_path):
 def test_eval_counter_increments():
     patterns, counts = STREAMS["random"]
     hierarchy = CacheHierarchy(ZOO[:3], name="zoo-3level")
-    before = REGISTRY.counter("cachesim.reuse.evals").value
+    before = REGISTRY.counters.get("cachesim.reuse.evals", 0)
     _reuse_rates(patterns, counts, hierarchy)
-    after = REGISTRY.counter("cachesim.reuse.evals").value
+    after = REGISTRY.counters.get("cachesim.reuse.evals", 0)
     assert after == before + 3  # one closed-form eval per level
 
 

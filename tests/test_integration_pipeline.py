@@ -136,29 +136,18 @@ class TestEndToEnd:
 
 class TestWhatIfStudies:
     def test_run_whatif_sweep(self, small_jacobi):
-        """One training fit answers many 'what if N cores?' questions."""
-        from repro.pipeline.experiment import (
-            collect_training_traces,
-            run_whatif_sweep,
-        )
+        """The training half of a what-if sweep, in core-count order.
+
+        The sweep itself (one shared fit, a trace per target) is the
+        DAG's what-if arm, covered in ``test_pipeline_dag.py``.
+        """
+        from repro.pipeline.experiment import collect_training_traces
 
         cfg = Table1Config(
             collection=FAST_SETTINGS, accesses_per_probe=20_000
         )
         training = collect_training_traces(small_jacobi, (4, 8, 16), cfg)
         assert [t.n_ranks for t in training] == [4, 8, 16]
-        targets = [32, 64, 128]
-        result = run_whatif_sweep(
-            small_jacobi, (4, 8, 16), targets, cfg, training=training
-        )
-        assert [r.core_count for r in result.rows] == targets
-        assert all(r.predicted_runtime_s > 0 for r in result.rows)
-        assert result.sweep.targets == targets
-        # the sweep shares one fit report across all targets
-        assert all(
-            res.report is result.sweep.report
-            for res in result.sweep.results
-        )
 
     def test_table3_style_l1_sensitivity(self, small_jacobi):
         """Same app, two targets differing only in L1 size (Table III)."""

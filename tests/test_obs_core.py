@@ -18,7 +18,8 @@ import pytest
 
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import REGISTRY, MetricsRegistry, _quantile
+from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.telemetry import SUBBUCKETS
 from tests.schema_utils import assert_valid, validate
 
 SCHEMA_DIR = Path(__file__).parent / "schemas"
@@ -155,20 +156,11 @@ class TestEnvelopes:
 
 
 class TestMetrics:
-    def test_quantile_interpolation(self):
-        values = [float(v) for v in range(1, 101)]
-        assert _quantile(values, 0.50) == pytest.approx(50.5)
-        assert _quantile(values, 0.95) == pytest.approx(95.05)
-        assert _quantile(values, 0.0) == 1.0
-        assert _quantile(values, 1.0) == 100.0
-        assert _quantile([], 0.5) == 0.0
-        assert _quantile([7.0], 0.95) == 7.0
-
     def test_counters_gauges_timers(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(4)
-        reg.gauge("g").set(2.5)
+        reg.inc("c")
+        reg.inc("c", 4)
+        reg.set_gauge("g", 2.5)
         for v in range(1, 101):
             reg.observe("t", v / 1000.0)
         doc = reg.to_dict()
@@ -178,37 +170,30 @@ class TestMetrics:
         timer = doc["timers"]["t"]
         assert timer["count"] == 100
         assert timer["sum_s"] == pytest.approx(sum(range(1, 101)) / 1000.0)
-        assert timer["p50_s"] == pytest.approx(0.0505)
-        assert timer["p95_s"] == pytest.approx(0.09505)
-        assert timer["p99_s"] == pytest.approx(0.09901)
+        # linear-interpolation order statistics of 1..100 ms; the
+        # histogram answers within its bucket width of them
+        assert timer["p50_s"] == pytest.approx(0.0505, rel=1 / SUBBUCKETS)
+        assert timer["p95_s"] == pytest.approx(0.09505, rel=1 / SUBBUCKETS)
+        assert timer["p99_s"] == pytest.approx(0.09901, rel=1 / SUBBUCKETS)
         assert timer["max_s"] == pytest.approx(0.1)
-
-    def test_timer_context_manager(self):
-        reg = MetricsRegistry()
-        with reg.timer("block").time():
-            time.sleep(0.001)
-        summary = reg.timer("block").summary()
-        assert summary["count"] == 1 and summary["max_s"] > 0.0
 
     def test_drain_merge(self):
         reg = MetricsRegistry()
         reg.inc("a", 2)
-        reg.gauge("g").set(1.0)
+        reg.set_gauge("g", 1.0)
         reg.observe("t", 0.5)
         snapshot = reg.drain()
         assert reg.counters == {} and reg.timers == {}
         other = MetricsRegistry()
         other.inc("a", 3)
+        other.observe("t", 0.25)
         other.merge(snapshot)
         assert other.counters["a"] == 5
         assert other.gauges["g"] == 1.0
         merged = other.timers["t"]
-        assert merged.reservoir == [0.5]
-        assert merged.hist.count == 1 and merged.hist.total == 0.5
-        # legacy raw-list snapshots (pre-histogram drains) still merge
-        other.merge({"timers": {"t": [0.25]}})
-        assert other.timers["t"].reservoir == [0.5, 0.25]
-        assert other.timers["t"].summary()["max_s"] == 0.5
+        assert merged.count == 2
+        assert merged.total == 0.75
+        assert merged.max_value == 0.5
 
     def test_export_file(self, tmp_path):
         reg = MetricsRegistry()

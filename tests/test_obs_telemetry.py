@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.exec import faults
-from repro.obs.metrics import RESERVOIR_SIZE, MetricsRegistry, REGISTRY
+from repro.obs.metrics import MetricsRegistry, REGISTRY
 from repro.obs.telemetry import (
     SUBBUCKETS,
     SlowQueryLog,
@@ -148,35 +148,6 @@ class TestStreamingHistogram:
         assert hist.count == 1 and hist.quantile(0.99) == 0.0
 
 
-class TestTimerState:
-    def test_reservoir_keeps_short_runs_exact(self):
-        reg = MetricsRegistry()
-        for v in range(1, 101):
-            reg.observe("t", v / 1000.0)
-        summary = reg.timer("t").summary()
-        # identical numbers to the legacy sorted-list interpolation
-        assert summary["p50_s"] == pytest.approx(0.0505)
-        assert summary["p95_s"] == pytest.approx(0.09505)
-        assert summary["p99_s"] == pytest.approx(0.09901)
-        assert reg.timers["t"].exact
-
-    def test_histogram_takes_over_past_reservoir(self):
-        reg = MetricsRegistry()
-        rng = np.random.default_rng(3)
-        values = rng.lognormal(-6, 1, RESERVOIR_SIZE * 4)
-        for v in values:
-            reg.observe("t", float(v))
-        state = reg.timers["t"]
-        assert not state.exact
-        assert len(state.reservoir) == RESERVOIR_SIZE
-        summary = state.summary()
-        assert summary["count"] == len(values)
-        for q, key in ((0.5, "p50_s"), (0.95, "p95_s"), (0.99, "p99_s")):
-            ref = float(np.percentile(values, q * 100))
-            assert abs(summary[key] - ref) / ref <= 1.0 / SUBBUCKETS
-        assert summary["max_s"] == float(np.max(values))
-
-
 class TestSlowQueryLog:
     def test_top_n_and_drain(self):
         log = SlowQueryLog(3)
@@ -215,7 +186,7 @@ class _FakeClock:
 
 def _scripted_run(reg, clock, sampler):
     reg.inc("serve.queries", 5)
-    reg.gauge("serve.queue_depth.a").set(2.0)
+    reg.set_gauge("serve.queue_depth.a", 2.0)
     reg.observe("serve.latency_s", 0.004)
     clock.t += 1.0
     sampler.sample()
@@ -317,8 +288,8 @@ class TestPrometheus:
         reg = MetricsRegistry()
         reg.inc("serve.queries", 12)
         reg.inc("serve.tenant.answered.acme", 7)
-        reg.gauge("serve.queue_depth.acme").set(3.0)
-        reg.gauge("serve.breaker.ab12cd34ef56").set(1.0)
+        reg.set_gauge("serve.queue_depth.acme", 3.0)
+        reg.set_gauge("serve.breaker.ab12cd34ef56", 1.0)
         for v in (0.001, 0.002, 0.004, 0.008):
             reg.observe("serve.latency_s", v)
         text = render_prometheus(reg)

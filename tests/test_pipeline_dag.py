@@ -39,6 +39,7 @@ from repro.pipeline.dag import (
     run_dag,
 )
 from repro.util.errors import DagError
+from repro.util.store import LOCKS_DIR
 
 SPEC_KW = dict(
     app="jacobi",
@@ -380,8 +381,19 @@ class TestKillAndResume:
         crash at an arbitrary instant (lockfiles still planted, store
         mid-life).  The resumed run must execute exactly the two lost
         nodes and converge to the reference digests.
+
+        The victim plants the report nodes' locks in the wave after its
+        13th commit, so the kill also waits for both lockfiles; their
+        keys are the reference run's (content addressing).
         """
         root = tmp_path / "dagroot"
+        ref_root, reference = cold_run
+        report_locks = [
+            root / LOCKS_DIR / f"{status.key}.lock"
+            for status in dag_status(_spec(), ref_root)
+            if status.name.startswith("report:")
+        ]
+        assert len(report_locks) == 2
         plan = FaultPlan(specs=(
             FaultSpec(key="dag:report:*", kind="hang", seconds=600.0),
         ))
@@ -407,7 +419,9 @@ class TestKillAndResume:
             state = root / STATE_FILE
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
-                if _done_records(state) >= 13:  # all but the reports
+                if _done_records(state) >= 13 and all(  # all but the reports
+                    lock.exists() for lock in report_locks
+                ):
                     break
                 assert proc.poll() is None, "victim run exited early"
                 time.sleep(0.05)
@@ -421,7 +435,6 @@ class TestKillAndResume:
 
         # resume (no fault plan): exactly the in-flight nodes redo,
         # taking over the locks the killed process left planted
-        _ref_root, reference = cold_run
         resumed = run_dag(
             _spec(), root, resilience=_fast(),
             lock_stale_s=2.0, lock_poll_s=0.02,

@@ -164,7 +164,7 @@ def test_chaos_every_query_answered_and_tallies_exact(chaos_setup, tmp_path):
     plan = _chaos_plan(serve_model.digest, model_b.digest)
     counters_before = {
         name: REGISTRY.counters.get(f"serve.resilience.{name}", 0)
-        for name in ServeReport.COUNTER_FIELDS
+        for name in ServeReport().counters()
     }
 
     with faults.injected(plan):
@@ -218,12 +218,12 @@ def test_chaos_every_query_answered_and_tallies_exact(chaos_setup, tmp_path):
     assert reg.disk_usage_bytes() <= entry_mb * 2.5 * 1024 * 1024
 
     # -- report == metrics == summary == manifest ------------------------
-    for name in ServeReport.COUNTER_FIELDS:
+    for name, value in report.counters().items():
         delta = (
             REGISTRY.counters.get(f"serve.resilience.{name}", 0)
             - counters_before[name]
         )
-        assert delta == getattr(report, name), name
+        assert delta == value, name
     assert engine.summary()["resilience"] == report.to_dict()
     manifest = build_manifest(command="serve", serve=engine.report)
     assert manifest["serve"] == report.to_dict()

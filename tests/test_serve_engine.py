@@ -259,22 +259,18 @@ def test_per_tenant_queue_depth_gauges(serve_model):
                 )
             )
             await asyncio.sleep(0)
-            depths[f"enqueue{i}"] = REGISTRY.gauge(
-                "serve.queue_depth.hot"
-            ).value
+            depths[f"enqueue{i}"] = REGISTRY.gauges["serve.queue_depth.hot"]
         tasks.append(
             asyncio.ensure_future(
                 engine.query(Query(target=64, tenant="cold"))
             )
         )
         await asyncio.sleep(0)
-        depths["cold"] = REGISTRY.gauge("serve.queue_depth.cold").value
+        depths["cold"] = REGISTRY.gauges["serve.queue_depth.cold"]
         await engine.start()
         await asyncio.gather(*tasks)
-        depths["hot_drained"] = REGISTRY.gauge("serve.queue_depth.hot").value
-        depths["cold_drained"] = REGISTRY.gauge(
-            "serve.queue_depth.cold"
-        ).value
+        depths["hot_drained"] = REGISTRY.gauges["serve.queue_depth.hot"]
+        depths["cold_drained"] = REGISTRY.gauges["serve.queue_depth.cold"]
         await engine.stop()
         return depths
 

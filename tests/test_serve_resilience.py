@@ -149,7 +149,7 @@ class TestServeReport:
         assert doc["deadline_expired"] == 3
         assert doc["transitions"] == []
         assert doc["worker"]["retries"] == 0
-        assert "deadline_expired=3" in report.summary()
+        assert "deadline_flush=2" in str(report)
 
 
 class TestDeadlineBoundaries:
@@ -436,7 +436,7 @@ class TestRegistryGC:
             b.digest
         }
         assert reg.disk_usage_bytes() <= entry_mb * 1.5 * 1024 * 1024
-        assert REGISTRY.gauge("serve.registry.disk_mb").value <= entry_mb * 1.5
+        assert REGISTRY.gauges["serve.registry.disk_mb"] <= entry_mb * 1.5
 
     def test_gc_order_is_access_order_not_store_order(
         self, tmp_path, serve_model
