@@ -11,14 +11,15 @@ Three implementations are provided, two of them behind the
 dispatches on (``--cache-engine``):
 
 - :class:`repro.cache.simulator.HierarchySimulator` — the ``exact``
-  engine's replay core.  Exact LRU semantics, vectorized over cache
-  sets per the hpc-parallel guides (the Python-level loop is over
-  *rounds* of set-disjoint accesses, not over addresses).
+  engine's replay core.  Exact LRU semantics; each address chunk walks
+  the whole hierarchy in one call of a small C kernel
+  (:mod:`repro.cache.native`), compiled on first use and cached.
 - :mod:`repro.cache.reuse` — the ``reuse`` engine's analytical core:
   one-pass reuse-distance profiles evaluated per geometry in closed
   form, no replay (DESIGN.md §7.8).
-- :mod:`repro.cache.reference` — a straightforward scalar simulator used
-  to cross-validate the vectorized engine in tests.
+- :mod:`repro.cache.reference` — a straightforward scalar simulator:
+  the oracle the kernel is tested against, and the simulator's replay
+  path when no C compiler is present.
 """
 
 from repro.cache.engine import (

@@ -5,19 +5,21 @@ Two interchangeable engines sit behind signature collection
 :attr:`repro.instrument.collector.CollectorConfig.engine`):
 
 ``exact``
-    The existing replay path — every address through
-    :class:`~repro.cache.simulator.HierarchySimulator` (exact LRU,
-    warm-up pass plus measured pass).  Bit-identical to what collection
-    produced before engines existed.
+    The replay path — every address through
+    :class:`~repro.cache.simulator.HierarchySimulator` (exact LRU in a
+    native kernel, warm-up pass plus measured pass).  Bit-identical to
+    what collection produced before engines existed.
 
 ``reuse``
     The analytical path of :mod:`repro.cache.reuse` — profile each
     block's stream once into a reuse-distance histogram, evaluate the
-    profile against every hierarchy level in closed form.  One to two
-    orders of magnitude faster, approximate (rates agree with ``exact``
-    to ~1e-2); guarded by a keyed-RNG cross-engine spot check
+    profile against every hierarchy level in closed form.  Approximate
+    (rates agree with ``exact`` to ~1e-2) and guarded by a keyed-RNG
+    cross-engine spot check
     (:func:`repro.guard.gates.cache_engine_spot_check`) that refuses to
-    return silently divergent results.
+    return silently divergent results.  It only pays off when one
+    profile serves many geometries: against the native replay kernel a
+    single-geometry collection is cheaper exact.
 """
 
 from __future__ import annotations

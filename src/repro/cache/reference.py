@@ -1,9 +1,11 @@
 """Scalar reference cache simulator for cross-validation.
 
 Implements textbook set-associative LRU one access at a time.  It is
-orders of magnitude slower than :class:`repro.cache.simulator.
-HierarchySimulator` but trivially auditable; the test suite checks the
-two produce identical hit sequences on every access-pattern class.
+orders of magnitude slower than the native kernel behind
+:class:`repro.cache.simulator.HierarchySimulator` but trivially
+auditable; the test suite checks the two produce identical hit
+sequences on every access-pattern class, and the simulator replays
+through it when no C compiler is present.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def simulate_reference(
                 hits[j] += 1
                 break
         # NOTE: on a miss in level j the access continues outward, and
-        # the line is installed in every level it traversed (the
-        # vectorized engine does the same by forwarding the miss stream).
+        # the line is installed in every level it traversed (the replay
+        # kernel walks the hierarchy the same way).
         served[i] = level_idx
     return served, hits

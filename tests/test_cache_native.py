@@ -1,0 +1,176 @@
+"""Build lifecycle of the native LRU replay kernel (``repro.cache.native``).
+
+The kernel is compiled on first use into ``~/.cache/repro/kernels``;
+these tests pin what happens without a compiler, with a damaged cached
+library, with two processes racing the first build, at import time and
+when the kernel root is not writable.  Subprocess tests point ``HOME``
+at a temp dir so each starts from an empty kernel root.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cache import native
+from repro.cache.simulator import HierarchySimulator
+from repro.memstream.patterns import RandomPattern
+from repro.util.rng import stream
+from repro.util.units import KB
+from tests.test_cache_simulator import _geometry_zoo, _served_levels
+
+ROOT = Path(__file__).resolve().parents[1]
+COMPILER = shutil.which("cc") or shutil.which("gcc")
+needs_compiler = pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
+
+#: a child's answer, from the kernel it built or loaded
+ZOO_DIGEST = """
+from repro.cache.simulator import HierarchySimulator
+from tests.test_cache_native import _zoo_digest_here
+from tests.test_cache_simulator import _geometry_zoo
+
+assert HierarchySimulator(_geometry_zoo()[0])._kernel is not None
+print(_zoo_digest_here())
+"""
+
+
+def _zoo_digest_here() -> str:
+    """SHA-256 of the served-level sequences on the geometry zoo."""
+    digest = hashlib.sha256()
+    for h in _geometry_zoo():
+        addrs = RandomPattern(region_bytes=32 * KB).addresses(
+            0, 3000, stream("native", h.name)
+        )
+        served, _ = _served_levels(h, addrs - 4 * KB, chunk=499)
+        digest.update(served.tobytes())
+    return digest.hexdigest()
+
+
+def _env(home: Path, path_prefix: Path = None) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + str(ROOT),
+               HOME=str(home))
+    if path_prefix is not None:
+        env["PATH"] = f"{path_prefix}{os.pathsep}{env.get('PATH', '')}"
+    return env
+
+
+def _spawn(home: Path, script: str = ZOO_DIGEST, path_prefix: Path = None):
+    return subprocess.Popen(
+        [sys.executable, "-c", script], cwd=ROOT, env=_env(home, path_prefix),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _finish(proc) -> str:
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    return out.strip()
+
+
+def _kernel_root(home: Path) -> Path:
+    return home / ".cache" / "repro" / "kernels"
+
+
+def _counting_compiler(tmp_path: Path) -> Path:
+    """A ``cc`` that logs each call, then waits a second (so a racing
+    process arrives mid-build) and runs the real compiler."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text(
+        "#!/bin/sh\n"
+        f"echo call >> '{tmp_path / 'cc.log'}'\n"
+        "sleep 1\n"
+        f"exec '{COMPILER}' \"$@\"\n"
+    )
+    cc.chmod(0o755)
+    return bin_dir
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the process's loaded kernel before and after the test."""
+    native.replay_kernel.cache_clear()
+    yield
+    native.replay_kernel.cache_clear()
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def test_no_compiler_falls_back_to_reference_with_one_warning(
+    fresh_kernel, monkeypatch
+):
+    logger = logging.getLogger("repro.cache.native")
+    handler, level = _Records(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)  # whatever --quiet a test left behind
+    monkeypatch.setattr(native, "_compiler", lambda: None)
+    try:
+        assert HierarchySimulator(_geometry_zoo()[0])._kernel is None
+        fallback = _zoo_digest_here()
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert len(handler.records) == 1
+    assert "no C compiler" in handler.records[0].getMessage()
+    if COMPILER is not None:
+        monkeypatch.undo()
+        native.replay_kernel.cache_clear()
+        assert HierarchySimulator(_geometry_zoo()[0])._kernel is not None
+        assert _zoo_digest_here() == fallback
+
+
+@needs_compiler
+def test_truncated_library_is_quarantined_and_rebuilt(tmp_path):
+    first = _finish(_spawn(tmp_path))
+    root = _kernel_root(tmp_path)
+    (entry,) = [p for p in root.iterdir() if p.name not in ("locks", "quarantine")]
+    library = entry / native.LIBRARY
+    data = library.read_bytes()
+    library.write_bytes(data[: len(data) // 2])
+
+    assert _finish(_spawn(tmp_path)) == first
+    (copy,) = (root / "quarantine").iterdir()
+    assert copy.name.startswith(entry.name)
+    assert (copy / native.LIBRARY).stat().st_size == len(data) // 2
+    assert (entry / native.LIBRARY).read_bytes() == data
+
+
+@needs_compiler
+def test_racing_processes_compile_once(tmp_path):
+    home = tmp_path / "home"
+    bin_dir = _counting_compiler(tmp_path)
+    procs = [_spawn(home, path_prefix=bin_dir) for _ in range(2)]
+    digests = [_finish(p) for p in procs]
+    assert digests[0] == digests[1]
+    assert (tmp_path / "cc.log").read_text().splitlines() == ["call"]
+
+
+def test_import_cli_builds_nothing(tmp_path):
+    _finish(_spawn(tmp_path, "import repro.cli"))
+    root = _kernel_root(tmp_path)
+    assert not root.exists() or not any(root.iterdir())
+
+
+@needs_compiler
+def test_unwritable_root_builds_privately(tmp_path):
+    root = _kernel_root(tmp_path)
+    root.parent.mkdir(parents=True)
+    root.write_text("not a directory")
+    assert _finish(_spawn(tmp_path)) == _zoo_digest_here()
+    assert root.read_text() == "not a directory"
+

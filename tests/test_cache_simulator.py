@@ -1,8 +1,10 @@
-"""Unit + property tests: the vectorized cache simulator.
+"""Unit + property tests: the exact-LRU cache simulator.
 
 The central check is bit-exact agreement with the scalar reference
 implementation over every access-pattern class, across chunk boundaries.
 """
+
+import shutil
 
 import numpy as np
 import pytest
@@ -206,11 +208,11 @@ class TestReferenceLevel:
 
 
 def _geometry_zoo():
-    """Hierarchies chosen to hit every specialized replay path."""
+    """Hierarchies covering every indexing and replacement corner."""
     return [
-        # standard nested pow2 (sorted fast path, round replay)
+        # standard nested pow2 (bitmask set index)
         tiny_hierarchy(),
-        # direct-mapped at both levels (shifted-compare specialization)
+        # direct-mapped at both levels
         CacheHierarchy(
             [
                 CacheGeometry(1 * KB, line_size=64, associativity=1, name="L1"),
@@ -218,7 +220,7 @@ def _geometry_zoo():
             ],
             name="direct-mapped",
         ),
-        # fully-associative L1 (single set: dict-LRU specialization)
+        # fully-associative L1 (single set)
         CacheHierarchy(
             [
                 CacheGeometry(512, line_size=64, associativity=8, name="L1"),
@@ -226,7 +228,7 @@ def _geometry_zoo():
             ],
             name="fully-assoc-l1",
         ),
-        # non-power-of-two set counts (modulo indexing, legacy path)
+        # non-power-of-two set counts (modulo indexing)
         CacheHierarchy(
             [
                 CacheGeometry(3 * KB, line_size=64, associativity=1, name="L1"),
@@ -234,7 +236,7 @@ def _geometry_zoo():
             ],
             name="non-pow2",
         ),
-        # mixed line sizes (nested-set-bits precondition fails)
+        # mixed line sizes
         CacheHierarchy(
             [
                 CacheGeometry(1 * KB, line_size=64, associativity=2, name="L1"),
@@ -242,7 +244,7 @@ def _geometry_zoo():
             ],
             name="mixed-lines",
         ),
-        # outward-decreasing set count (nested ordering fails)
+        # outward-decreasing set count
         CacheHierarchy(
             [
                 CacheGeometry(2 * KB, line_size=64, associativity=2, name="L1"),
@@ -276,11 +278,12 @@ def _served_levels(hierarchy, addrs, chunk):
 
 
 class TestFastPathEquivalence:
-    """The rewritten simulator against the scalar reference, per access.
+    """The replay kernel against the scalar reference, per access.
 
-    Covers every replay specialization (round/dense, direct-mapped,
-    fully-associative, legacy non-nested) x pattern class, on the full
-    miss-stream cascade.
+    Covers the geometry zoo x pattern class on the full miss-stream
+    cascade, plus the inputs that cross the native boundary: negative
+    addresses (floor semantics), strided views, narrow dtypes and empty
+    chunks.
     """
 
     @pytest.mark.parametrize(
@@ -306,7 +309,7 @@ class TestFastPathEquivalence:
     @given(
         st.integers(min_value=0, max_value=len(_geometry_zoo()) - 1),
         st.lists(
-            st.integers(min_value=0, max_value=16 * KB - 1),
+            st.integers(min_value=-16 * KB, max_value=16 * KB - 1),
             min_size=1,
             max_size=300,
         ),
@@ -320,6 +323,55 @@ class TestFastPathEquivalence:
         ref_served, ref_hits = simulate_reference(hierarchy, addrs)
         np.testing.assert_array_equal(served, ref_served)
         assert level_hits == ref_hits
+
+    @pytest.mark.parametrize("hierarchy", _geometry_zoo(), ids=lambda h: h.name)
+    def test_non_contiguous_and_narrow_inputs(self, hierarchy):
+        base = RandomPattern(region_bytes=32 * KB).addresses(
+            0, 6000, stream("boundary", hierarchy.name)
+        )
+        strided = base[::3]  # a view with a 24-byte stride
+        narrow = (base[:2000] - 8 * KB).astype(np.int32)  # negatives too
+        ref_sim = HierarchySimulator(hierarchy)
+        sim = HierarchySimulator(hierarchy)
+        for chunk, instr in [
+            (strided, np.arange(strided.shape[0], dtype=np.int16)[::-1]),
+            (narrow, (np.arange(narrow.shape[0]) % 5).astype(np.uint8)),
+        ]:
+            assert not chunk.flags["C_CONTIGUOUS"] or chunk.dtype != np.int64
+            sim.process(chunk, instr)
+            ref_sim.process(np.array(chunk, dtype=np.int64), instr.astype(np.int64))
+        for got, want in zip(sim.result().levels, ref_sim.result().levels):
+            np.testing.assert_array_equal(got.instr_hits, want.instr_hits)
+            np.testing.assert_array_equal(got.instr_accesses, want.instr_accesses)
+        _, ref_hits = simulate_reference(
+            hierarchy, np.concatenate([strided, narrow.astype(np.int64)])
+        )
+        assert [lv.hits for lv in sim.result().levels] == ref_hits
+
+    def test_empty_chunk_between_chunks(self):
+        addrs = StridedPattern(region_bytes=4 * KB).addresses(0, 300, stream("gap"))
+        sim = HierarchySimulator(tiny_hierarchy())
+        sim.process(addrs[:150], np.zeros(150, dtype=np.int32))
+        sim.process(addrs[:0], np.zeros(0, dtype=np.int32))
+        sim.process(addrs[:0])
+        sim.process(addrs[150:], np.zeros(150, dtype=np.int32))
+        _, ref_hits = simulate_reference(tiny_hierarchy(), addrs)
+        assert [lv.hits for lv in sim.result().levels] == ref_hits
+        assert sim.result().total_accesses == 300
+
+    def test_negative_instruction_ids_rejected(self):
+        sim = HierarchySimulator(tiny_hierarchy())
+        with pytest.raises(ValueError):
+            sim.process(np.zeros(2, dtype=np.int64), np.array([0, -1]))
+
+    @pytest.mark.skipif(
+        shutil.which("cc") is None and shutil.which("gcc") is None,
+        reason="no C compiler on PATH",
+    )
+    def test_compiler_on_path_means_native_kernel(self):
+        """Without this, a broken build would fall back to the reference
+        and every equivalence test above would compare it with itself."""
+        assert HierarchySimulator(tiny_hierarchy())._kernel is not None
 
 
 class TestLevelStats:
@@ -337,7 +389,8 @@ class TestLevelStats:
             top += int(rng.integers(1, 50))
             idx = rng.integers(0, top, size=20).astype(np.int64)
             hits = rng.random(20) < 0.5
-            lv.record(idx, hits)
+            n = int(idx.max()) + 1
+            lv.add(np.bincount(idx, minlength=n), np.bincount(idx[hits], minlength=n))
             for i, h in zip(idx.tolist(), hits.tolist()):
                 expected_acc[i] = expected_acc.get(i, 0) + 1
                 if h:
