@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.util.validation import check_finite
 
@@ -87,6 +86,10 @@ class BandwidthSurface:
             raise ValueError("sample count mismatch between hit rates and bandwidths")
         if np.any(bandwidths <= 0):
             raise ValueError("bandwidth samples must be positive")
+        # imported here, not at module level: scipy.optimize takes about
+        # half a second to import, which every CLI start would pay
+        from scipy.optimize import nnls
+
         fractions = served_fractions(hit_rates)
         # solve fractions @ c ~= 1/bw, weighting rows by bw (relative error)
         target = 1.0 / bandwidths

@@ -30,7 +30,9 @@ three pieces:
 
 Reading the recorder back (:func:`read_flight_records`) tolerates a
 torn final line — the file may be read mid-run or after a kill, the
-same tolerance the pipeline journal gives its JSONL.  Everything here
+same tolerance the pipeline journal gives its JSONL — and
+:func:`stats_doc` digests the records into the document that
+``repro stats`` renders.  Everything here
 is observability-only: no RNG, no influence on any served answer, and
 clock reads are injectable so snapshot tests run on a fake clock.
 """
@@ -507,6 +509,98 @@ def merged_hist(records: List[dict], name: str) -> StreamingHistogram:
         if doc:
             out.merge(StreamingHistogram.from_dict(doc))
     return out
+
+
+def stats_doc(records: List[dict], top: int) -> Dict[str, Any]:
+    """Digest a flight-recorder record list into the ``repro stats`` doc:
+    telescoped totals, per-tenant rows, a per-interval rate timeline,
+    breaker transitions and the ``top`` slowest queries."""
+    totals = sum_counters(records)
+    tenants: dict = {}
+    tenant_fields = ("queries", "answered", "failed", "rejected", "waits")
+    for name, value in totals.items():
+        parts = name.split(".")
+        if name.startswith("serve.tenant.") and len(parts) == 4:
+            _, _, fld, tenant = parts
+            if fld in tenant_fields:
+                row = tenants.setdefault(
+                    tenant, {f: 0 for f in tenant_fields}
+                )
+                row[fld] = value
+    timeline = []
+    lags = []
+    for record in records:
+        counters = record.get("counters", {})
+        interval = record.get("interval_s", 0.0)
+        answered = counters.get("serve.answered", 0)
+        entry = {
+            "seq": record.get("seq", 0),
+            "t_s": record.get("t_s", 0.0),
+            "interval_s": interval,
+            "answered": answered,
+            "qps": round(answered / interval, 1) if interval > 0 else 0.0,
+            "final": bool(record.get("final")),
+        }
+        latency = record.get("hists", {}).get("serve.latency_s")
+        if latency:
+            hist = StreamingHistogram.from_dict(latency)
+            entry["p50_ms"] = round(hist.quantile(0.50) * 1e3, 3)
+            entry["p95_ms"] = round(hist.quantile(0.95) * 1e3, 3)
+        if "loop_lag_s" in record:
+            entry["lag_ms"] = round(record["loop_lag_s"] * 1e3, 3)
+            lags.append(record["loop_lag_s"])
+        timeline.append(entry)
+    slow = sorted(
+        (
+            entry
+            for record in records
+            for entry in record.get("slow_queries", [])
+        ),
+        key=lambda e: -e.get("latency_ms", 0.0),
+    )[: max(top, 0)]
+    transitions = [
+        {"seq": record.get("seq", 0), "t_s": record.get("t_s", 0.0),
+         "transition": tag}
+        for record in records
+        for tag in record.get("transitions", [])
+    ]
+    lookups = sum(
+        totals.get(f"serve.registry.{f}", 0)
+        for f in ("mem_hits", "disk_hits", "misses")
+    )
+    hits = sum(
+        totals.get(f"serve.registry.{f}", 0)
+        for f in ("mem_hits", "disk_hits")
+    )
+    batches = totals.get("serve.batch.batches", 0)
+    doc = {
+        "records": len(records),
+        "complete": bool(records and records[-1].get("final")),
+        "duration_s": records[-1].get("t_s", 0.0) if records else 0.0,
+        "totals": {
+            "queries": totals.get("serve.queries", 0),
+            "answered": totals.get("serve.answered", 0),
+            "failed": totals.get("serve.failed", 0),
+            "rejected": totals.get("serve.rejected", 0),
+            "batches": batches,
+            "mean_batch": round(
+                totals.get("serve.batch.queries", 0) / batches, 2
+            ) if batches else 0.0,
+            "registry_hit_rate": round(hits / lookups, 3) if lookups else 0.0,
+        },
+        "counters": {k: totals[k] for k in sorted(totals)},
+        "tenants": {t: tenants[t] for t in sorted(tenants)},
+        "timeline": timeline,
+        "transitions": transitions,
+        "breakers": records[-1].get("breakers", {}) if records else {},
+        "slow_queries": slow,
+    }
+    if lags:
+        doc["loop_lag"] = {
+            "mean_ms": round(sum(lags) / len(lags) * 1e3, 3),
+            "max_ms": round(max(lags) * 1e3, 3),
+        }
+    return doc
 
 
 # -- Prometheus text exposition ----------------------------------------

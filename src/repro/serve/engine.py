@@ -12,9 +12,7 @@ coroutine calls and answers them through three stages:
    contract clients can retry against.
 2. **Fair dispatch** — a single dispatcher task round-robins across
    tenant queues, taking at most one query per tenant per cycle, so a
-   tenant flooding its queue cannot starve a light tenant (dispatch
-   order is recorded in :attr:`QueryEngine.dispatch_log` and asserted
-   by the fairness tests).
+   tenant flooding its queue cannot starve a light tenant.
 3. **Micro-batched execution** — dispatched queries enter the
    :class:`~repro.serve.batcher.MicroBatcher` keyed by (model digest,
    query kind); compatible queries coalesce into one
@@ -40,9 +38,9 @@ Fault discipline (see :mod:`repro.serve.resilience`):
   after ``breaker_threshold`` consecutive batch failures its queries
   are shed fast with :class:`~repro.util.errors.CircuitOpenError`
   until a half-open probe succeeds;
-- when ``hardened`` (the default), ``kind="runtime"`` replay — and any
-  batch with at least ``offload_batch_size`` queries — runs off the
-  event loop: prediction in a worker thread, replay through
+- ``kind="runtime"`` replay — and any batch with at least
+  ``offload_batch_size`` queries — runs off the event loop:
+  prediction in a worker thread, replay through
   :func:`~repro.exec.resilience.run_tasks_resilient` so crashes,
   hangs, and retries get the batch pipeline's recovery treatment
   while the loop keeps serving other tenants;
@@ -143,12 +141,10 @@ class Answer:
 class ServeConfig:
     """Engine knobs: batching window, queue bounds, admission policy.
 
-    ``hardened`` is the resilience master switch (the overhead
-    benchmark's baseline toggle): off disables breakers and worker
-    offload, leaving PR 7's bare engine.  ``runtime_workers=0`` replays
-    runtime queries serially *in the offload thread* — the loop is
-    still never blocked, and crash faults are retried in place; >0 uses
-    a process pool with the full kill/rebuild ladder.
+    ``runtime_workers=0`` replays runtime queries serially *in the
+    offload thread* — the loop is still never blocked, and crash faults
+    are retried in place; >0 uses a process pool with the full
+    kill/rebuild ladder.
     """
 
     max_batch: int = 64
@@ -156,7 +152,6 @@ class ServeConfig:
     queue_depth: int = 256
     admission: str = "wait"
     rate_trust_factor: float = 2.0
-    hardened: bool = True
     breaker_threshold: int = BREAKER_THRESHOLD
     breaker_open_s: float = BREAKER_OPEN_S
     runtime_workers: int = 0
@@ -252,9 +247,6 @@ class QueryEngine:
         self.draining = False
         #: an attached TelemetrySampler (slow-query hook); None = no-op
         self.telemetry = None
-        #: tenant name per dispatch, in dispatch order — the fairness
-        #: tests assert round-robin interleaving on this
-        self.dispatch_log: List[str] = []
         self._queues: Dict[str, Deque[tuple]] = {}
         self._space: Dict[str, asyncio.Event] = {}
         self._latencies = StreamingHistogram()
@@ -319,9 +311,7 @@ class QueryEngine:
 
     # -- query path -----------------------------------------------------
 
-    def _breaker(self, digest: str) -> Optional[CircuitBreaker]:
-        if not self.config.hardened:
-            return None
+    def _breaker(self, digest: str) -> CircuitBreaker:
         breaker = self._breakers.get(digest)
         if breaker is None:
             breaker = CircuitBreaker(
@@ -411,8 +401,7 @@ class QueryEngine:
         )
         self.stats.bump("queries")
         self._tenant_inc("queries", q.tenant)
-        breaker = self._breaker(digest)
-        if breaker is not None and not breaker.admit(t0):
+        if not self._breaker(digest).admit(t0):
             self.report.bump("breaker_rejected")
             self.stats.bump("failed")
             self._tenant_inc("failed", q.tenant)
@@ -485,7 +474,6 @@ class QueryEngine:
                         event = self._space.get(tenant)
                         if event is not None:
                             event.set()
-                        self.dispatch_log.append(tenant)
                         now = perf_counter()
                         REGISTRY.observe("serve.queue_wait_s", now - t0)
                         if expiry is not None and now >= expiry:
@@ -498,10 +486,7 @@ class QueryEngine:
                                     self._deadline_error(q, "dispatch")
                                 )
                             continue
-                        breaker = self._breakers.get(q.model)
-                        if breaker is not None and not breaker.allow_dispatch(
-                            now
-                        ):
+                        if not self._breaker(q.model).allow_dispatch(now):
                             self.report.bump("breaker_rejected")
                             self.stats.bump("failed")
                             self._tenant_inc("failed", tenant)
@@ -594,68 +579,51 @@ class QueryEngine:
 
     def _run_batch(self, key: Tuple[str, str], queries: List[Query]):
         digest, kind = key
-        if self.config.hardened and (
-            kind == "runtime" or len(queries) >= self.config.offload_batch_size
-        ):
+        if kind == "runtime" or len(queries) >= self.config.offload_batch_size:
             # coroutine: the batcher schedules it as a task and the
             # heavy work runs off-loop
             return self._run_batch_offloaded(digest, kind, queries)
-        breaker = self._breakers.get(digest)
+        breaker = self._breaker(digest)
         try:
             spec = faults.apply_serve_fault(self._batch_key(digest, kind))
             if spec is not None and spec.kind == "slow-predict":
                 self.report.bump("slow_predicts")
-            results = self._execute_sync(digest, kind, queries)
+            results = self._execute_sync(digest, queries)
         except Exception:
             self.report.bump("batch_failures")
-            if breaker is not None:
-                breaker.record_failure(perf_counter())
+            breaker.record_failure(perf_counter())
             raise
-        if breaker is not None:
-            breaker.record_success()
+        breaker.record_success()
         return results
 
     async def _run_batch_offloaded(
         self, digest: str, kind: str, queries: List[Query]
     ) -> List[Any]:
-        breaker = self._breakers.get(digest)
+        breaker = self._breaker(digest)
         self.report.bump("offloads")
         try:
             results = await self._execute_offloaded(digest, kind, queries)
         except Exception:
             self.report.bump("batch_failures")
-            if breaker is not None:
-                breaker.record_failure(perf_counter())
+            breaker.record_failure(perf_counter())
             raise
-        if breaker is not None:
-            # a per-item failure (one target's replay died for good)
-            # counts against the model without failing its batch mates
-            if any(isinstance(r, BaseException) for r in results):
-                breaker.record_failure(perf_counter())
-            else:
-                breaker.record_success()
+        # a per-item failure (one target's replay died for good) counts
+        # against the model without failing its batch mates
+        if any(isinstance(r, BaseException) for r in results):
+            breaker.record_failure(perf_counter())
+        else:
+            breaker.record_success()
         return results
 
-    def _execute_sync(
-        self, digest: str, kind: str, queries: List[Query]
-    ) -> List[dict]:
+    def _execute_sync(self, digest: str, queries: List[Query]) -> List[dict]:
+        """A small ``kind="features"`` batch, answered on the loop."""
         model = self._model(digest)
         targets = sorted({int(q.target) for q in queries})
         sweep = model.predict(
             targets, rate_trust_factor=self.config.rate_trust_factor
         )
-        runtimes: Dict[int, float] = {}
-        if kind == "runtime":
-            from repro.pipeline.predict import predict_runtime
-
-            app, machine = self._runtime_context(model)
-            for target in targets:
-                trace = model.synthesize(target, prediction=sweep)
-                runtimes[target] = predict_runtime(
-                    app, target, trace, machine
-                ).runtime_s
         matrices = self._matrices(sweep, targets)
-        return self._payloads(queries, matrices, runtimes, {})
+        return self._payloads(queries, matrices, {}, {})
 
     async def _execute_offloaded(
         self, digest: str, kind: str, queries: List[Query]

@@ -153,7 +153,7 @@ class TestDagStatus:
 class TestDagUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["dag", "run", "--app", "jacobi", "--train", "4,8",
-         "--targets", "16", "--fresh", "--resume"],
+         "--targets", "16", "--lock-poll", "0"],
         ["dag", "run", "--app", "jacobi", "--train", "4",
          "--targets", "16"],
         ["dag", "run", "--app", "no-such-app", "--train", "4,8",

@@ -181,3 +181,67 @@ class TestResilienceFlags:
         )
         assert rc == 2
         assert "--max-retries must be >= 0" in err
+
+
+class TestOutOfRangeNumbers:
+    """Every numeric flag carries its bound in its declaration, and one
+    checker enforces the bounds after parsing, before any command starts."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["collect", "--app", "jacobi", "--ranks", "0",
+              "--out", "{tmp}/sig", "--cache-dir", "{tmp}/cache"], "--ranks"),
+            (["measure", "--app", "jacobi", "--ranks", "-4"], "--ranks"),
+            (["predict", "--app", "jacobi", "--ranks", "0",
+              "--trace", "{tmp}/t.npz"], "--ranks"),
+            (["table1", "--app", "jacobi", "--train", "4,8", "--target", "0",
+              "--cache-dir", "{tmp}/cache"], "--target"),
+            (["table1", "--app", "jacobi", "--train", "4,8", "--target", "16",
+              "--workers", "-1", "--cache-dir", "{tmp}/cache"], "--workers"),
+            (["dag", "run", "--app", "jacobi", "--train", "4,8",
+              "--targets", "16", "--workers", "-2",
+              "--dag-root", "{tmp}/root"], "--workers"),
+            (["serve", "--app", "jacobi", "--train", "4,8,16",
+              "--workers", "-1", "--registry", "{tmp}/reg",
+              "--cache-dir", "{tmp}/cache"], "--workers"),
+        ],
+        ids=["collect-ranks", "measure-ranks", "predict-ranks",
+             "table1-target", "table1-workers", "dag-run-workers",
+             "serve-workers"],
+    )
+    def test_exits_2_before_any_work(self, tmp_path, capsys, argv, flag):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        rc, out, err = _run(
+            capsys, argv + ["--manifest-out", str(tmp_path / "m.json")]
+        )
+        assert rc == 2
+        assert err.startswith("repro: error:") and err.count("\n") == 1
+        assert flag in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []  # nothing collected or written
+
+
+class TestTable1Hook:
+    def test_rebound_run_table1_sees_the_run(self, monkeypatch, capsys):
+        """``perfbench/launch.py`` rebinds ``repro.cli.run_table1`` to keep
+        the Table I result at full precision; the command must look the
+        name up on the package at call time."""
+        import repro.cli
+
+        original = repro.cli.run_table1
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "run_table1", recording)
+        rc, out, _ = _run(
+            capsys,
+            ["table1", "--app", "jacobi", "--train", "4,8", "--target", "16",
+             "--workers", "0", "--no-cache"],
+        )
+        assert rc == 0 and "measured runtime:" in out
+        assert len(calls) == 1

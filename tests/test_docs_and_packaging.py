@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,21 @@ class TestPackaging:
         for name in _all_modules():
             mod = importlib.import_module(name)
             assert mod.__doc__, f"{name} lacks a module docstring"
+
+    def test_cli_import_stays_light(self):
+        """``import repro.cli`` is the start-up cost of every command; the
+        heavy imports wait for the commands that need them."""
+        heavy = ("scipy", "asyncio", "repro.serve")
+        code = (
+            "import sys, repro.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_public_api_exports_resolve(self):
         for name in repro.__all__:

@@ -163,8 +163,17 @@ def test_admission_wait_applies_backpressure_without_loss(serve_model):
 
 
 def test_dispatch_round_robins_across_tenants(serve_model):
+    dispatched = []  # tenant per query, in dispatch order
+
     async def main():
         engine = _engine(serve_model, max_batch=64)
+        enqueue = engine.batcher.enqueue
+
+        def recording_enqueue(key, query, expiry=None):
+            dispatched.append(query.tenant)
+            return enqueue(key, query, expiry)
+
+        engine.batcher.enqueue = recording_enqueue
         tasks = []
         # tenant A floods first, then B files two queries
         for _ in range(6):
@@ -184,13 +193,12 @@ def test_dispatch_round_robins_across_tenants(serve_model):
         await engine.start()
         await asyncio.gather(*tasks)
         await engine.stop()
-        return engine
 
-    engine = asyncio.run(main())
+    asyncio.run(main())
     # one query per tenant per cycle: B is served long before A drains
-    assert engine.dispatch_log[:4] == ["A", "B", "A", "B"]
-    assert engine.dispatch_log.count("A") == 6
-    assert engine.dispatch_log.count("B") == 2
+    assert dispatched[:4] == ["A", "B", "A", "B"]
+    assert dispatched.count("A") == 6
+    assert dispatched.count("B") == 2
 
 
 def test_stop_drains_enqueued_queries(serve_model):

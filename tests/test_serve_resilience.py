@@ -293,36 +293,6 @@ class TestBreakerInEngine:
             answer.values, serve_model.predict([64]).values[0]
         )
 
-    def test_unhardened_engine_has_no_breaker(self, serve_model):
-        digest = serve_model.digest
-        key = f"serve:batch:{digest[:12]}:features"
-        plan = faults.FaultPlan(
-            specs=(
-                faults.FaultSpec(
-                    key=key, kind="predict-raise", attempts=tuple(range(1, 9))
-                ),
-            )
-        )
-
-        async def main():
-            engine = _engine(
-                serve_model, hardened=False, breaker_threshold=1
-            )
-            await engine.start()
-            try:
-                for _ in range(3):
-                    with pytest.raises(ServeError):
-                        await engine.query(Query(target=64))
-            finally:
-                await engine.stop()
-            return engine
-
-        with faults.injected(plan):
-            engine = asyncio.run(main())
-        # every failure is typed ServeError; nothing ever shed
-        assert engine.report.breaker_opens == 0
-        assert engine.report.breaker_rejected == 0
-
 
 class TestOffload:
     def test_large_feature_batches_offload(self, serve_model):
