@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,9 @@ from repro.machine.systems import get_machine, get_spec
 from repro.pipeline.collect import collect_signature
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: smoke runs (``REPRO_BENCH_SMOKE=1``) shrink inputs and relax floors
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: The paper's training/target core counts (§V).
 SPECFEM_TRAIN = (96, 384, 1536)
@@ -46,10 +50,11 @@ def merge_bench(name: str, entry: dict) -> dict:
     file (``BENCH_pipeline.json`` holds the cache-sim, collection, and
     fitting numbers); merging instead of overwriting keeps whichever
     module ran last from clobbering the others' keys.  ``BENCH_*``
-    documents are additionally mirrored to the repository root —
-    deterministically (sorted keys, fixed indent), so re-running a bench
-    with unchanged numbers leaves a byte-identical committed file.
-    Returns the merged document.
+    documents from full-size runs are additionally mirrored to the
+    repository root — deterministically (sorted keys, fixed indent), so
+    re-running a bench with unchanged numbers leaves a byte-identical
+    committed file; smoke numbers never reach the root copy.  Returns
+    the merged document.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
@@ -62,7 +67,7 @@ def merge_bench(name: str, entry: dict) -> dict:
     doc.update(entry)
     rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     path.write_text(rendered)
-    if name.startswith("BENCH_"):
+    if name.startswith("BENCH_") and not SMOKE:
         (Path(__file__).parent.parent / f"{name}.json").write_text(rendered)
     print(f"\n===== {name} =====\n{json.dumps(entry, indent=2, sort_keys=True)}\n")
     return doc

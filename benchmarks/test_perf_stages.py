@@ -1,14 +1,16 @@
-"""Per-stage span timings and the observability overhead budget.
+"""Stage coverage and the observability overhead budget.
 
 Runs the small Table I protocol (jacobi, train 4,8 -> target 16) twice —
-once plain, once under span tracing — and records into
+once plain, once under span tracing — checks that the traced run covers
+at least ``MIN_STAGES`` pipeline stages, and records into
 ``results/BENCH_pipeline.json``:
 
-- ``stages``: per-span ``{count, total_s}`` wall-clock aggregates from
-  one traced run, showing where pipeline time actually goes;
 - ``obs_overhead_pct``: the tracing wall-clock cost relative to the
   plain run, which must stay under the budget (spans read the clock and
   append to a list; they must never become a measurable tax).
+
+Where the time of a paper-scale run goes, layer by layer, is
+perfbench's ``--trace 1`` report, not this toy row's.
 
 Thresholds follow the REPRO_BENCH_SMOKE convention of the other perf
 modules: shared CI runners are noisy, so smoke mode relaxes the
@@ -62,22 +64,12 @@ def test_stage_timings_and_tracing_overhead():
     tracer = obs_trace.enable()
     try:
         t_traced = _best_of(_run_table1)
-        tracer.drain()  # keep only one run's spans in the recorded table
-        _run_table1()
-        stages = tracer.stage_durations()
         stage_names = tracer.stages()
     finally:
         obs_trace.disable()
 
     overhead_pct = 100.0 * (t_traced - t_plain) / t_plain
-    merge_bench(
-        "BENCH_pipeline",
-        {
-            "stages_smoke": SMOKE,
-            "stages": stages,
-            "obs_overhead_pct": round(overhead_pct, 2),
-        },
-    )
+    merge_bench("BENCH_pipeline", {"obs_overhead_pct": round(overhead_pct, 2)})
 
     assert len(stage_names) >= MIN_STAGES, (
         f"traced run covered only {stage_names}, expected >= {MIN_STAGES} "

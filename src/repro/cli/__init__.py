@@ -214,8 +214,8 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     forms = EXTENDED_FORMS if args.extended_forms else PAPER_FORMS
     with options.degradation(args, guard) as degradation:
         sweep, _ = guarded_extrapolate_many(
-            traces, args.target, forms=forms, engine=args.engine,
-            config=guard, report=degradation,
+            traces, args.target, forms=forms, config=guard,
+            report=degradation,
         )
     hist = dict(sweep.report.form_histogram())
     train = [t.n_ranks for t in sorted(traces, key=lambda t: t.n_ranks)]
@@ -387,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target core count, or a comma-separated sweep "
                         "(fits once, evaluates every target)")
     options.add_forms_flag(p)
-    p.add_argument("--engine", choices=("batched", "reference"),
-                   default="batched",
-                   help="fitting engine: vectorized batched (default) or "
-                        "the per-element scalar reference")
     p.add_argument("--out", required=True, action=Checked, check=file_out,
                    help="output .npz path; with a multi-target sweep it "
                         "must contain a {target} placeholder")

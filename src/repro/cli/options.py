@@ -192,14 +192,14 @@ def add_pool_flags(p: argparse.ArgumentParser) -> None:
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         action=Checked, check=positive,
         help="per-attempt wall-clock budget for a pooled task; a hung "
-             "task is killed with its pool and re-attempted",
+             "task is killed with its pool and re-attempted "
+             "(default: no budget)",
     )
     p.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        action=Checked, check=at_least(0),
+        "--max-retries", type=int, default=ResilienceConfig.max_retries,
+        metavar="N", action=Checked, check=at_least(0),
         help="additional attempts per task after a crash, timeout, or "
-             "transient error (enables the fault-tolerant executor; "
-             "default 2 when --task-timeout is given)",
+             "transient error (default: %(default)s)",
     )
 
 
@@ -292,13 +292,10 @@ def build_cache(args: argparse.Namespace) -> Optional[SignatureCache]:
     return None if args.no_cache else SignatureCache(args.cache_dir)
 
 
-def build_resilience(args: argparse.Namespace) -> Optional[ResilienceConfig]:
-    if args.task_timeout is None and args.max_retries is None:
-        return None
-    kwargs = {"task_timeout_s": args.task_timeout}
-    if args.max_retries is not None:
-        kwargs["max_retries"] = args.max_retries
-    return ResilienceConfig(**kwargs)
+def build_resilience(args: argparse.Namespace) -> ResilienceConfig:
+    return ResilienceConfig(
+        task_timeout_s=args.task_timeout, max_retries=args.max_retries
+    )
 
 
 def build_collection(

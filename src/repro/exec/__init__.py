@@ -2,16 +2,17 @@
 
 Three layers for the collection pipeline:
 
-- :mod:`repro.exec.pool` — deterministic process-pool fan-out of
-  independent tasks (rank traces, per-core-count signatures).
+- :mod:`repro.exec.resilience` — the one fan-out of independent tasks
+  (rank traces, per-core-count signatures, DAG nodes, serving's
+  runtime replays): deterministic results in submission order, with
+  per-task timeouts, bounded deterministic retries, pool restart on
+  worker crash, serial fallback, and a :class:`RunReport` of recovery
+  events.  :mod:`repro.exec.pool` holds its pool sizing and worker
+  primitives; :mod:`repro.exec.faults` is the matching deterministic
+  fault-injection harness that keeps every recovery path tested.
 - :mod:`repro.exec.sigcache` — on-disk memoization of collected
   signatures (digest-verified, corruption-quarantining) so repeated
   experiments and benchmarks skip recollection.
-- :mod:`repro.exec.resilience` — fault-tolerant fan-out: per-task
-  timeouts, bounded deterministic retries, pool restart on worker
-  crash, serial fallback, and a :class:`RunReport` of recovery events.
-  :mod:`repro.exec.faults` is the matching deterministic
-  fault-injection harness that keeps every recovery path tested.
 """
 
 from repro.exec.faults import (

@@ -1,33 +1,28 @@
-"""Deterministic process-pool fan-out.
+"""Worker-process primitives shared by the executor and the fault harness.
 
 Every stochastic computation in this codebase derives its randomness
 from a *keyed* RNG stream (:func:`repro.util.rng.stream`), never from
 call order or shared-generator state.  Executing independent tasks
 concurrently therefore cannot change any result: parallel output is
-bit-for-bit identical to serial by construction, and this module only
-supplies the fan-out mechanics.
+bit-for-bit identical to serial by construction.
 
-``run_tasks`` is intentionally tiny: a list of argument tuples in, a
-list of results out, in submission order.  ``workers=0`` (or ``1``)
-runs the tasks inline in the calling process — the escape hatch for
-debugging and for environments where ``fork`` is unavailable or
-unwanted.  Worker processes are flagged via an environment variable so
-a task that itself calls ``run_tasks`` degrades to serial instead of
-spawning a nested pool.
+The one fan-out is :func:`repro.exec.resilience.run_tasks_resilient`;
+this module holds what it and :mod:`repro.exec.faults` share: pool
+sizing, the fork context, and the worker flag that keeps a task which
+itself fans out serial instead of spawning a nested pool.
+:func:`run_tasks` is the executor's results-only form under the default
+policy.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
-from repro.obs import trace as obs_trace
-
 T = TypeVar("T")
 
-#: set in worker processes so nested ``run_tasks`` calls stay serial
+#: set in worker processes so nested fan-outs stay serial
 _WORKER_ENV = "REPRO_EXEC_WORKER"
 
 
@@ -42,7 +37,7 @@ def _worker_init() -> None:
 
 
 def in_worker() -> bool:
-    """True when running inside a ``run_tasks`` pool worker."""
+    """True when running inside a pool worker."""
     return os.environ.get(_WORKER_ENV) == "1"
 
 
@@ -83,45 +78,12 @@ def run_tasks(
 ) -> List[T]:
     """Run ``fn(*task)`` for every task; results in task order.
 
-    ``fn`` and every task element must be picklable (module-level
-    functions, dataclasses, builtins).  Exceptions raised by a task
-    propagate to the caller, as they would serially.
-
-    ``keys`` optionally names the tasks for observability (span labels
-    and per-task log context); it never affects scheduling or results.
-    When span tracing is enabled, pooled calls are routed through
-    :func:`repro.obs.trace.call_shipped` so each worker's completed
-    spans travel back with its result and land in the parent's tracer.
+    :func:`repro.exec.resilience.run_tasks_resilient` under the default
+    :class:`~repro.exec.resilience.ResilienceConfig`, without its
+    report.  ``fn`` and every task element must be picklable.
     """
-    task_list = [tuple(t) for t in tasks]
-    pool_size = resolve_workers(workers, len(task_list))
-    if pool_size == 0:
-        return [fn(*t) for t in task_list]
-    key_list = (
-        [str(k) for k in keys]
-        if keys is not None
-        else [f"task{i}" for i in range(len(task_list))]
-    )
-    shipping = obs_trace.is_enabled()
-    pool = ProcessPoolExecutor(
-        max_workers=pool_size,
-        mp_context=_mp_context(),
-        initializer=_worker_init,
-    )
-    try:
-        if shipping:
-            futures = [
-                pool.submit(obs_trace.call_shipped, fn, key, t)
-                for key, t in zip(key_list, task_list)
-            ]
-        else:
-            futures = [pool.submit(fn, *t) for t in task_list]
-        results = [obs_trace.unwrap(f.result()) for f in futures]
-    except BaseException:
-        # fail fast: a task error or Ctrl-C must not wait out every
-        # submitted task — drop the queue and return immediately
-        # (already-running tasks finish in the background)
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
+    # local import: the executor imports this module
+    from repro.exec.resilience import run_tasks_resilient
+
+    results, _ = run_tasks_resilient(fn, tasks, workers=workers, keys=keys)
     return results

@@ -1,18 +1,24 @@
-"""Fault-tolerant task execution on top of :mod:`repro.exec.pool`.
+"""The one task executor: deterministic, fault-tolerant fan-out.
 
-:func:`run_tasks_resilient` preserves ``run_tasks``' contract — a list
-of argument tuples in, results out in submission order — and adds the
-recovery machinery a long pipeline run needs:
+:func:`run_tasks_resilient` takes a list of argument tuples and returns
+the results in submission order.  Every fan-out in the package runs
+through it (per-count and per-rank collection, DAG waves, serving's
+runtime replays) under one policy, :class:`ResilienceConfig`, whose
+defaults are no timeout and two retries; ``--task-timeout`` and
+``--max-retries`` override them.  On top of the fan-out it adds:
 
 - **per-attempt timeouts** (pool mode): a hung worker is detected,
   killed with its pool, and the task re-attempted in a fresh pool;
-- **bounded retries** with *deterministic* backoff: the sleep before
-  attempt *k* of task *key* is drawn from the keyed RNG stream
+- **bounded retries** of :data:`RETRY_EXCEPTIONS` and crashes with
+  *deterministic* backoff: the sleep before attempt *k* of task *key*
+  is drawn from the keyed RNG stream
   ``("resilience", "backoff", key, k)``, so two identical runs retry on
   an identical schedule;
 - **pool restart** on worker crash (``BrokenProcessPool``), bounded by
   ``pool_restart_limit``, after which execution **degrades to serial**
   in the parent process rather than giving up;
+- an ``on_result`` hook fired as each task lands, so callers persist
+  finished units before the batch ends;
 - a :class:`RunReport` tallying every recovery event.
 
 Determinism survives all of it because tasks are pure functions of
@@ -24,9 +30,8 @@ report differs.
 Tasks are submitted in **waves** of at most ``pool size`` at a time.
 That gives the timeout a sound meaning (every task in a wave holds a
 worker, so a per-attempt deadline is a wall-clock deadline, never a
-queueing artifact) at the cost of a barrier per wave — the right trade
-for a recovery-oriented executor; the streaming fast path remains
-``run_tasks``.
+queueing artifact) at the cost of a barrier per wave, which the few,
+long collection units fanned out here barely feel.
 
 Faults planned via :mod:`repro.exec.faults` are applied at task entry
 in both pool and serial modes, which is how the tests drive every
@@ -58,6 +63,9 @@ T = TypeVar("T")
 
 log = get_logger("exec.resilience")
 
+#: failures worth another attempt: re-running the pure task may succeed
+RETRY_EXCEPTIONS: Tuple[type, ...] = (TransientTaskError, OSError)
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -76,7 +84,6 @@ class ResilienceConfig:
     backoff_base_s: float = 0.05
     backoff_max_s: float = 2.0
     pool_restart_limit: int = 2
-    retry_exceptions: Tuple[type, ...] = (TransientTaskError, OSError)
 
 
 @dataclass
@@ -121,9 +128,10 @@ def _call_with_faults(fn, key: str, attempt: int, args: tuple):
     """Task wrapper (module-level, hence picklable): faults then fn.
 
     Routes through :func:`repro.obs.trace.call_shipped` so the task runs
-    with log context and, when tracing is enabled, under an ``exec.task``
-    span — shipped back inside a ``TaskEnvelope`` from pool workers
-    (the caller unwraps with :func:`repro.obs.trace.unwrap`).
+    with log context under an ``exec.task`` span; from a pool worker its
+    metrics (and spans, when tracing) ship back inside a
+    ``TaskEnvelope`` that the caller unwraps with
+    :func:`repro.obs.trace.unwrap`.
     """
     faults.apply_fault(key, attempt)
     return obs_trace.call_shipped(fn, key, args)
@@ -248,7 +256,7 @@ def run_tasks_resilient(
                 value = obs_trace.unwrap(
                     _call_with_faults(fn, key, attempt, task_list[i])
                 )
-            except config.retry_exceptions as exc:
+            except RETRY_EXCEPTIONS as exc:
                 report.bump("transient_errors")
                 report.record(f"transient error in {key} (attempt {attempt}): {exc}")
                 requeue(i, attempt, exc, sleep=True)
@@ -301,7 +309,7 @@ def run_tasks_resilient(
                     requeue(i, attempt, TaskCrashError(
                         f"worker crashed: {exc}", task_key=key,
                     ), sleep=False)
-                except config.retry_exceptions as exc:
+                except RETRY_EXCEPTIONS as exc:
                     report.bump("transient_errors")
                     report.record(
                         f"transient error in {key} (attempt {attempt}): {exc}"

@@ -14,12 +14,12 @@ stage, which :meth:`Tracer.stage_durations` aggregates for the run
 manifest.
 
 **Cross-process propagation.**  Pool workers cannot append to the
-parent's tracer, so completed worker spans ship back *with the task
-result*: when tracing is active, :mod:`repro.exec.pool` and
-:mod:`repro.exec.resilience` route worker calls through
-:func:`call_shipped`, which wraps the return value in a
-:class:`TaskEnvelope` carrying the worker's drained spans (and metric
-deltas); the parent unwraps with :func:`unwrap` and absorbs them.
+parent's tracer or metrics registry, so their observability ships back
+*with the task result*: :mod:`repro.exec.resilience` routes every task
+through :func:`call_shipped`, which in a worker wraps the return value
+in a :class:`TaskEnvelope` carrying the worker's metric deltas (always)
+and its drained spans (when tracing is on); the parent unwraps with
+:func:`unwrap` and absorbs them.
 Timestamps come from ``time.perf_counter_ns`` — ``CLOCK_MONOTONIC`` on
 Linux, shared across forked processes — so parent and worker spans sit
 on one consistent timeline.
@@ -44,8 +44,8 @@ from repro.obs.metrics import REGISTRY
 #: environment flag that tells (possibly spawned) workers to collect
 ENV_TRACE = "REPRO_TRACE"
 
-#: mirrors repro.exec.pool._WORKER_ENV (re-declared here: the pool
-#: imports this module, so importing back would be a cycle)
+#: mirrors repro.exec.pool._WORKER_ENV (re-declared here: importing
+#: repro.exec loads the executor, which imports this module)
 _WORKER_ENV = "REPRO_EXEC_WORKER"
 
 _local = threading.local()
@@ -288,30 +288,26 @@ class TaskEnvelope:
         self.metrics = metrics
 
 
-def ship_from_worker() -> bool:
-    """True when a pooled call should wrap its result in an envelope."""
-    return _TRACER is not None and os.environ.get(_WORKER_ENV) == "1"
-
-
 def call_shipped(fn: Callable, key: str, args: tuple):
-    """Run ``fn(*args)`` in a worker under a task span, shipping spans.
+    """Run ``fn(*args)`` under a task span, shipping a worker's payload.
 
-    Called in the *worker* process; the parent recovers the plain value
-    (and absorbs the payload) with :func:`unwrap`.  Outside a worker, or
-    with tracing off, this is a plain call — spans land directly in the
-    calling process's tracer.
+    In a pool worker the value comes back in a :class:`TaskEnvelope`
+    with the worker's metric deltas, so a run's counters do not depend
+    on its pool size, plus its spans when tracing is on; the parent
+    recovers the plain value (and absorbs the payload) with
+    :func:`unwrap`.  Outside a worker this is a plain call: spans and
+    metrics land directly in the calling process.
     """
     from repro.obs import log as obs_log
 
     obs_log.set_task_context(task=key)
     try:
-        if not ship_from_worker():
-            with span("exec.task", key=key):
-                return fn(*args)
-        tracer = _TRACER
         with span("exec.task", key=key):
             value = fn(*args)
-        return TaskEnvelope(value, tracer.drain(), REGISTRY.drain())
+        if os.environ.get(_WORKER_ENV) != "1":
+            return value
+        events = _TRACER.drain() if _TRACER is not None else []
+        return TaskEnvelope(value, events, REGISTRY.drain())
     finally:
         obs_log.clear_task_context()
 

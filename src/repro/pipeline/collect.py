@@ -8,18 +8,15 @@ target system's cache simulator (Fig. 2).
 Collection is embarrassingly parallel at two levels — across traced
 ranks within a run, and across core counts within an experiment — and
 every trace draws its randomness from a keyed RNG stream, so both
-levels fan out over :func:`repro.exec.pool.run_tasks` with bit-for-bit
-serial-identical results.  A :class:`repro.exec.sigcache.SignatureCache`
-short-circuits recollection entirely.
-
-Fault tolerance is opt-in per call site: when
-``CollectionSettings.resilience`` is set, the fan-out goes through
-:func:`repro.exec.resilience.run_tasks_resilient` (timeouts, retries,
-pool restart, serial fallback).  It cannot change results — tasks are
-pure functions of their arguments.  An interrupted sweep resumes
-through the signature cache: each ``(app, count)`` unit is cached the
-moment it completes, so re-running with the same cache collects only
-the unfinished units.
+levels fan out over :func:`repro.exec.resilience.run_tasks_resilient`
+with bit-for-bit serial-identical results.  ``CollectionSettings``
+carries its policy (timeouts, retries, pool restart, serial fallback),
+which cannot change results: tasks are pure functions of their
+arguments.  A :class:`repro.exec.sigcache.SignatureCache`
+short-circuits recollection entirely, and an interrupted sweep resumes
+through it: each ``(app, count)`` unit is cached the moment it
+completes, so re-running with the same cache collects only the
+unfinished units.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from typing import List, Optional, Sequence, Union
 from repro.apps.base import AppModel
 from repro.cache.hierarchy import CacheHierarchy
 from repro.exec import faults
-from repro.exec.pool import run_tasks
 from repro.exec.resilience import ResilienceConfig, RunReport, run_tasks_resilient
 from repro.exec.sigcache import SignatureCache
 from repro.instrument.collector import CollectorConfig, collect_trace
@@ -56,15 +52,15 @@ class CollectionSettings:
 
     ``workers`` sizes the process pool used for rank/count fan-out:
     ``None`` = one per CPU, ``0``/``1`` = serial (the escape hatch).
-    ``resilience`` switches the fan-out to the fault-tolerant executor.
-    Both are execution mechanics, not collection identity, so they are
-    excluded from cache keys.
+    ``resilience`` is the fan-out's timeout/retry policy.  Both are
+    execution mechanics, not collection identity, so they are excluded
+    from cache keys.
     """
 
     ranks: Union[str, Sequence[int]] = "slowest"
     collector: CollectorConfig = field(default_factory=CollectorConfig)
     workers: Optional[int] = None
-    resilience: Optional[ResilienceConfig] = None
+    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
 
 def task_key(app_name: str, n_ranks: int, rank: Optional[int] = None) -> str:
@@ -97,34 +93,6 @@ def _collect_rank_trace(
         # fault-injection hook: a planned poison-trace spec overwrites
         # one element here, where a real probe bug would corrupt it
         return faults.poison_trace(trace, task_key(app.name, n_ranks, rank))
-
-
-def _fan_out(
-    fn,
-    tasks: Sequence[tuple],
-    keys: Sequence[str],
-    settings: CollectionSettings,
-    report: Optional[RunReport],
-    on_result=None,
-) -> List:
-    """Dispatch to the plain or resilient executor per the settings."""
-    if settings.resilience is not None:
-        results, _ = run_tasks_resilient(
-            fn,
-            tasks,
-            keys=keys,
-            workers=settings.workers,
-            config=settings.resilience,
-            report=report,
-            on_result=on_result,
-            stage="collect",
-        )
-        return results
-    results = run_tasks(fn, tasks, workers=settings.workers, keys=keys)
-    if on_result is not None:
-        for i, value in enumerate(results):
-            on_result(i, value)
-    return results
 
 
 def collect_signature(
@@ -202,15 +170,17 @@ def collect_signature(
         n_ranks=n_ranks,
         traced_ranks=len(trace_ranks),
     ):
-        traces = _fan_out(
+        traces, _ = run_tasks_resilient(
             _collect_rank_trace,
             [
                 (app, rank, n_ranks, hierarchy, settings.collector)
                 for rank in trace_ranks
             ],
-            [task_key(app.name, n_ranks, rank) for rank in trace_ranks],
-            settings,
-            report,
+            keys=[task_key(app.name, n_ranks, rank) for rank in trace_ranks],
+            workers=settings.workers,
+            config=settings.resilience,
+            report=report,
+            stage="collect",
         )
     for trace in traces:
         signature.add_trace(trace)
@@ -283,12 +253,14 @@ def collect_signatures(
         counts=len(counts),
         missing=len(missing),
     ):
-        _fan_out(
+        run_tasks_resilient(
             _collect_signature_task,
             [(app, counts[i], hierarchy, settings) for i in missing],
-            [task_key(app.name, counts[i]) for i in missing],
-            settings,
-            report,
+            keys=[task_key(app.name, counts[i]) for i in missing],
+            workers=settings.workers,
+            config=settings.resilience,
+            report=report,
             on_result=_store,
+            stage="collect",
         )
     return results

@@ -592,7 +592,6 @@ def run_dag(
     dag = build_dag(spec)
     root = Path(root)
     (root / ARTIFACTS_DIR).mkdir(parents=True, exist_ok=True)
-    resilience = resilience or ResilienceConfig()
     report = report if report is not None else RunReport()
     stats = DagStats()
     REGISTRY.set_gauge("dag.nodes_total", float(len(dag.nodes)))
@@ -641,7 +640,7 @@ def _run_wave(
     report: RunReport,
     *,
     workers: Optional[int],
-    resilience: ResilienceConfig,
+    resilience: Optional[ResilienceConfig],
 ) -> None:
     spec = dag.spec
     # poison-cone propagation first: a node below any failed/poisoned

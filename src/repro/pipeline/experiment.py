@@ -53,8 +53,6 @@ class Table1Config:
     accesses_per_probe: int = 100_000
     #: optional on-disk signature memoization (None = collect fresh)
     cache: Optional[SignatureCache] = None
-    #: fitting engine: "batched" (vectorized) or "reference" (scalar)
-    engine: str = "batched"
     #: stage-boundary guardrails (None = off, the library default; the
     #: CLI defaults to policy "degrade")
     guard: Optional[GuardConfig] = None
@@ -154,7 +152,6 @@ def run_table1(
             training,
             target_count,
             forms=config.forms,
-            engine=config.engine,
             config=config.guard,
             report=degradation,
         )

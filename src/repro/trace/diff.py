@@ -9,7 +9,7 @@ end-to-end runtime-prediction comparison of Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -56,12 +56,6 @@ class TraceDiff:
         if not self.errors:
             return 0.0
         return float(np.median([e.abs_rel_error for e in self.errors]))
-
-    def errors_by_field(self) -> Dict[str, List[float]]:
-        out: Dict[str, List[float]] = {}
-        for e in self.errors:
-            out.setdefault(e.field, []).append(e.abs_rel_error)
-        return out
 
     def worst(self, n: int = 10) -> List[ElementError]:
         return sorted(self.errors, key=lambda e: -e.abs_rel_error)[:n]

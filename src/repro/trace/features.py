@@ -30,8 +30,6 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.machine.timing import FP_OP_KINDS
-
 #: Fixed (hierarchy-independent) leading fields, in storage order.
 BASE_FIELDS: Tuple[str, ...] = (
     "exec_count",
@@ -139,10 +137,6 @@ class FeatureSchema:
                 f"{self.n_features}"
             )
         return dict(zip(self.fields, (float(v) for v in vector)))
-
-    def fp_counts(self, vector: np.ndarray) -> Dict[str, float]:
-        """Extract per-class fp counts from a vector."""
-        return {kind: float(vector[self.index(kind)]) for kind in FP_OP_KINDS}
 
     def hit_rates(self, vector: np.ndarray) -> np.ndarray:
         """Extract cumulative hit rates, shape (n_levels,)."""

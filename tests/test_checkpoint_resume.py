@@ -20,7 +20,7 @@ from repro.exec.resilience import ResilienceConfig, RunReport
 from repro.exec.sigcache import SignatureCache
 from repro.pipeline.collect import CollectionSettings, collect_signatures
 from repro.pipeline.journal import RunJournal
-from repro.util.errors import TaskCrashError
+from repro.util.errors import TaskCrashError, TransientTaskError
 
 from tests.conftest import FAST_COLLECTOR
 
@@ -187,6 +187,28 @@ class TestCollectionResume:
 
         # resume changed nothing about the results
         _assert_signatures_equal(resumed, clean)
+
+    def test_default_settings_cache_each_unit_as_it_lands(
+        self, tmp_path, small_jacobi, bw_spec
+    ):
+        # no policy given: the default one still applies the plan and
+        # caches the finished units before the batch fails
+        settings = CollectionSettings(collector=FAST_COLLECTOR, workers=0)
+        plan = FaultPlan(
+            specs=(FaultSpec(key="collect:jacobi:16", kind="raise",
+                             attempts=(1, 2, 3)),)
+        )
+        with faults.injected(plan):
+            with pytest.raises(TransientTaskError):
+                collect_signatures(
+                    small_jacobi, COUNTS, bw_spec.hierarchy, settings,
+                    cache=SignatureCache(tmp_path / "cache"),
+                )
+        cache = SignatureCache(tmp_path / "cache")
+        collect_signatures(
+            small_jacobi, COUNTS, bw_spec.hierarchy, settings, cache=cache
+        )
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
 
     def test_journaled_unit_with_lost_cache_entry_is_recollected(
         self, tmp_path, small_jacobi, bw_spec

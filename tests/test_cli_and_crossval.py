@@ -1,6 +1,5 @@
 """Unit tests: the command-line interface and cross-validation extension."""
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -136,21 +135,6 @@ class TestCli:
                 ["extrapolate", "--trace", *paths, "--target", "64,128",
                  "--out", str(tmp_path / "one.npz")]
             )
-
-    def test_extrapolate_engine_flag(self, tmp_path):
-        paths = self._save_training(tmp_path)
-        outs = {}
-        for engine in ("batched", "reference"):
-            out_path = tmp_path / f"{engine}.npz"
-            rc = main(
-                ["extrapolate", "--trace", *paths, "--target", "128",
-                 "--engine", engine, "--out", str(out_path)]
-            )
-            assert rc == 0
-            outs[engine] = TraceFile.load_npz(out_path)
-        a = outs["batched"].blocks[0].instructions[0].features
-        b = outs["reference"].blocks[0].instructions[0].features
-        np.testing.assert_allclose(a, b, rtol=1e-9)
 
     def test_bad_train_list_rejected(self):
         with pytest.raises(SystemExit):

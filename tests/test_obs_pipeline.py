@@ -92,15 +92,22 @@ class TestWorkerPropagation:
         assert keys == {f"sq:{i}" for i in range(6)}
 
     def test_metrics_ship_back_from_pool_workers(self):
-        obs_trace.enable()
-        run_tasks(_spanning_square, [(i,) for i in range(5)], workers=2)
-        assert REGISTRY.counters["demo.calls"] == 5
-        # each worker's timer ships as a histogram and merges losslessly:
-        # 0 + 0.25 + 0.5 + 0.75 + 1.0 is exact in binary floating point
-        hist = REGISTRY.timers["demo.value_s"]
-        assert hist.count == 5
-        assert hist.total == 2.5
-        assert hist.max_value == 1.0
+        # worker metrics must reach the parent whether or not spans do
+        for traced in (True, False):
+            REGISTRY.reset()
+            if traced:
+                obs_trace.enable()
+            else:
+                obs_trace.disable()
+            run_tasks(_spanning_square, [(i,) for i in range(5)], workers=2)
+            assert REGISTRY.counters["demo.calls"] == 5, traced
+            # each worker's timer ships as a histogram and merges
+            # losslessly: 0 + 0.25 + 0.5 + 0.75 + 1.0 is exact in binary
+            # floating point
+            hist = REGISTRY.timers["demo.value_s"]
+            assert hist.count == 5, traced
+            assert hist.total == 2.5, traced
+            assert hist.max_value == 1.0, traced
 
     def test_serial_path_untouched_by_tracing(self):
         tracer = obs_trace.enable()

@@ -7,6 +7,7 @@ a faulty run returns bit-identical values to a fault-free serial run,
 with only the RunReport differing.
 """
 
+import json
 import time
 
 import pytest
@@ -238,7 +239,7 @@ class TestFaultInjectedTable1:
     TRAIN = (4, 8)
     TARGET = 16
 
-    def _config(self, cache, workers, resilience=None):
+    def _config(self, cache, workers, resilience=FAST):
         from repro.pipeline.collect import CollectionSettings
         from repro.pipeline.experiment import Table1Config
 
@@ -301,6 +302,27 @@ class TestFaultInjectedTable1:
         assert cache.stats.corrupt == 1
         # the corrupt entry was preserved for post-mortem, not deleted
         assert len(cache.store.quarantined()[key8]) == 1
+
+    def test_cli_default_policy_records_the_retry(self, tmp_path, capsys):
+        # neither --task-timeout nor --max-retries: the plan still fires
+        # and the manifest accounts for it exactly
+        from repro.cli import main
+
+        manifest = tmp_path / "manifest.json"
+        plan = FaultPlan(
+            specs=(FaultSpec(key="collect:jacobi:4", kind="raise"),)
+        )
+        with faults.injected(plan):
+            rc = main(
+                ["table1", "--app", "jacobi", "--train", "4,8",
+                 "--target", "16", "--workers", "0", "--no-cache",
+                 "--manifest-out", str(manifest)]
+            )
+        capsys.readouterr()
+        assert rc == 0
+        report = json.loads(manifest.read_text())["resilience"]
+        assert report["transient_errors"] == 1
+        assert report["retries"] == 1
 
 
 def _bw_hierarchy():
