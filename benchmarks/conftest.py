@@ -25,6 +25,7 @@ from repro.machine.systems import get_machine, get_spec
 from repro.pipeline.collect import collect_signature
 
 RESULTS_DIR = Path(__file__).parent / "results"
+ROOT_DIR = Path(__file__).parent.parent
 
 #: smoke runs (``REPRO_BENCH_SMOKE=1``) shrink inputs and relax floors
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -49,15 +50,16 @@ def merge_bench(name: str, entry: dict) -> dict:
     Several benchmark modules persist metrics into the same trajectory
     file (``BENCH_pipeline.json`` holds the cache-sim, collection, and
     fitting numbers); merging instead of overwriting keeps whichever
-    module ran last from clobbering the others' keys.  ``BENCH_*``
-    documents from full-size runs are additionally mirrored to the
+    module ran last from clobbering the others' keys.  Smoke runs merge
+    into the untracked ``results/<name>.smoke.json`` instead, so their
+    shrunken inputs and relaxed floors never meet full-size numbers.
+    ``BENCH_*`` documents from full-size runs are mirrored to the
     repository root — deterministically (sorted keys, fixed indent), so
     re-running a bench with unchanged numbers leaves a byte-identical
-    committed file; smoke numbers never reach the root copy.  Returns
-    the merged document.
+    committed file.  Returns the merged document.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
+    path = RESULTS_DIR / (f"{name}.smoke.json" if SMOKE else f"{name}.json")
     doc = {}
     if path.exists():
         try:
@@ -68,7 +70,7 @@ def merge_bench(name: str, entry: dict) -> dict:
     rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     path.write_text(rendered)
     if name.startswith("BENCH_") and not SMOKE:
-        (Path(__file__).parent.parent / f"{name}.json").write_text(rendered)
+        (ROOT_DIR / f"{name}.json").write_text(rendered)
     print(f"\n===== {name} =====\n{json.dumps(entry, indent=2, sort_keys=True)}\n")
     return doc
 

@@ -5,11 +5,12 @@ Three layers for the collection pipeline:
 - :mod:`repro.exec.resilience` — the one fan-out of independent tasks
   (rank traces, per-core-count signatures, DAG nodes, serving's
   runtime replays): deterministic results in submission order, with
-  per-task timeouts, bounded deterministic retries, pool restart on
-  worker crash, serial fallback, and a :class:`RunReport` of recovery
-  events.  :mod:`repro.exec.pool` holds its pool sizing and worker
-  primitives; :mod:`repro.exec.faults` is the matching deterministic
-  fault-injection harness that keeps every recovery path tested.
+  per-task timeouts, bounded deterministic retries, one single-worker
+  pool per worker restarted on crash, serial fallback, and a
+  :class:`RunReport` of recovery events.  :mod:`repro.exec.pool`
+  holds its pool sizing and worker flag; :mod:`repro.exec.faults` is
+  the matching deterministic fault-injection harness that keeps every
+  recovery path tested.
 - :mod:`repro.exec.sigcache` — on-disk memoization of collected
   signatures (digest-verified, corruption-quarantining) so repeated
   experiments and benchmarks skip recollection.

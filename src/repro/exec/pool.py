@@ -7,9 +7,8 @@ concurrently therefore cannot change any result: parallel output is
 bit-for-bit identical to serial by construction.
 
 The one fan-out is :func:`repro.exec.resilience.run_tasks_resilient`;
-this module holds what it and :mod:`repro.exec.faults` share: pool
-sizing, the fork context, and the worker flag that keeps a task which
-itself fans out serial instead of spawning a nested pool.
+this module holds its pool sizing and the worker flag that keeps a task
+which itself fans out serial instead of spawning a nested pool.
 :func:`run_tasks` is the executor's results-only form under the default
 policy.
 """
@@ -17,23 +16,12 @@ policy.
 from __future__ import annotations
 
 import os
-from multiprocessing import get_context
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
 #: set in worker processes so nested fan-outs stay serial
 _WORKER_ENV = "REPRO_EXEC_WORKER"
-
-
-def _worker_init() -> None:
-    os.environ[_WORKER_ENV] = "1"
-    # fresh per-worker observability state: an empty tracer (the parent's
-    # buffered spans must not be shipped back twice) and a zeroed
-    # metrics registry (the fork otherwise inherits the parent's counts)
-    import repro.obs
-
-    repro.obs.worker_init()
 
 
 def in_worker() -> bool:
@@ -58,15 +46,6 @@ def resolve_workers(workers: Optional[int], n_tasks: int) -> int:
     if workers <= 1:
         return 0
     return min(workers, n_tasks)
-
-
-def _mp_context():
-    # fork is substantially cheaper than spawn and inherits the loaded
-    # modules; fall back to the platform default where it is missing
-    try:
-        return get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return get_context()
 
 
 def run_tasks(

@@ -35,6 +35,13 @@ def _square(x):
     return x * x
 
 
+def _logged_square(log, x):
+    """``_square`` that appends ``x`` to ``log``: one line per execution."""
+    with open(log, "a") as fh:
+        fh.write(f"{x}\n")
+    return x * x
+
+
 def _boom(x):
     raise ValueError(f"deterministic failure {x}")
 
@@ -151,6 +158,70 @@ class TestPooledResilient:
         assert report.timeouts == 1
         assert report.pool_restarts >= 1
         assert elapsed < 15.0  # nowhere near the 30s hang
+
+    def test_timeout_kills_only_the_overdue_attempt(self, tmp_path):
+        # h0 hangs past the 2s budget; h1 holds the other worker for
+        # 1.5s, so h2 runs there from ~1.5s to ~2.5s, across h0's
+        # deadline.  Only h0's worker is killed: h2 runs exactly once
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(key="h0", kind="hang", seconds=30.0),
+                FaultSpec(key="h1", kind="hang", seconds=1.5),
+                FaultSpec(key="h2", kind="hang", seconds=1.0),
+            )
+        )
+        cfg = ResilienceConfig(
+            task_timeout_s=2.0, backoff_base_s=0.001, backoff_max_s=0.01
+        )
+        log = tmp_path / "runs.log"
+        with faults.injected(plan):
+            results, report = run_tasks_resilient(
+                _logged_square, [(log, 5), (log, 6), (log, 7)],
+                keys=["h0", "h1", "h2"], workers=2, config=cfg,
+            )
+        assert results == [25, 36, 49]
+        assert sorted(log.read_text().split()) == ["5", "6", "7"]
+        assert report.timeouts == 1
+        assert report.retries == 1
+        assert report.pool_restarts == 1
+
+    def test_crash_charges_only_the_crashing_attempt(self, tmp_path):
+        # c1 is mid-run on the other worker when c0's worker dies; it
+        # finishes undisturbed, so the crash costs one retry, not two
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(key="c0", kind="crash"),
+                FaultSpec(key="c1", kind="hang", seconds=1.0),
+            )
+        )
+        log = tmp_path / "runs.log"
+        with faults.injected(plan):
+            results, report = run_tasks_resilient(
+                _logged_square, [(log, 2), (log, 3)],
+                keys=["c0", "c1"], workers=2, config=FAST,
+            )
+        assert results == [4, 9]
+        assert sorted(log.read_text().split()) == ["2", "3"]
+        assert report.crashes == 1
+        assert report.retries == 1
+        assert report.pool_restarts == 1
+
+    def test_slow_task_does_not_hold_back_its_neighbours(self):
+        # no barrier between tasks: while slow0 holds one worker, the
+        # other worker drains every fast task, each landing on its own
+        plan = FaultPlan(
+            specs=(FaultSpec(key="slow0", kind="hang", seconds=1.0),)
+        )
+        keys = ["slow0"] + [f"fast{i}" for i in range(1, 5)]
+        landed = []
+        with faults.injected(plan):
+            results, _ = run_tasks_resilient(
+                _square, [(i,) for i in range(5)], keys=keys,
+                workers=2, config=FAST,
+                on_result=lambda i, _: landed.append(i),
+            )
+        assert results == [0, 1, 4, 9, 16]
+        assert landed[-1] == 0
 
     def test_timeout_exhaustion_raises_taxonomy_error(self):
         plan = FaultPlan(
