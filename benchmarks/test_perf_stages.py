@@ -1,13 +1,15 @@
 """Stage coverage and the observability overhead budget.
 
-Runs the small Table I protocol (jacobi, train 4,8 -> target 16) twice —
-once plain, once under span tracing — checks that the traced run covers
-at least ``MIN_STAGES`` pipeline stages, and records into
+Runs the small Table I protocol (jacobi, train 4,8 -> target 16) plain
+and under span tracing in alternating pairs, checks that the traced
+runs cover at least ``MIN_STAGES`` pipeline stages, and records into
 ``results/BENCH_pipeline.json``:
 
-- ``obs_overhead_pct``: the tracing wall-clock cost relative to the
-  plain run, which must stay under the budget (spans read the clock and
-  append to a list; they must never become a measurable tax).
+- ``obs_overhead_pct``: the tracing cost, the median over ``PAIRS``
+  pairs of traced/plain CPU seconds, which must stay under the budget
+  (spans read the clock and append to a list; they must never become a
+  measurable tax).  CPU seconds and a median of per-pair ratios keep
+  the hypervisor's wall-clock steal and one slow row out of the gate.
 
 Where the time of a paper-scale run goes, layer by layer, is
 perfbench's ``--trace 1`` report, not this toy row's.
@@ -31,11 +33,16 @@ from benchmarks.conftest import merge_bench
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
-#: observability overhead ceiling (percent of plain wall-clock)
+#: observability overhead ceiling (percent of plain CPU time)
 MAX_OVERHEAD_PCT = 15.0 if SMOKE else 5.0
 
 #: the acceptance floor on trace coverage: distinct pipeline stages
 MIN_STAGES = 6
+
+#: alternating plain/traced pairs the overhead is the median over; one
+#: row's CPU time swings by about +-15% on a shared 2-vCPU VM, and the
+#: median of 11 pair ratios keeps that well inside the smoke budget
+PAIRS = 11
 
 TRAIN = (4, 8)
 TARGET = 16
@@ -46,29 +53,36 @@ def _run_table1():
     return run_table1(get_app("jacobi"), list(TRAIN), TARGET, config)
 
 
-def _best_of(fn, repeats=3):
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _cpu_s(fn) -> float:
+    t0 = time.process_time()
+    fn()
+    return time.process_time() - t0
+
+
+def _traced_cpu_s():
+    tracer = obs_trace.enable()
+    try:
+        return _cpu_s(_run_table1), tracer.stages()
+    finally:
+        obs_trace.disable()
 
 
 def test_stage_timings_and_tracing_overhead():
     obs_trace.disable()
     _run_table1()  # warm-up: imports, machine-profile memoization
 
-    t_plain = _best_of(_run_table1)
+    ratios = []
+    for pair in range(PAIRS):
+        # alternate which side runs first, so drift favours neither
+        if pair % 2:
+            traced, stage_names = _traced_cpu_s()
+            plain = _cpu_s(_run_table1)
+        else:
+            plain = _cpu_s(_run_table1)
+            traced, stage_names = _traced_cpu_s()
+        ratios.append(traced / plain)
 
-    tracer = obs_trace.enable()
-    try:
-        t_traced = _best_of(_run_table1)
-        stage_names = tracer.stages()
-    finally:
-        obs_trace.disable()
-
-    overhead_pct = 100.0 * (t_traced - t_plain) / t_plain
+    overhead_pct = 100.0 * (float(np.median(ratios)) - 1.0)
     merge_bench("BENCH_pipeline", {"obs_overhead_pct": round(overhead_pct, 2)})
 
     assert len(stage_names) >= MIN_STAGES, (
@@ -76,8 +90,9 @@ def test_stage_timings_and_tracing_overhead():
         "distinct pipeline stages"
     )
     assert overhead_pct < MAX_OVERHEAD_PCT, (
-        f"span tracing cost {overhead_pct:.1f}% wall-clock on the smoke "
-        f"row (budget {MAX_OVERHEAD_PCT}%)"
+        f"span tracing cost {overhead_pct:.1f}% CPU time on the smoke "
+        f"row (median of {PAIRS} pairs {[round(r, 3) for r in ratios]}; "
+        f"budget {MAX_OVERHEAD_PCT}%)"
     )
 
 

@@ -6,19 +6,30 @@ replay engine (events/second).  Regressions here directly inflate every
 experiment's wall-clock.
 
 A non-smoke cache-simulator run records its best-of-rounds throughput
-as ``cache_sim_<pattern>_maccess_per_s`` in ``BENCH_pipeline.json``;
-set ``REPRO_BENCH_SMOKE=1`` to skip the write.
+as ``cache_sim_<pattern>_maccess_per_s`` in ``BENCH_pipeline.json``, and
+a non-smoke replay run records the SPECFEM3D 6144-rank job's throughput
+through the native kernel and through ``ReplayEngine`` (its base) as
+``replay_{native,python}_mevents_per_s`` and their ratio
+``replay_native_speedup``; set ``REPRO_BENCH_SMOKE=1`` to skip the
+writes.
 """
 
 import os
+import time
 
+import numpy as np
 import pytest
 
 from repro.cache.configs import blue_waters_p1
 from repro.cache.simulator import HierarchySimulator
 from repro.machine.network import NetworkParameters
 from repro.memstream.patterns import RandomPattern, StridedPattern
-from repro.psins.replay import ComputationTimer, replay_job
+from repro.psins.replay import (
+    ComputationTimer,
+    ReplayEngine,
+    UniformTimer,
+    replay_job,
+)
 from repro.simmpi.runtime import run_job
 from repro.util.rng import stream
 from repro.util.units import MB
@@ -77,6 +88,57 @@ def test_replay_engine_throughput(benchmark):
 
     result = benchmark(lambda: replay_job(job, NullTimer(), net))
     assert result.n_events == 512 * 5 * 4
+
+
+def _best_cpu_s(fn, repeats):
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.process_time()
+        out = fn()
+        best = min(best, time.process_time() - t0)
+    return best, out
+
+
+def test_replay_native_vs_engine_throughput():
+    """The paper-scale replay: SPECFEM3D's 6144-rank Table I target job
+    under a uniform timer, through the native kernel (its row pricing and
+    channel ids included: each round replays a fresh ``Job`` over the
+    same rows) and through ``ReplayEngine`` (decoding excluded)."""
+    from repro.apps.registry import get_app
+    from repro.machine.systems import get_spec
+    from repro.simmpi.runtime import Job
+
+    smoke = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+    job = get_app("specfem3d").build_job(6144)
+    timer = UniformTimer(lambda block: 1e-7 * (block + 1))
+    net = get_spec("blue_waters_p1").network
+    repeats = 1 if smoke else 3
+    fresh = [Job.from_rows(job.app, job.n_ranks, job.rows, job.offsets)
+             for _ in range(repeats + 1)]
+    replay_job(fresh.pop(), timer, net)  # compile or load the kernel untimed
+    native_s, native = _best_cpu_s(lambda: replay_job(fresh.pop(), timer, net), repeats)
+    engines = [ReplayEngine(job, timer, net) for _ in range(repeats)]
+    python_s, python = _best_cpu_s(lambda: engines.pop().run(), repeats)
+
+    assert native.runtime_s == python.runtime_s
+    assert np.array_equal(native.compute_time_s, python.compute_time_s)
+    assert np.array_equal(native.comm_time_s, python.comm_time_s)
+    native_rate = job.n_events / native_s / 1e6
+    python_rate = job.n_events / python_s / 1e6
+    print(f"\nreplay of {job.n_events} events: native {native_rate:.2f} "
+          f"Mevents/s, ReplayEngine {python_rate:.3f} Mevents/s")
+    assert native_rate > python_rate
+    if not smoke:
+        from benchmarks.conftest import merge_bench
+
+        merge_bench(
+            "BENCH_pipeline",
+            {
+                "replay_native_mevents_per_s": round(native_rate, 3),
+                "replay_python_mevents_per_s": round(python_rate, 3),
+                "replay_native_speedup": round(native_rate / python_rate, 1),
+            },
+        )
 
 
 # ----------------------------------------------------------------------

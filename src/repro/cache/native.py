@@ -1,40 +1,18 @@
-"""The exact-LRU replay kernel: C source, build cache and loader.
+"""The exact-LRU replay kernel: its C source and ``ctypes`` signature.
 
 :class:`repro.cache.simulator.HierarchySimulator` replays each address
-chunk through one C function, :data:`C_SOURCE`.  The kernel is compiled
-on first use with the system C compiler (``cc`` or ``gcc``, whichever is
-on ``PATH``) and called through :mod:`ctypes`.  The built library is a
-directory entry of a :class:`repro.util.store.Store` under
-``~/.cache/repro/kernels/``, keyed by the SHA-256 of the source, the
-compile command and the machine architecture.  The store's lock makes
-processes racing the first build compile once, and its verify-on-get
-quarantines a damaged library, which is then rebuilt.  When that root
-is not writable the library is built into a private temp dir.
-
-Without a compiler (or when the build fails) :func:`replay_kernel`
-returns ``None`` after one warning, and the simulator replays through
-the scalar :class:`repro.cache.reference.ReferenceCacheLevel` instead:
-same answers, orders of magnitude slower.
+chunk through one C function, :data:`C_SOURCE`, built and loaded by
+:func:`repro.util.native.load` on first use.  Without a compiler the
+simulator replays through the scalar
+:class:`repro.cache.reference.ReferenceCacheLevel` instead: same
+answers, orders of magnitude slower.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import functools
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
-from typing import Callable, Optional
 
-from repro.obs.log import get_logger
-from repro.util.store import Store
-
-log = get_logger("cache.native")
+from repro.util.native import Kernel
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -90,92 +68,13 @@ void replay(int64_t n_levels, const int64_t *geom, int64_t *state,
 }
 """
 
-#: compiler flags; no ``-march=native``, since a shared ``HOME`` may
-#: load the library on a different CPU
-CFLAGS = ("-O2", "-shared", "-fPIC")
-LIBRARY = "replay.so"
-
-
-def _compiler() -> Optional[str]:
-    return shutil.which("cc") or shutil.which("gcc")
-
-
-def _writable_root() -> Path:
-    try:
-        root = Path.home() / ".cache" / "repro" / "kernels"
-        root.mkdir(parents=True, exist_ok=True)
-        if os.access(root, os.W_OK | os.X_OK):
-            return root
-    except (OSError, RuntimeError):  # RuntimeError: no home directory
-        pass
-    private = Path(tempfile.mkdtemp(prefix="repro-kernels-"))
-    atexit.register(shutil.rmtree, private, True)
-    log.info("kernel root is not writable; building into %s", private)
-    return private
-
-
-def _compile(cc: str) -> bytes:
-    with tempfile.TemporaryDirectory(prefix="repro-kernel-build-") as tmp:
-        src, out = Path(tmp) / "replay.c", Path(tmp) / LIBRARY
-        src.write_text(C_SOURCE)
-        subprocess.run(
-            [cc, *CFLAGS, "-o", str(out), str(src)],
-            check=True, capture_output=True, text=True,
-        )
-        return out.read_bytes()
-
-
-def _library(cc: str) -> Path:
-    """The verified library's path, compiled into the store if needed."""
-    command = " ".join([os.path.basename(cc), *CFLAGS])
-    key = hashlib.sha256(
-        "\0".join([C_SOURCE, command, platform.machine()]).encode()
-    ).hexdigest()
-    store = Store(_writable_root())
-
-    def cached() -> Optional[Path]:
-        return store.get_dir(key, lambda meta, files: store.path(key) / LIBRARY)
-
-    path = cached()
-    if path is None:
-        path = store.acquire(key, cached)
-    if path is None:  # we hold the lock and the entry is still missing
-        try:
-            library = _compile(cc)
-            store.put_dir(
-                key, library,
-                lambda data: ({LIBRARY: data}, {"command": command}),
-            )
-        finally:
-            store.release(key)
-        path = store.path(key) / LIBRARY
-        log.info("compiled the LRU replay kernel into %s", path)
-    return path
-
-
-@functools.lru_cache(maxsize=None)
-def replay_kernel() -> Optional[Callable]:
-    """The compiled ``replay`` function, or ``None`` (one warning) when
-    it cannot be built or loaded.  Built and loaded once per process."""
-    cc = _compiler()
-    if cc is None:
-        log.warning(
-            "no C compiler (cc or gcc) on PATH: exact cache replay runs "
-            "the scalar reference simulator, orders of magnitude slower"
-        )
-        return None
-    try:
-        fn = ctypes.CDLL(str(_library(cc))).replay
-    except (OSError, subprocess.SubprocessError, TimeoutError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        log.warning(
-            "could not build the LRU replay kernel (%s): exact cache "
-            "replay runs the scalar reference simulator", detail
-        )
-        return None
-    fn.restype = None
-    fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                   ctypes.c_void_p]
-    return fn
-
+KERNEL = Kernel(
+    name="LRU replay",
+    source=C_SOURCE,
+    symbol="replay",
+    argtypes=(ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+              ctypes.c_void_p),
+    fallback="exact cache replay runs the scalar reference simulator, "
+             "orders of magnitude slower",
+)

@@ -23,6 +23,7 @@ from repro.cache import native
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.reference import ReferenceCacheLevel
 from repro.obs.metrics import REGISTRY
+from repro.util.native import load
 
 
 @dataclass
@@ -146,7 +147,7 @@ class HierarchySimulator:
 
     def __init__(self, hierarchy: CacheHierarchy):
         self.hierarchy = hierarchy
-        self._kernel = native.replay_kernel()
+        self._kernel = load(native.KERNEL)
         rows, offset = [], 0
         for g in hierarchy.levels:
             pow2 = g.n_sets & (g.n_sets - 1) == 0

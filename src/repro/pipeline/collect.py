@@ -144,7 +144,9 @@ def collect_signature(
             task_key=task_key(app.name, n_ranks),
         )
     with span("collect.profile", app=app.name, n_ranks=n_ranks):
-        profile = profile_job(job, app.program_factory(n_ranks))
+        profile = profile_job(
+            job, app.program_factory(n_ranks), app.equivalence_classes(n_ranks)
+        )
     if settings.ranks == "slowest":
         trace_ranks: List[int] = [profile.slowest_rank()]
     elif settings.ranks == "all":

@@ -15,20 +15,44 @@ through each rank's event script:
 The scheduler is work-queue driven (a rank is revisited only when
 something it waits for happens), so replay is O(events) not
 O(events x ranks).
+
+:func:`replay_job` runs it as one C function over the job's event rows
+(:mod:`repro.psins.native`).  Python first prices every row with the
+functions below — each compute row from its timer, once per distinct
+``(cost function, block)``; each recv row with ``p2p_time_s``, once per
+distinct size; each collective row with its cost model, once per
+distinct ``(op, nbytes)`` — so the kernel only adds and compares.
+:class:`ReplayEngine` is the same scheduler over event objects: the
+kernel's test oracle, and the replay when no C compiler is present.
+Both give bit-identical results (:class:`ReplayResult`) and raise the
+same errors.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.machine.network import NetworkParameters
 from repro.obs.trace import span
-from repro.simmpi.events import CollectiveEvent, ComputeEvent, RecvEvent, SendEvent
+from repro.psins import native
+from repro.simmpi.events import (
+    COLLECTIVE,
+    COLLECTIVE_OPS,
+    COMPUTE,
+    KIND_NAMES,
+    RECV,
+    SEND,
+    CollectiveEvent,
+    ComputeEvent,
+    RecvEvent,
+    SendEvent,
+)
 from repro.simmpi.runtime import Job
+from repro.util.native import load
 
 
 class ComputationTimer:
@@ -106,6 +130,9 @@ _COLLECTIVE_COST = {
 
 class ReplayEngine:
     """One replay's scheduler state, inspectable after :meth:`run`.
+
+    The Python form of the native kernel's scheduler, over the job's
+    decoded event objects: its oracle, and the no-compiler fallback.
 
     All transient bookkeeping lives in plain dicts whose entries are
     removed as soon as they drain — a matched send deletes its emptied
@@ -262,11 +289,144 @@ class ReplayEngine:
         )
 
 
+def _compute_times(job: Job, timer: ComputationTimer) -> Optional[np.ndarray]:
+    """Seconds of every compute row, or ``None`` when pricing raised (the
+    engine then raises it, or an earlier error, where the replay meets it).
+
+    A :class:`UniformTimer` prices each block once and a
+    :class:`PerRankTimer` once per distinct cost function; any other
+    timer is asked row by row.
+    """
+    try:
+        if type(timer) is UniformTimer:
+            fn = timer._iteration_time_s
+            group_of_rank = np.zeros(job.n_ranks, dtype=np.int64)
+            return job.compute_costs(group_of_rank, lambda g, block: fn(block))
+        if type(timer) is PerRankTimer:
+            groups: Dict[Callable, int] = {}
+            group_of_rank = np.array(
+                [groups.setdefault(timer._timers.get(r), len(groups))
+                 for r in range(job.n_ranks)],
+                dtype=np.int64,
+            )
+            fns = list(groups)
+            return job.compute_costs(group_of_rank, lambda g, block: fns[g](block))
+        compute = job.rows[:, 0] == COMPUTE
+        ranks = job.row_ranks[compute].tolist()
+        return np.array(
+            [timer.time_s(r, block, iterations) for r, (block, iterations)
+             in zip(ranks, job.rows[compute, 1:3].tolist())],
+            dtype=np.float64,
+        )
+    except Exception:
+        return None
+
+
+def _per_size(sizes: np.ndarray, cost: Callable[[int], float]) -> np.ndarray:
+    """``cost(size)`` of every entry, asked once per distinct size."""
+    distinct, inverse = np.unique(sizes, return_inverse=True)
+    return np.array([cost(b) for b in distinct.tolist()], dtype=np.float64)[inverse]
+
+
+def _row_seconds(
+    job: Job, compute_s: np.ndarray, network: NetworkParameters
+) -> np.ndarray:
+    """Every row's precomputed seconds: compute time, recv transfer time,
+    collective cost (0 for sends, whose overhead is one constant)."""
+    kind, size = job.rows[:, 0], job.rows[:, 2]
+    dt = np.zeros(job.n_events)
+    dt[kind == COMPUTE] = compute_s
+    recv = kind == RECV
+    dt[recv] = _per_size(size[recv], network.p2p_time_s)
+    coll = np.flatnonzero(kind == COLLECTIVE)
+    ops = job.rows[coll, 1]
+    for op in np.unique(ops).tolist():
+        rows = coll[ops == op]
+        cost = _COLLECTIVE_COST[COLLECTIVE_OPS[op]]
+        dt[rows] = _per_size(size[rows], lambda b: cost(network, job.n_ranks, b))
+    return dt
+
+
+def _raise_replay_error(job: Job, code: int, info: np.ndarray, pc: np.ndarray):
+    """The kernel's error as the engine words it."""
+    rows = job.rows
+    if code == native.SIZE_MISMATCH:
+        r, i, sent = info[:3].tolist()
+        key = (int(rows[i, 1]), r, int(rows[i, 3]))
+        raise ValueError(
+            f"message size mismatch on {key}: sent {sent}, "
+            f"receiving {int(rows[i, 2])}"
+        )
+    if code == native.COLLECTIVE_MISMATCH:
+        r, i, first, idx = info.tolist()
+
+        def spec(row):
+            return (COLLECTIVE_OPS[rows[row, 1]], int(rows[row, 2]))
+
+        raise ValueError(
+            f"collective #{idx} mismatch: rank {r} issues "
+            f"{spec(i)}, others issued {spec(first)}"
+        )
+    lengths = np.diff(job.offsets).tolist()
+    pc = pc.tolist()
+    stuck = [r for r in range(job.n_ranks) if pc[r] < lengths[r]]
+    detail = ", ".join(
+        f"rank {r} at event {pc[r]}/{lengths[r]} "
+        f"({KIND_NAMES[rows[job.offsets[r] + pc[r], 0]]})"
+        for r in stuck[:5]
+    )
+    raise ReplayDeadlockError(
+        f"replay of {job.app} deadlocked with {len(stuck)} rank(s) "
+        f"blocked: {detail}"
+    )
+
+
+def _replay_rows(
+    kernel: Callable, job: Job, compute_s: np.ndarray, network: NetworkParameters
+) -> ReplayResult:
+    """One call of the native kernel over the job's rows."""
+    n = job.n_ranks
+    kind = job.rows[:, 0]
+    dt = _row_seconds(job, compute_s, network)
+    chan, keys = job.channels
+    sends = np.bincount(chan[kind == SEND], minlength=len(keys))
+    n_send = int(sends.sum())
+    chan_start = np.cumsum(sends) - sends
+    iwork = np.zeros(4 * n + 3 * len(keys) + n_send, dtype=np.int64)
+    fwork = np.zeros(3 * n + n_send)
+    info = np.zeros(4, dtype=np.int64)
+    code = kernel(
+        n, job.offsets.ctypes.data, job.rows.ctypes.data, dt.ctypes.data,
+        chan.ctypes.data, len(keys), chan_start.ctypes.data,
+        network.send_overhead_us * 1e-6,
+        iwork.ctypes.data, fwork.ctypes.data, info.ctypes.data,
+    )
+    if code != native.OK:
+        _raise_replay_error(job, code, info, iwork[:n] - job.offsets[:-1])
+    clock = fwork[:n]
+    return ReplayResult(
+        app=job.app,
+        n_ranks=n,
+        runtime_s=float(clock.max()) if n else 0.0,
+        compute_time_s=fwork[n:2 * n].copy(),
+        comm_time_s=fwork[2 * n:3 * n].copy(),
+        n_events=job.n_events,
+    )
+
+
 def replay_job(
     job: Job,
     timer: ComputationTimer,
     network: NetworkParameters,
 ) -> ReplayResult:
-    """Replay a job's event traces; return the predicted runtime."""
+    """Replay a job's event traces; return the predicted runtime.
+
+    Runs the native kernel when it loads (compiled on the first replay),
+    else :class:`ReplayEngine`; the two agree bit for bit.
+    """
     with span("replay.job", n_ranks=job.n_ranks):
-        return ReplayEngine(job, timer, network).run()
+        kernel = load(native.KERNEL)
+        compute_s = None if kernel is None else _compute_times(job, timer)
+        if compute_s is None:
+            return ReplayEngine(job, timer, network).run()
+        return _replay_rows(kernel, job, compute_s, network)

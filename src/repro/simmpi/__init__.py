@@ -12,6 +12,13 @@ times to those events.
 Rank functions are plain Python callables executed one rank at a time —
 apps are SPMD and deterministic, so no actual concurrency is needed to
 reconstruct each rank's event sequence.
+
+A :class:`Job` stores the events as one ``(n_events, 4)`` int64 table
+(kind, arg, size, tag) with per-rank offsets; recording, verification,
+profiling and replay all work on that table.  ``Job.scripts`` and
+``SimComm.events`` decode it into the event objects of
+:mod:`repro.simmpi.events` for the §VI consumers (communication
+extrapolation, energy) and for hand-built scripts.
 """
 
 from repro.simmpi.events import (

@@ -6,19 +6,32 @@ in for, with one addition: :meth:`SimComm.compute` marks a computation
 phase (``iterations`` of a named basic block) — the "work done on the
 processor in between communication events" the PMaC computation model
 covers (§III).
+
+Each call appends one int64 row (kind, arg, size, tag; see
+:mod:`repro.simmpi.events`) to a growable buffer; no event object is
+created.  Rank ranges and self-sends are checked at the call; sizes are
+checked for the whole job when it is assembled
+(:class:`~repro.simmpi.runtime.Job`).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List
 
+import numpy as np
+
 from repro.simmpi.events import (
-    CollectiveEvent,
-    ComputeEvent,
+    COLLECTIVE,
+    COLLECTIVE_OPS,
+    COMPUTE,
+    RECV,
+    SEND,
     Event,
-    RecvEvent,
-    SendEvent,
+    decode_rows,
 )
+
+_OP = {op: i for i, op in enumerate(COLLECTIVE_OPS)}
 
 
 class SimComm:
@@ -37,7 +50,13 @@ class SimComm:
             raise ValueError(f"rank {rank} out of range for size {size}")
         self.rank = rank
         self.size = size
-        self.events: List[Event] = []
+        #: the recorded rows, flattened: kind, arg, size, tag per event
+        self.rows = array("q")
+
+    @property
+    def events(self) -> List[Event]:
+        """The recorded events, decoded (a copy: recording is by rows)."""
+        return decode_rows(np.frombuffer(self.rows, dtype=np.int64).reshape(-1, 4))
 
     # -- introspection (mpi4py-style) -----------------------------------
 
@@ -52,7 +71,7 @@ class SimComm:
     def compute(self, block_id: int, iterations: int) -> None:
         """Record ``iterations`` executions of basic block ``block_id``."""
         if iterations > 0:
-            self.events.append(ComputeEvent(block_id=block_id, iterations=iterations))
+            self.rows.extend((COMPUTE, block_id, iterations, 0))
 
     # -- point-to-point ---------------------------------------------------
 
@@ -61,14 +80,14 @@ class SimComm:
             raise ValueError(f"send dest {dest} out of range (size {self.size})")
         if dest == self.rank:
             raise ValueError("self-sends are not modeled")
-        self.events.append(SendEvent(dest=dest, nbytes=nbytes, tag=tag))
+        self.rows.extend((SEND, dest, nbytes, tag))
 
     def recv(self, src: int, nbytes: int, tag: int = 0) -> None:
         if not 0 <= src < self.size:
             raise ValueError(f"recv src {src} out of range (size {self.size})")
         if src == self.rank:
             raise ValueError("self-receives are not modeled")
-        self.events.append(RecvEvent(src=src, nbytes=nbytes, tag=tag))
+        self.rows.extend((RECV, src, nbytes, tag))
 
     def sendrecv(
         self, dest: int, send_bytes: int, src: int, recv_bytes: int, tag: int = 0
@@ -79,20 +98,23 @@ class SimComm:
 
     # -- collectives ------------------------------------------------------
 
+    def _collective(self, op: str, nbytes: int) -> None:
+        self.rows.extend((COLLECTIVE, _OP[op], nbytes, 0))
+
     def barrier(self) -> None:
-        self.events.append(CollectiveEvent(op="barrier"))
+        self._collective("barrier", 0)
 
     def allreduce(self, nbytes: int) -> None:
-        self.events.append(CollectiveEvent(op="allreduce", nbytes=nbytes))
+        self._collective("allreduce", nbytes)
 
     def reduce(self, nbytes: int) -> None:
-        self.events.append(CollectiveEvent(op="reduce", nbytes=nbytes))
+        self._collective("reduce", nbytes)
 
     def broadcast(self, nbytes: int) -> None:
-        self.events.append(CollectiveEvent(op="broadcast", nbytes=nbytes))
+        self._collective("broadcast", nbytes)
 
     def alltoall(self, nbytes_per_rank: int) -> None:
-        self.events.append(CollectiveEvent(op="alltoall", nbytes=nbytes_per_rank))
+        self._collective("alltoall", nbytes_per_rank)
 
     def allgather(self, nbytes_per_rank: int) -> None:
-        self.events.append(CollectiveEvent(op="allgather", nbytes=nbytes_per_rank))
+        self._collective("allgather", nbytes_per_rank)

@@ -1,25 +1,40 @@
 """SimMPI job construction and static verification.
 
-``run_job`` executes a rank function once per rank, collecting each
-rank's event script.  ``verify_job`` statically checks communication
-consistency — every send matched by a receive, collectives issued in the
-same order everywhere — which is also what keeps the replay engine
-deadlock-free.
+``run_job`` executes a rank function once per rank and assembles every
+rank's recorded rows into one :class:`Job`: an ``(n_events, 4)`` int64
+event table (kind, arg, size, tag; see :mod:`repro.simmpi.events`) plus
+per-rank offsets.  ``verify_job`` statically checks communication
+consistency with numpy — every send matched by a receive, collectives
+issued in the same order everywhere — which is also what keeps the
+replay deadlock-free.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.simmpi.comm import SimComm
-from repro.simmpi.events import CollectiveEvent, ComputeEvent, RecvEvent, SendEvent
+from repro.simmpi.events import (
+    COLLECTIVE,
+    COLLECTIVE_OPS,
+    COMPUTE,
+    RECV,
+    SEND,
+    ComputeEvent,
+    decode_rows,
+    encode,
+)
+from repro.util.validation import check_in_range
 
 
 @dataclass
 class RankScript:
-    """One rank's recorded event sequence."""
+    """One rank's event sequence: hand-built, or decoded from a job."""
 
     rank: int
     events: List = field(default_factory=list)
@@ -32,9 +47,30 @@ class RankScript:
         return [e for e in self.events if isinstance(e, ComputeEvent)]
 
 
-@dataclass
+def _check_rows(rows: np.ndarray) -> None:
+    """The checks event construction makes, over a whole table at once."""
+    kind, arg, size = rows[:, 0], rows[:, 1], rows[:, 2]
+    bad = np.flatnonzero(size < 0)
+    if bad.size:
+        i = bad[0]
+        name = "iterations" if kind[i] == COMPUTE else "nbytes"
+        check_in_range(name, int(size[i]), low=0)
+    p2p = (kind == SEND) | (kind == RECV)
+    coll = kind == COLLECTIVE
+    bad = np.flatnonzero(
+        (kind < COMPUTE) | (kind > COLLECTIVE) | (p2p & (arg < 0))
+        | (coll & ((arg < 0) | (arg >= len(COLLECTIVE_OPS))))
+    )
+    if bad.size:
+        raise ValueError(f"malformed event row {bad[0]}: {rows[bad[0]].tolist()}")
+
+
 class Job:
-    """A complete simulated MPI job at one core count.
+    """A complete simulated MPI job at one core count, as event rows.
+
+    Rank ``r``'s events are ``rows[offsets[r]:offsets[r + 1]]``, one
+    int64 row (kind, arg, size, tag) each; the table is read-only.
+    :attr:`scripts` and :meth:`script` decode it into event objects.
 
     Parameters
     ----------
@@ -43,40 +79,136 @@ class Job:
     n_ranks:
         Core count.
     scripts:
-        Per-rank event scripts (index == rank).
+        Per-rank event scripts (index == rank), packed into rows once;
+        :meth:`from_rows` builds a job from rows directly.
     """
 
-    app: str
-    n_ranks: int
-    scripts: List[RankScript]
-
-    def __post_init__(self):
-        if len(self.scripts) != self.n_ranks:
-            raise ValueError(
-                f"expected {self.n_ranks} scripts, got {len(self.scripts)}"
-            )
-        for i, script in enumerate(self.scripts):
+    def __init__(self, app: str, n_ranks: int, scripts: Sequence[RankScript]):
+        if len(scripts) != n_ranks:
+            raise ValueError(f"expected {n_ranks} scripts, got {len(scripts)}")
+        for i, script in enumerate(scripts):
             if script.rank != i:
                 raise ValueError(f"script {i} has rank {script.rank}")
+        rows = np.array(
+            [encode(ev) for script in scripts for ev in script.events],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        offsets = np.cumsum([0] + [len(s.events) for s in scripts])
+        self._assemble(app, n_ranks, rows, offsets)
+
+    @classmethod
+    def from_rows(
+        cls, app: str, n_ranks: int, rows: np.ndarray, offsets: np.ndarray
+    ) -> "Job":
+        """A job over an ``(n_events, 4)`` int64 table and its offsets
+        (kept, and made read-only, when already contiguous int64)."""
+        job = cls.__new__(cls)
+        job._assemble(app, n_ranks, rows, offsets)
+        return job
+
+    def _assemble(self, app, n_ranks, rows, offsets) -> None:
+        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 4)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        if len(offsets) != n_ranks + 1 or offsets[0] != 0 \
+                or offsets[-1] != len(rows) or np.any(np.diff(offsets) < 0):
+            raise ValueError(
+                f"offsets do not split {len(rows)} rows over {n_ranks} ranks"
+            )
+        _check_rows(rows)
+        rows.flags.writeable = False
+        offsets.flags.writeable = False
+        self.app = app
+        self.n_ranks = n_ranks
+        self.rows = rows
+        self.offsets = offsets
+
+    def __repr__(self) -> str:
+        return (f"Job(app={self.app!r}, n_ranks={self.n_ranks}, "
+                f"n_events={self.n_events})")
+
+    @property
+    def n_events(self) -> int:
+        return len(self.rows)
+
+    @property
+    def scripts(self) -> List[RankScript]:
+        """Every rank's script, decoded (a copy)."""
+        return [self.script(rank) for rank in range(self.n_ranks)]
 
     def script(self, rank: int) -> RankScript:
-        return self.scripts[rank]
+        """One rank's script, decoded (a copy)."""
+        rank = range(self.n_ranks)[rank]
+        lo, hi = self.offsets[rank], self.offsets[rank + 1]
+        return RankScript(rank=rank, events=decode_rows(self.rows[lo:hi]))
+
+    def compute_costs(
+        self, group_of_rank: np.ndarray, price: Callable[[int, int], float]
+    ) -> np.ndarray:
+        """``price(group, block) * iterations`` of every compute row, in order.
+
+        Ranks of one group share per-iteration block costs, so ``price``
+        is called once per distinct ``(group, block)`` pair of the compute
+        rows, and never for a block a group does not execute.
+        """
+        compute = self.rows[:, 0] == COMPUTE
+        rows = self.rows[compute]
+        blocks, block_index = np.unique(rows[:, 1], return_inverse=True)
+        pairs, pair_of_row = np.unique(
+            group_of_rank[self.row_ranks[compute]] * len(blocks) + block_index,
+            return_inverse=True,
+        )
+        cost = np.array(
+            [price(int(p // len(blocks)), int(blocks[p % len(blocks)])) for p in pairs],
+            dtype=np.float64,
+        )
+        return cost[pair_of_row] * rows[:, 2]
+
+    @functools.cached_property
+    def row_ranks(self) -> np.ndarray:
+        """The rank of every row."""
+        return np.repeat(
+            np.arange(self.n_ranks, dtype=np.int64), np.diff(self.offsets)
+        )
+
+    @functools.cached_property
+    def channels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(chan, keys)``: the channel id of every row (-1 off send and
+        recv rows) and the ``(src, dest, tag)`` of each channel."""
+        kind, peer, tag = self.rows[:, 0], self.rows[:, 1], self.rows[:, 3]
+        p2p = np.flatnonzero((kind == SEND) | (kind == RECV))
+        me, other = self.row_ranks[p2p], peer[p2p]
+        send = kind[p2p] == SEND
+        src, dest = np.where(send, me, other), np.where(send, other, me)
+        tags, tag_index = np.unique(tag[p2p], return_inverse=True)
+        radix = max(self.n_ranks, int(other.max()) + 1 if other.size else 0)
+        if radix * radix * max(len(tags), 1) >= 1 << 62:
+            raise ValueError("peer ranks or tags too many to pack into channels")
+        packed, chan_of = np.unique(
+            (src * radix + dest) * len(tags) + tag_index, return_inverse=True
+        )
+        chan = np.full(len(kind), -1, dtype=np.int64)
+        chan[p2p] = chan_of
+        pair, tag_of = np.divmod(packed, max(len(tags), 1))
+        keys = np.stack([pair // radix, pair % radix, tags[tag_of]], axis=1)
+        return chan, keys
 
 
 def run_job(
     app: str, n_ranks: int, rank_fn: Callable[[SimComm], None]
 ) -> Job:
-    """Execute ``rank_fn`` for every rank; collect scripts.
+    """Execute ``rank_fn`` for every rank; assemble the job's rows.
 
     ``rank_fn`` receives a :class:`~repro.simmpi.comm.SimComm` and must
     be deterministic in ``(comm.rank, comm.size)`` — the SPMD contract.
     """
-    scripts = []
+    rows, offsets = array("q"), [0]
     for rank in range(n_ranks):
         comm = SimComm(rank, n_ranks)
         rank_fn(comm)
-        scripts.append(RankScript(rank=rank, events=comm.events))
-    return Job(app=app, n_ranks=n_ranks, scripts=scripts)
+        rows.extend(comm.rows)
+        offsets.append(len(rows) // 4)
+    table = np.frombuffer(rows, dtype=np.int64) if rows else np.empty(0, np.int64)
+    return Job.from_rows(app, n_ranks, table.reshape(-1, 4), offsets)
 
 
 class JobVerificationError(ValueError):
@@ -90,37 +222,48 @@ def verify_job(job: Job) -> None:
       count;
     - every rank issues the same sequence of collectives (op and size).
 
-    Raises :class:`JobVerificationError` with a diagnostic on failure.
+    Raises :class:`JobVerificationError` with a diagnostic on failure;
+    of several unmatched channels it names the one whose first event
+    comes first in rank order.
     """
-    sends: Counter = Counter()
-    recvs: Counter = Counter()
-    collective_seqs: List[Tuple[Tuple[str, int], ...]] = []
-    for script in job.scripts:
-        seq = []
-        for ev in script.events:
-            if isinstance(ev, SendEvent):
-                sends[(script.rank, ev.dest, ev.tag)] += 1
-            elif isinstance(ev, RecvEvent):
-                recvs[(ev.src, script.rank, ev.tag)] += 1
-            elif isinstance(ev, CollectiveEvent):
-                seq.append((ev.op, ev.nbytes))
-        collective_seqs.append(tuple(seq))
-    unmatched_sends = sends - recvs
-    unmatched_recvs = recvs - sends
-    if unmatched_sends:
-        key, count = next(iter(unmatched_sends.items()))
-        raise JobVerificationError(
-            f"{job.app}: {count} unmatched send(s) on (src, dest, tag)={key}"
-        )
-    if unmatched_recvs:
-        key, count = next(iter(unmatched_recvs.items()))
-        raise JobVerificationError(
-            f"{job.app}: {count} unmatched recv(s) on (src, dest, tag)={key}"
-        )
-    first = collective_seqs[0]
-    for rank, seq in enumerate(collective_seqs[1:], start=1):
-        if seq != first:
+    kind = job.rows[:, 0]
+    chan, keys = job.channels
+    counts = {
+        k: np.bincount(chan[kind == k], minlength=len(keys)) for k in (SEND, RECV)
+    }
+    for k, other, label in ((SEND, RECV, "send"), (RECV, SEND, "recv")):
+        excess = counts[k] - counts[other]
+        rows = np.flatnonzero(kind == k)
+        unmatched = rows[excess[chan[rows]] > 0]
+        if unmatched.size:
+            c = chan[unmatched[0]]
+            key = tuple(int(v) for v in keys[c])
             raise JobVerificationError(
-                f"{job.app}: rank {rank} collective sequence differs from rank 0 "
-                f"({len(seq)} vs {len(first)} collectives or mismatched ops)"
+                f"{job.app}: {int(excess[c])} unmatched {label}(s) on "
+                f"(src, dest, tag)={key}"
             )
+
+    if job.n_ranks == 0:
+        return
+    coll = np.flatnonzero(kind == COLLECTIVE)
+    ranks = job.row_ranks[coll]
+    n_colls = np.bincount(ranks, minlength=job.n_ranks)
+    first = n_colls[0]
+    # each collective's position in its rank's sequence, against rank 0's
+    position = np.arange(len(coll)) - np.searchsorted(ranks, ranks)
+    comparable = n_colls[ranks] == first
+    spec = job.rows[coll][:, 1:3]
+    reference = spec[:first]
+    differs = n_colls != first
+    mismatched = comparable.copy()
+    mismatched[comparable] = np.any(
+        spec[comparable] != reference[position[comparable]], axis=1
+    )
+    differs[ranks[mismatched]] = True
+    bad = np.flatnonzero(differs[1:])
+    if bad.size:
+        rank = int(bad[0]) + 1
+        raise JobVerificationError(
+            f"{job.app}: rank {rank} collective sequence differs from rank 0 "
+            f"({int(n_colls[rank])} vs {int(first)} collectives or mismatched ops)"
+        )

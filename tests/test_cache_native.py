@@ -1,10 +1,14 @@
-"""Build lifecycle of the native LRU replay kernel (``repro.cache.native``).
+"""Build lifecycle of the native kernels (``repro.util.native``).
 
-The kernel is compiled on first use into ``~/.cache/repro/kernels``;
+Each kernel is compiled on first use into ``~/.cache/repro/kernels``;
 these tests pin what happens without a compiler, with a damaged cached
 library, with two processes racing the first build, at import time and
-when the kernel root is not writable.  Subprocess tests point ``HOME``
-at a temp dir so each starts from an empty kernel root.
+when the kernel root is not writable.  The lifecycle tests run once per
+kernel in :data:`KERNELS`: the LRU replay kernel (``repro.cache.native``)
+and the event replay kernel (``repro.psins.native``); the event replay's
+no-compiler fallback is pinned in ``tests/test_psins_native.py``.
+Subprocess tests point ``HOME`` at a temp dir so each starts from an
+empty kernel root.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import native
 from repro.cache.simulator import HierarchySimulator
+from repro.machine.network import NetworkParameters
 from repro.memstream.patterns import RandomPattern
+from repro.psins.replay import UniformTimer, replay_job
+from repro.simmpi.runtime import run_job
+from repro.util import native as loader
 from repro.util.rng import stream
 from repro.util.units import KB
 from tests.test_cache_simulator import _geometry_zoo, _served_levels
@@ -30,7 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMPILER = shutil.which("cc") or shutil.which("gcc")
 needs_compiler = pytest.mark.skipif(COMPILER is None, reason="no C compiler on PATH")
 
-#: a child's answer, from the kernel it built or loaded
+#: a child's answer, from the LRU kernel it built or loaded
 ZOO_DIGEST = """
 from repro.cache.simulator import HierarchySimulator
 from tests.test_cache_native import _zoo_digest_here
@@ -38,6 +45,16 @@ from tests.test_cache_simulator import _geometry_zoo
 
 assert HierarchySimulator(_geometry_zoo()[0])._kernel is not None
 print(_zoo_digest_here())
+"""
+
+#: a child's answer, from the event replay kernel it built or loaded
+REPLAY_DIGEST = """
+from repro.psins import native
+from repro.util.native import load
+from tests.test_cache_native import _replay_digest_here
+
+assert load(native.KERNEL) is not None
+print(_replay_digest_here())
 """
 
 
@@ -51,6 +68,34 @@ def _zoo_digest_here() -> str:
         served, _ = _served_levels(h, addrs - 4 * KB, chunk=499)
         digest.update(served.tobytes())
     return digest.hexdigest()
+
+
+def _ring(comm):
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    for step in range(3):
+        comm.compute(step, 100 * (comm.rank + 1))
+        comm.send(right, 4096 * (step + 1), tag=step)
+        comm.recv(left, 4096 * (step + 1), tag=step)
+        comm.allreduce(8)
+
+
+def _replay_digest_here() -> str:
+    """SHA-256 of a ring job's replayed per-rank times."""
+    result = replay_job(
+        run_job("ring", 16, _ring),
+        UniformTimer(lambda block: 1e-7 * (block + 1)),
+        NetworkParameters(),
+    )
+    return hashlib.sha256(
+        result.compute_time_s.tobytes() + result.comm_time_s.tobytes()
+    ).hexdigest()
+
+
+#: name -> (child script, in-process digest function) of each kernel
+KERNELS = {
+    "lru": (ZOO_DIGEST, _zoo_digest_here),
+    "replay": (REPLAY_DIGEST, _replay_digest_here),
+}
 
 
 def _env(home: Path, path_prefix: Path = None) -> dict:
@@ -82,7 +127,7 @@ def _counting_compiler(tmp_path: Path) -> Path:
     """A ``cc`` that logs each call, then waits a second (so a racing
     process arrives mid-build) and runs the real compiler."""
     bin_dir = tmp_path / "bin"
-    bin_dir.mkdir()
+    bin_dir.mkdir(parents=True)
     cc = bin_dir / "cc"
     cc.write_text(
         "#!/bin/sh\n"
@@ -96,10 +141,10 @@ def _counting_compiler(tmp_path: Path) -> Path:
 
 @pytest.fixture
 def fresh_kernel():
-    """Forget the process's loaded kernel before and after the test."""
-    native.replay_kernel.cache_clear()
+    """Forget the process's loaded kernels before and after the test."""
+    loader.cache_clear()
     yield
-    native.replay_kernel.cache_clear()
+    loader.cache_clear()
 
 
 class _Records(logging.Handler):
@@ -114,11 +159,11 @@ class _Records(logging.Handler):
 def test_no_compiler_falls_back_to_reference_with_one_warning(
     fresh_kernel, monkeypatch
 ):
-    logger = logging.getLogger("repro.cache.native")
+    logger = logging.getLogger("repro.util.native")
     handler, level = _Records(), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.WARNING)  # whatever --quiet a test left behind
-    monkeypatch.setattr(native, "_compiler", lambda: None)
+    monkeypatch.setattr(loader, "_compiler", lambda: None)
     try:
         assert HierarchySimulator(_geometry_zoo()[0])._kernel is None
         fallback = _zoo_digest_here()
@@ -129,48 +174,55 @@ def test_no_compiler_falls_back_to_reference_with_one_warning(
     assert "no C compiler" in handler.records[0].getMessage()
     if COMPILER is not None:
         monkeypatch.undo()
-        native.replay_kernel.cache_clear()
+        loader.cache_clear()
         assert HierarchySimulator(_geometry_zoo()[0])._kernel is not None
         assert _zoo_digest_here() == fallback
 
 
 @needs_compiler
 def test_truncated_library_is_quarantined_and_rebuilt(tmp_path):
-    first = _finish(_spawn(tmp_path))
-    root = _kernel_root(tmp_path)
-    (entry,) = [p for p in root.iterdir() if p.name not in ("locks", "quarantine")]
-    library = entry / native.LIBRARY
-    data = library.read_bytes()
-    library.write_bytes(data[: len(data) // 2])
+    for name, (script, _) in KERNELS.items():
+        home = tmp_path / name
+        first = _finish(_spawn(home, script))
+        root = _kernel_root(home)
+        (entry,) = [p for p in root.iterdir() if p.name not in ("locks", "quarantine")]
+        library = entry / loader.LIBRARY
+        data = library.read_bytes()
+        library.write_bytes(data[: len(data) // 2])
 
-    assert _finish(_spawn(tmp_path)) == first
-    (copy,) = (root / "quarantine").iterdir()
-    assert copy.name.startswith(entry.name)
-    assert (copy / native.LIBRARY).stat().st_size == len(data) // 2
-    assert (entry / native.LIBRARY).read_bytes() == data
+        assert _finish(_spawn(home, script)) == first
+        (copy,) = (root / "quarantine").iterdir()
+        assert copy.name.startswith(entry.name)
+        assert (copy / loader.LIBRARY).stat().st_size == len(data) // 2
+        assert (entry / loader.LIBRARY).read_bytes() == data
 
 
 @needs_compiler
 def test_racing_processes_compile_once(tmp_path):
-    home = tmp_path / "home"
-    bin_dir = _counting_compiler(tmp_path)
-    procs = [_spawn(home, path_prefix=bin_dir) for _ in range(2)]
-    digests = [_finish(p) for p in procs]
-    assert digests[0] == digests[1]
-    assert (tmp_path / "cc.log").read_text().splitlines() == ["call"]
+    for name, (script, _) in KERNELS.items():
+        home = tmp_path / name / "home"
+        bin_dir = _counting_compiler(tmp_path / name)
+        procs = [_spawn(home, script, path_prefix=bin_dir) for _ in range(2)]
+        digests = [_finish(p) for p in procs]
+        assert digests[0] == digests[1]
+        assert (tmp_path / name / "cc.log").read_text().splitlines() == ["call"]
 
 
 def test_import_cli_builds_nothing(tmp_path):
-    _finish(_spawn(tmp_path, "import repro.cli"))
+    _finish(_spawn(
+        tmp_path,
+        "import repro.cli, repro.cache.simulator, repro.psins.replay, "
+        "repro.pipeline.predict",
+    ))
     root = _kernel_root(tmp_path)
     assert not root.exists() or not any(root.iterdir())
 
 
 @needs_compiler
 def test_unwritable_root_builds_privately(tmp_path):
-    root = _kernel_root(tmp_path)
-    root.parent.mkdir(parents=True)
-    root.write_text("not a directory")
-    assert _finish(_spawn(tmp_path)) == _zoo_digest_here()
-    assert root.read_text() == "not a directory"
-
+    for name, (script, digest_here) in KERNELS.items():
+        root = _kernel_root(tmp_path / name)
+        root.parent.mkdir(parents=True)
+        root.write_text("not a directory")
+        assert _finish(_spawn(tmp_path / name, script)) == digest_here()
+        assert root.read_text() == "not a directory"
