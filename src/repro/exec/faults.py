@@ -20,8 +20,8 @@ Fault kinds:
 =========  ==========================================================
 ``raise``  raise :class:`~repro.util.errors.TransientTaskError`
 ``hang``   sleep ``seconds`` (pair with the executor's task timeout)
-``crash``  ``os._exit`` inside a pool worker (→ ``BrokenProcessPool``);
-           in serial execution it degrades to raising
+``crash``  ``os._exit(17)`` inside a pool worker, whose lane reports
+           the exit code; in serial execution it degrades to raising
            :class:`~repro.util.errors.TaskCrashError` so the parent
            process is never killed
 ``corrupt``  truncate a just-written signature-cache entry (matched
@@ -261,8 +261,8 @@ def apply_fault(key: str, attempt: int = 1) -> None:
     if spec.kind == "hang":
         time.sleep(spec.seconds)
         return
-    # crash / node-crash: kill the worker process outright so the parent
-    # sees a BrokenProcessPool; serially, raise instead of killing the
+    # crash / node-crash: kill the worker process outright so its lane
+    # reports a dead worker; serially, raise instead of killing the
     # caller
     if in_worker():
         os._exit(CRASH_EXIT_CODE)

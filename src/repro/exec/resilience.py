@@ -14,9 +14,9 @@ defaults are no timeout and two retries; ``--task-timeout`` and
   attempt *k* of task *key* is drawn from the keyed RNG stream
   ``("resilience", "backoff", key, k)``, so two identical runs retry on
   an identical schedule;
-- **worker restart** on crash (``BrokenProcessPool``), bounded by
-  ``pool_restart_limit``, after which execution **degrades to serial**
-  in the parent process rather than giving up;
+- **worker restart** on crash (a worker that exits without replying),
+  bounded by ``pool_restart_limit``, after which execution **degrades
+  to serial** in the parent process rather than giving up;
 - an ``on_result`` hook fired as each task lands, so callers persist
   finished units before the batch ends;
 - a :class:`RunReport` tallying every recovery event.
@@ -27,9 +27,9 @@ serial fallback replays exactly the same computation, so the *results*
 of a faulty run are bit-identical to a fault-free serial run — only the
 report differs.
 
-Each of the ``pool size`` workers is a single-worker pool of its own,
-a **lane**, that runs one attempt at a time; the next pending task
-goes to whichever lane frees first.  A crash or a timeout therefore
+Each of the ``pool size`` workers is a **lane**: one worker process
+and one duplex pipe, running one attempt at a time; the next pending
+task goes to whichever lane frees first.  A crash or a timeout therefore
 kills exactly one attempt, and only that attempt is charged for it:
 no neighbour dies with it, so the report's tallies do not depend on
 what else happened to be running.  An attempt holds its worker from
@@ -52,11 +52,11 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exec import faults
@@ -110,8 +110,8 @@ class RunReport(CounterSet):
     retries: int = 0  #: task re-submissions, all causes
     transient_errors: int = 0  #: retryable exceptions observed
     timeouts: int = 0  #: per-attempt deadline expiries
-    crashes: int = 0  #: BrokenProcessPool events (worker deaths)
-    pool_restarts: int = 0  #: pools torn down and rebuilt
+    crashes: int = 0  #: crashed attempts (dead workers, TaskCrashError)
+    pool_restarts: int = 0  #: lane workers killed and replaced
     serial_fallbacks: int = 0  #: degradations to in-process execution
     cache_corruptions: int = 0  #: quarantined cache entries (via sigcache)
     quarantined: List[str] = field(default_factory=list)
@@ -145,7 +145,16 @@ def _mp_context():
         return get_context()
 
 
-def _worker_init() -> None:
+def _call_with_faults(fn, key: str, attempt: int, args: tuple):
+    """One attempt of a task, in a lane or in-process: faults, then fn."""
+    faults.apply_fault(key, attempt)
+    return obs_trace.call_task(fn, key, args)
+
+
+def _lane_main(conn, parent_end) -> None:
+    """A lane's worker: answer each ``(fn, key, attempt, args)`` with
+    ``(ok, value or exception, drain_payload())`` until ``None`` or EOF."""
+    parent_end.close()  # the fork's copy would keep EOF from ever arriving
     os.environ[_WORKER_ENV] = "1"
     # fresh per-worker observability state: an empty tracer (the parent's
     # buffered spans must not be shipped back twice) and a zeroed
@@ -153,39 +162,31 @@ def _worker_init() -> None:
     import repro.obs
 
     repro.obs.worker_init()
-
-
-def _call_with_faults(fn, key: str, attempt: int, args: tuple):
-    """Task wrapper (module-level, hence picklable): faults then fn.
-
-    Routes through :func:`repro.obs.trace.call_shipped` so the task runs
-    with log context under an ``exec.task`` span; from a pool worker its
-    metrics (and spans, when tracing) ship back inside a
-    ``TaskEnvelope`` that the caller unwraps with
-    :func:`repro.obs.trace.unwrap`.
-    """
-    faults.apply_fault(key, attempt)
-    return obs_trace.call_shipped(fn, key, args)
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on possibly-hung workers.
-
-    ``shutdown`` never interrupts a running (possibly hung) task, so the
-    worker processes are hard-killed directly.  ``_processes`` is a
-    CPython internal; the access is guarded so a layout change degrades
-    to a slow (not wrong) teardown.
-    """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - defensive
+        for job in iter(conn.recv, None):
+            try:
+                ok, value = True, _call_with_faults(*job)
+            except BaseException as exc:
+                # interrupts and exits too: the parent re-raises them
+                ok, value = False, exc
+            payload = obs_trace.drain_payload()
+            try:
+                conn.send((ok, value, payload))
+            except Exception as exc:
+                # a value or exception that does not pickle (the failed
+                # send wrote nothing) fails the attempt deterministically
+                conn.send((False, exc, payload))
+    except (EOFError, ConnectionError):  # the parent is gone
         pass
-    for proc in processes:
-        try:
-            proc.kill()
-        except Exception:  # pragma: no cover - already dead
-            pass
+
+
+def _reap(proc, conn) -> Optional[int]:
+    """Join a lane's worker, free its process and pipe; its exit code."""
+    proc.join()
+    code = proc.exitcode
+    proc.close()
+    conn.close()
+    return code
 
 
 def run_tasks_resilient(
@@ -279,10 +280,7 @@ def run_tasks_resilient(
         """Take one attempt's outcome: finish, retry, or fail task ``i``."""
         key = key_list[i]
         try:
-            # unwrap matters in serial mode too: serial execution *inside*
-            # a pool worker (a nested fan-out) still ships envelopes,
-            # which absorb back into this process's state
-            value = obs_trace.unwrap(outcome())
+            value = outcome()
         except RETRY_EXCEPTIONS as exc:
             report.bump("transient_errors")
             report.record(f"transient error in {key} (attempt {attempt}): {exc}")
@@ -310,20 +308,23 @@ def run_tasks_resilient(
         return [r for r in results], report  # type: ignore[misc]
 
     budget = config.task_timeout_s
-    # one single-worker pool per lane: a crash or a kill takes down only
-    # the attempt on that lane, never a neighbour
-    lanes: List[Optional[ProcessPoolExecutor]] = [None] * pool_size
+    context = _mp_context()
+    # one worker process and one pipe per lane: a crash or a kill takes
+    # down only the attempt on that lane, never a neighbour
+    lanes: List[Optional[tuple]] = [None] * pool_size
     idle = list(range(pool_size))
-    # attempt in flight -> (lane, index, attempt, start)
-    running: Dict[Future, Tuple[int, int, int, float]] = {}
+    # lane -> (index, attempt, start) of the attempt in flight on it
+    running: Dict[int, Tuple[int, int, float]] = {}
     restarts = 0
     degraded = False
 
-    def restart(lane: int, why: str) -> None:
-        """Kill one lane's pool; past the limit, stop using pools."""
+    def restart(lane: int, why: str) -> Optional[int]:
+        """Kill one lane's worker; past the limit, stop using lanes."""
         nonlocal restarts, degraded
-        _kill_pool(lanes[lane])
+        proc, conn = lanes[lane]
         lanes[lane] = None
+        proc.kill()
+        code = _reap(proc, conn)
         restarts += 1
         report.bump("pool_restarts")
         report.record(why)
@@ -335,49 +336,65 @@ def run_tasks_resilient(
                 f"(limit {config.pool_restart_limit}); "
                 f"degrading the remaining task(s) to serial"
             )
+        return code
 
-    def lane_result(future: Future, lane: int):
-        """A landed attempt's value; its worker's death reads as a crash."""
+    def lane_reply(lane: int):
+        """A landed attempt's value; a worker gone without a reply crashed."""
+        conn = lanes[lane][1]
         try:
-            return future.result()
-        except BrokenProcessPool as exc:
-            restart(lane, "pool restarted after worker crash")
-            raise TaskCrashError(f"worker crashed: {exc}") from exc
+            reply = conn.recv() if conn.poll() else None
+        except (EOFError, ConnectionError):
+            reply = None
+        if reply is None:
+            code = restart(lane, "pool restarted after worker crash")
+            raise TaskCrashError(f"worker crashed (exit code {code})")
+        ok, value, payload = reply
+        obs_trace.absorb_payload(payload)
+        if not ok:
+            raise value
+        return value
 
     try:
         while pending or running:
             while pending and idle and not degraded:
                 lane = idle.pop()
                 if lanes[lane] is None:
-                    lanes[lane] = ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=_mp_context(),
-                        initializer=_worker_init,
+                    conn, child = context.Pipe()
+                    proc = context.Process(
+                        target=_lane_main, args=(child, conn), daemon=True
                     )
+                    proc.start()
+                    child.close()
+                    lanes[lane] = (proc, conn)
                 i, attempt = pending.popleft()
-                future = lanes[lane].submit(
-                    _call_with_faults, fn, key_list[i], attempt, task_list[i]
-                )
-                running[future] = (lane, i, attempt, time.monotonic())
+                lanes[lane][1].send((fn, key_list[i], attempt, task_list[i]))
+                running[lane] = (i, attempt, time.monotonic())
             if not running:
                 # degraded: what the lanes left over runs in-process
                 run_serial()
                 break
             timeout = None
             if budget is not None:
-                oldest = min(start for _, _, _, start in running.values())
+                oldest = min(start for _, _, start in running.values())
                 timeout = max(0.0, oldest + budget - time.monotonic())
-            done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
-            for future in done:
-                lane, i, attempt, _ = running.pop(future)
-                idle.append(lane)
-                land(i, attempt, partial(lane_result, future, lane))
+            # the sentinel too: a dead worker's pipe never reads EOF while
+            # a process another thread forked mid-spawn holds its end
+            owner = {}
+            for lane in running:
+                proc, conn = lanes[lane]
+                owner[conn] = owner[proc.sentinel] = lane
+            for handle in wait(list(owner), timeout):
+                lane = owner[handle]
+                if lane in running:  # its pipe and sentinel can both be ready
+                    i, attempt, _ = running.pop(lane)
+                    idle.append(lane)
+                    land(i, attempt, partial(lane_reply, lane))
             now = time.monotonic()
-            for future, (lane, i, attempt, start) in list(running.items()):
+            for lane, (i, attempt, start) in list(running.items()):
                 if budget is None or now - start < budget:
                     continue
                 # past its deadline, possibly hung: kill its worker
-                del running[future]
+                del running[lane]
                 idle.append(lane)
                 key = key_list[i]
                 report.bump("timeouts")
@@ -388,14 +405,18 @@ def run_tasks_resilient(
                 requeue(i, attempt, TaskTimeoutError(
                     f"exceeded {budget}s budget", task_key=key,
                 ))
-    except BaseException:
-        for lane, pool in enumerate(lanes):
-            if pool is not None:
-                _kill_pool(pool)
-                lanes[lane] = None
-        raise
     finally:
-        for pool in lanes:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        # under fork each lane holds the parent's ends of the lanes started
+        # before it, so none waits for EOF: idle workers get None, busy
+        # ones are killed, and one already gone raises nothing that could
+        # mask what ended the run
+        live = [(lane, h) for lane, h in enumerate(lanes) if h is not None]
+        for lane, (proc, conn) in live:
+            if lane in running:
+                proc.kill()
+            else:
+                with suppress(OSError):
+                    conn.send(None)
+        for _, handles in live:
+            _reap(*handles)
     return [r for r in results], report  # type: ignore[misc]

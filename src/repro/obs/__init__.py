@@ -5,7 +5,7 @@ Five small, dependency-free layers every pipeline stage reports through:
 - :mod:`repro.obs.log` — structured, rate-limit-safe logging (human or
   JSONL) on stdlib ``logging``;
 - :mod:`repro.obs.trace` — nested wall-clock spans exported as
-  Chrome-trace JSON, propagated across process-pool boundaries;
+  Chrome-trace JSON, propagated from worker processes;
 - :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges, and histogram timers, exported as one JSON document;
 - :mod:`repro.obs.telemetry` — bounded streaming histograms, the live

@@ -201,7 +201,7 @@ def is_configured() -> bool:
 
 
 def worker_init() -> None:
-    """Per-worker logging setup (called from the pool initializer).
+    """Per-worker logging setup (called when a lane's worker starts).
 
     Forked workers inherit the parent's handlers and need nothing;
     spawned workers start bare and are configured from ``$REPRO_LOG``.

@@ -21,7 +21,7 @@ Everything here is observability-only: no RNG, no influence on any
 numeric pipeline output, and cheap enough (dict updates) to stay always
 on.  Worker processes get a fresh registry
 (:func:`repro.obs.worker_init`) and ship their deltas back to the parent
-inside the span envelope (see :mod:`repro.obs.trace`), where
+in each attempt's reply (see :mod:`repro.obs.trace`), where
 :meth:`MetricsRegistry.merge` folds them in.
 """
 

@@ -15,11 +15,12 @@ manifest.
 
 **Cross-process propagation.**  Pool workers cannot append to the
 parent's tracer or metrics registry, so their observability ships back
-*with the task result*: :mod:`repro.exec.resilience` routes every task
-through :func:`call_shipped`, which in a worker wraps the return value
-in a :class:`TaskEnvelope` carrying the worker's metric deltas (always)
-and its drained spans (when tracing is on); the parent unwraps with
-:func:`unwrap` and absorbs them.
+*with the task result*: a lane of :mod:`repro.exec.resilience` answers
+each attempt with one reply carrying the outcome plus
+:func:`drain_payload` — the worker's metric deltas (always) and its
+spans (when tracing is on) — which the parent merges with
+:func:`absorb_payload`.  A serial run records straight into its own
+process, a nested fan-out inside a worker included.
 Timestamps come from ``time.perf_counter_ns`` — ``CLOCK_MONOTONIC`` on
 Linux, shared across forked processes — so parent and worker spans sit
 on one consistent timeline.
@@ -43,10 +44,6 @@ from repro.obs.metrics import REGISTRY
 
 #: environment flag that tells (possibly spawned) workers to collect
 ENV_TRACE = "REPRO_TRACE"
-
-#: mirrors repro.exec.pool._WORKER_ENV (re-declared here: importing
-#: repro.exec loads the executor, which imports this module)
-_WORKER_ENV = "REPRO_EXEC_WORKER"
 
 _local = threading.local()
 
@@ -92,15 +89,6 @@ class Tracer:
             "args": {"depth": depth, **(args or {})},
         }
         self.events.append(event)
-
-    def absorb(self, events: List[dict]) -> None:
-        """Merge completed events shipped back from a worker."""
-        self.events.extend(events)
-
-    def drain(self) -> List[dict]:
-        """Take (and clear) the buffered events — the shipping primitive."""
-        events, self.events = self.events, []
-        return events
 
     # -- aggregation / export -------------------------------------------
 
@@ -277,46 +265,29 @@ def traced(name: Optional[str] = None, **attrs) -> Callable:
 # worker -> parent propagation
 
 
-class TaskEnvelope:
-    """A worker task's result plus its observability payload."""
-
-    __slots__ = ("value", "events", "metrics")
-
-    def __init__(self, value, events: List[dict], metrics: dict):
-        self.value = value
-        self.events = events
-        self.metrics = metrics
-
-
-def call_shipped(fn: Callable, key: str, args: tuple):
-    """Run ``fn(*args)`` under a task span, shipping a worker's payload.
-
-    In a pool worker the value comes back in a :class:`TaskEnvelope`
-    with the worker's metric deltas, so a run's counters do not depend
-    on its pool size, plus its spans when tracing is on; the parent
-    recovers the plain value (and absorbs the payload) with
-    :func:`unwrap`.  Outside a worker this is a plain call: spans and
-    metrics land directly in the calling process.
-    """
+def call_task(fn: Callable, key: str, args: tuple):
+    """Run ``fn(*args)`` with log context under an ``exec.task`` span."""
     from repro.obs import log as obs_log
 
     obs_log.set_task_context(task=key)
     try:
         with span("exec.task", key=key):
-            value = fn(*args)
-        if os.environ.get(_WORKER_ENV) != "1":
-            return value
-        events = _TRACER.drain() if _TRACER is not None else []
-        return TaskEnvelope(value, events, REGISTRY.drain())
+            return fn(*args)
     finally:
         obs_log.clear_task_context()
 
 
-def unwrap(value):
-    """Recover a task result, absorbing any shipped worker payload."""
-    if isinstance(value, TaskEnvelope):
-        if _TRACER is not None:
-            _TRACER.absorb(value.events)
-        REGISTRY.merge(value.metrics)
-        return value.value
-    return value
+def drain_payload() -> tuple:
+    """Take (and clear) this process's spans and metric deltas to ship."""
+    events = []
+    if _TRACER is not None:
+        events, _TRACER.events = _TRACER.events, []
+    return events, REGISTRY.drain()
+
+
+def absorb_payload(payload: tuple) -> None:
+    """Merge a :func:`drain_payload` shipped back from a worker."""
+    events, metrics = payload
+    if _TRACER is not None:
+        _TRACER.events.extend(events)
+    REGISTRY.merge(metrics)

@@ -97,8 +97,8 @@ class TestInterruptAndResolveEdges:
     def test_keyboard_interrupt_propagates_promptly(self):
         # Ctrl-C in a worker must not wait out the queued tasks: 20
         # half-second sleeps behind 2 workers would take ~5s drained,
-        # but cancel_futures drops the queue as soon as the first task
-        # raises
+        # but the interrupt propagates as soon as the first task's
+        # reply lands, and the busy lane is killed
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_tasks(_interrupt_first, [(i,) for i in range(20)], workers=2)

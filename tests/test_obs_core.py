@@ -2,8 +2,8 @@
 
 Covers span nesting and exception safety, Chrome-trace JSON schema
 validity, metrics histogram quantiles, rate-limited and JSON-structured
-logging, and the ``$REPRO_LOG`` grammar — all without touching the
-pipeline.
+logging, the ``$REPRO_LOG`` grammar, and the executor lane's hand-off
+of worker spans and metrics — all without touching the pipeline.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.resilience import ResilienceConfig, run_tasks_resilient
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY, MetricsRegistry
@@ -126,33 +127,36 @@ class TestSpans:
         assert fresh is not None and fresh.events == []
 
 
-class TestEnvelopes:
-    def test_call_shipped_plain_outside_worker(self):
+def _recorded_square(x: int) -> int:
+    """Task that records a span, a counter and a timer, then fails for
+    ``x == 3`` (module-level so it pickles into lanes)."""
+    with obs_trace.span("demo.square", x=x):
+        REGISTRY.inc("demo.calls")
+        REGISTRY.observe("demo.value_s", x / 4)
+    if x == 3:
+        raise ValueError("deterministic failure")
+    return x * x
+
+
+class TestLaneHandoff:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_observability_reaches_the_parent_once(self, workers):
+        # the last task raises: its lane's reply still carries the spans
+        # and metrics its attempt recorded, and nothing arrives twice
         tracer = obs_trace.enable()
-        result = obs_trace.call_shipped(lambda a: a * 2, "k1", (21,))
-        assert result == 42  # no envelope: spans land locally
-        assert any(e["name"] == "exec.task" for e in tracer.events)
-
-    def test_ship_and_unwrap_roundtrip(self, monkeypatch):
-        obs_trace.enable()
-        monkeypatch.setenv("REPRO_EXEC_WORKER", "1")
-        REGISTRY.inc("demo.count", 5)
-        envelope = obs_trace.call_shipped(lambda a: a + 1, "k2", (1,))
-        assert isinstance(envelope, obs_trace.TaskEnvelope)
-        assert envelope.value == 2
-        # the worker-side drain cleared local state...
-        assert obs_trace.current().events == []
-        assert REGISTRY.counters == {}
-        monkeypatch.delenv("REPRO_EXEC_WORKER")
-        # ...and the parent-side unwrap absorbs it
-        assert obs_trace.unwrap(envelope) == 2
-        assert any(
-            e["name"] == "exec.task" for e in obs_trace.current().events
+        results, _ = run_tasks_resilient(
+            _recorded_square, [(i,) for i in range(4)], workers=workers,
+            config=ResilienceConfig(max_retries=0), collect_errors=True,
         )
-        assert REGISTRY.counters["demo.count"] == 5
-
-    def test_unwrap_passthrough(self):
-        assert obs_trace.unwrap("plain") == "plain"
+        assert results[:3] == [0, 1, 4]
+        assert isinstance(results[3], ValueError)
+        assert REGISTRY.counters["demo.calls"] == 4
+        hist = REGISTRY.timers["demo.value_s"]
+        # 0 + 0.25 + 0.5 + 0.75 is exact in binary floating point
+        assert (hist.count, hist.total, hist.max_value) == (4, 1.5, 0.75)
+        names = [e["name"] for e in tracer.events]
+        assert names.count("demo.square") == 4
+        assert names.count("exec.task") == 4
 
 
 class TestMetrics:

@@ -117,8 +117,9 @@ class TestWorkerPropagation:
         assert {e["pid"] for e in tracer.events} == {os.getpid()}
 
     def test_nested_resilient_fanout_ships_plain_values(self):
-        # regression: a resilient fan-out running serially *inside* a
-        # traced pool worker must not leak TaskEnvelopes into results
+        # a resilient fan-out running serially *inside* a traced lane
+        # records into that worker, whose one reply ships it: results
+        # stay plain values and every inner span and count arrives once
         tracer = obs_trace.enable()
         results, report = run_tasks_resilient(
             _nested_resilient_sum, [(1,), (3,)],

@@ -8,7 +8,15 @@ with only the RunReport differing.
 """
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +36,8 @@ from repro.util.errors import (
 
 from tests.conftest import FAST_COLLECTOR
 
+ROOT = Path(__file__).resolve().parents[1]
+
 FAST = ResilienceConfig(backoff_base_s=0.001, backoff_max_s=0.01)
 
 
@@ -44,6 +54,32 @@ def _logged_square(log, x):
 
 def _boom(x):
     raise ValueError(f"deterministic failure {x}")
+
+
+def _crash_first_run(marker, x):
+    """Raise TaskCrashError itself, without dying, until ``marker`` exists."""
+    try:
+        open(marker, "x").close()
+    except FileExistsError:
+        return x * x
+    raise TaskCrashError(f"task {x} gave up on its own")
+
+
+def _unpicklable_result(x):
+    return lambda: x  # a local object: the lane's reply cannot pickle it
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and has not exited (zombies have)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestSerialResilient:
@@ -296,9 +332,116 @@ class TestPooledResilient:
         assert report.crashes == 1
         assert report.transient_errors == 1
 
+    def test_task_raised_crash_retried_on_the_same_lane(self, tmp_path):
+        # a TaskCrashError the task raises arrives as an ordinary reply:
+        # charged as one crash and retried, while its worker lives on
+        done = tmp_path / "done"
+        done.touch()
+        results, report = run_tasks_resilient(
+            _crash_first_run, [(tmp_path / "c0", 2), (done, 3)],
+            keys=["c0", "c1"], workers=2, config=FAST,
+        )
+        assert results == [4, 9]
+        assert report.crashes == 1
+        assert report.retries == 1
+        assert report.pool_restarts == 0
+
+    def test_unpicklable_result_fails_at_once(self):
+        # the reply carries the pickling error: a deterministic failure,
+        # neither a crash nor a retry
+        report = RunReport()
+        with pytest.raises(Exception, match="pickle"):
+            run_tasks_resilient(
+                _unpicklable_result, [(1,), (2,)], workers=2, config=FAST,
+                report=report,
+            )
+        assert report.crashes == 0
+        assert report.retries == 0
+
     def test_key_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="pair up"):
             run_tasks_resilient(_square, [(1,), (2,)], keys=["only-one"])
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="counts /proc/self/fd"
+)
+class TestLaneBudget:
+    """A lane costs the parent one process and one pipe: three fds (the
+    pipe, plus the process sentinel and its partner under fork) and no
+    thread; and it does not outlive the parent."""
+
+    def test_eight_lanes_hold_three_fds_each_and_no_thread(self):
+        base_fds, base_threads = _open_fds(), threading.active_count()
+        seen = []
+
+        def sample(i, value):
+            seen.append((
+                len(multiprocessing.active_children()), _open_fds(),
+                threading.active_count(),
+            ))
+
+        results, _ = run_tasks_resilient(
+            _square, [(i,) for i in range(16)], workers=8, config=FAST,
+            on_result=sample,
+        )
+        assert results == [i * i for i in range(16)]
+        assert max(lanes for lanes, _, _ in seen) >= 8
+        assert max(fds for _, fds, _ in seen) <= base_fds + 3 * 8
+        assert max(threads for _, _, threads in seen) == base_threads
+
+    def test_eight_lanes_run_under_a_48_fd_limit(self):
+        script = textwrap.dedent("""
+            import resource
+            _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (48, hard))
+            from repro.exec.resilience import run_tasks_resilient
+            results, _ = run_tasks_resilient(
+                abs, [(-i,) for i in range(16)], workers=8
+            )
+            assert results == list(range(16)), results
+        """)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_lanes_exit_quietly_when_the_parent_is_killed(self):
+        # the parent dies by SIGKILL as the first result lands; every
+        # lane then reads EOF (or a broken pipe) and exits without a
+        # traceback instead of waiting forever for its next attempt
+        script = textwrap.dedent("""
+            import multiprocessing, os, signal
+            from repro.exec.resilience import run_tasks_resilient
+
+            def die(i, value):
+                pids = [p.pid for p in multiprocessing.active_children()]
+                print(*pids, flush=True)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            run_tasks_resilient(
+                abs, [(-i,) for i in range(8)], workers=4, on_result=die
+            )
+        """)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        with subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            assert len(pids) == 4
+            try:
+                deadline = time.monotonic() + 30
+                while any(map(_running, pids)) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not any(map(_running, pids))
+            finally:
+                for pid in filter(_running, pids):
+                    os.kill(pid, signal.SIGKILL)
+            assert "Traceback" not in proc.stderr.read()
 
 
 class TestFaultInjectedTable1:
