@@ -155,13 +155,12 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_collect(args: argparse.Namespace) -> int:
     app = get_app(args.app)
-    machine = get_machine(args.machine)
     guard = options.build_guard(args)
     cache = options.build_cache(args)
     report = RunReport()
     with options.degradation(args, guard) as degradation:
         signature = collect_signatures(
-            app, [args.ranks], machine.hierarchy,
+            app, [args.ranks], get_spec(args.machine).hierarchy,
             options.build_collection(args, cache), cache=cache, report=report,
         )[0]
         check_signature(signature, config=guard, report=degradation)

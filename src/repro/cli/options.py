@@ -214,7 +214,8 @@ def add_collection_flags(p: argparse.ArgumentParser) -> None:
         "--cache-dir", default=None, metavar="DIR", action=Checked,
         check=dir_out,
         help="signature cache directory (default: $REPRO_SIGNATURE_CACHE "
-             "or ~/.cache/repro/signatures)",
+             "or ~/.cache/repro/signatures); table1 also keeps the "
+             "machine profile in its machines/ subdirectory",
     )
     add_pool_flags(p)
 

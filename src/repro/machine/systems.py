@@ -3,21 +3,35 @@
 Each machine bundles the cache hierarchy (from
 :mod:`repro.cache.configs`), a ground-truth hardware timing, and network
 parameters.  ``get_machine`` builds the full measurement-derived
-:class:`~repro.machine.profile.MachineProfile` (runs MultiMAPS); profiles
-are cached per process because probing is the expensive step, like
-keeping machine profiles on disk in the real framework.
+:class:`~repro.machine.profile.MachineProfile` (runs MultiMAPS and fits
+the bandwidth surface).  Probing is the expensive step, so a profile is
+built once per process and, given a store root (``<cache-dir>/machines``
+for a Table I run with a signature cache), once per key across
+processes: like the real framework, which measures a target machine
+once and keeps its profile on disk.
 """
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from pathlib import Path
+from typing import Callable, Dict, Tuple, Union
 
 from repro.cache import configs as cache_configs
 from repro.cache.hierarchy import CacheHierarchy
+from repro.machine.multimaps import DEFAULT_STRIDES, DEFAULT_WORKING_SETS
 from repro.machine.network import NetworkParameters
 from repro.machine.profile import MachineProfile, build_profile
 from repro.machine.timing import HardwareTiming
+from repro.obs.log import get_logger
+from repro.obs.manifest import default_code_version
+from repro.obs.metrics import CounterSet
+from repro.util.rng import DEFAULT_ROOT_SEED
+from repro.util.store import Store
+
+log = get_logger("machine.systems")
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,33 @@ MACHINE_BUILDERS: Dict[str, Callable[[], MachineSpec]] = {
 _SPEC_CACHE: Dict[str, MachineSpec] = {}
 _PROFILE_CACHE: Dict[Tuple[str, int], MachineProfile] = {}
 
+#: the profile store's directory under a signature cache's root
+STORE_DIR = "machines"
+
+#: bump when a stored profile's meaning changes; invalidates all entries
+SCHEMA_VERSION = 1
+
+#: store events -> :class:`ProfileStoreStats` counters
+_COUNTERS = {
+    "disk_hits": "hits",
+    "misses": "misses",
+    "stores": "stores",
+    "quarantined": "corrupt",
+}
+
+
+@dataclass
+class ProfileStoreStats(CounterSet):
+    """Profile-store tallies (``machine.*`` metrics).  Kept apart from the
+    signature cache's ``cache.*``, which count signatures only."""
+
+    PREFIX = "machine"
+
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    corrupt: int = 0
+
 
 def get_spec(name: str) -> MachineSpec:
     """Look up a machine's hardware definition."""
@@ -121,16 +162,60 @@ def get_spec(name: str) -> MachineSpec:
     return _SPEC_CACHE[name]
 
 
-def get_machine(name: str, *, accesses_per_probe: int = 100_000) -> MachineProfile:
-    """Build (and cache) the measured profile for a named machine."""
+def profile_key(spec: MachineSpec, accesses_per_probe: int) -> str:
+    """Digest of everything a built profile depends on: the spec, the
+    MultiMAPS sweep, its RNG root seed and the code version."""
+    blob = "\n".join(
+        [
+            f"schema={SCHEMA_VERSION}",
+            f"spec={spec!r}",
+            f"accesses_per_probe={accesses_per_probe}",
+            f"working_sets={DEFAULT_WORKING_SETS!r}",
+            f"strides={DEFAULT_STRIDES!r}",
+            f"root_seed={DEFAULT_ROOT_SEED}",
+            f"code_version={default_code_version()}",
+        ]
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def get_machine(
+    name: str,
+    *,
+    accesses_per_probe: int = 100_000,
+    root: Union[str, Path, None] = None,
+) -> MachineProfile:
+    """The measured profile for a named machine, built once per process.
+
+    ``root`` is the directory of a profile store: a profile found there
+    is loaded instead of probed (a damaged entry is quarantined and
+    rebuilt), and a profile built here is stored there.  Without one,
+    nothing is written.
+    """
     key = (name, accesses_per_probe)
     if key not in _PROFILE_CACHE:
         spec = get_spec(name)
-        _PROFILE_CACHE[key] = build_profile(
-            spec.name,
-            spec.hierarchy,
-            spec.timing,
-            spec.network,
-            accesses_per_probe=accesses_per_probe,
-        )
+        store = entry = profile = None
+        if root is not None:
+            store = Store(
+                root, suffix=".pkl", stats=ProfileStoreStats(),
+                counters=_COUNTERS,
+            )
+            entry = profile_key(spec, accesses_per_probe)
+            profile = store.get(entry, pickle.loads)
+        if profile is None:
+            profile = build_profile(
+                spec.name,
+                spec.hierarchy,
+                spec.timing,
+                spec.network,
+                accesses_per_probe=accesses_per_probe,
+            )
+            if store is not None:
+                try:
+                    store.put(entry, profile, pickle.dumps)
+                except OSError as exc:  # the built profile still serves
+                    log.warning("could not store machine profile %s: %s",
+                                entry[:12], exc)
+        _PROFILE_CACHE[key] = profile
     return _PROFILE_CACHE[key]

@@ -303,13 +303,12 @@ def _rule_collect(name: str, spec: SweepSpec, parents: Dict[str, Path]):
 
     count = _target_of(name)
     app = get_app(spec.app)
-    machine = get_machine(
-        spec.machine, accesses_per_probe=spec.accesses_per_probe
-    )
     settings = CollectionSettings(
         ranks="slowest", collector=spec.collector(), workers=0
     )
-    signature = collect_signature(app, count, machine.hierarchy, settings)
+    signature = collect_signature(
+        app, count, get_spec(spec.machine).hierarchy, settings
+    )
     return signature.slowest_trace()
 
 

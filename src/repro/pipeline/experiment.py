@@ -30,7 +30,7 @@ from repro.exec.sigcache import SignatureCache
 from repro.guard.config import GuardConfig
 from repro.guard.degrade import DegradationReport
 from repro.guard.engine import check_prediction_inputs, guarded_extrapolate
-from repro.machine.systems import get_machine, get_spec
+from repro.machine.systems import STORE_DIR, get_machine, get_spec
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.pipeline.collect import CollectionSettings, collect_signatures
@@ -116,8 +116,11 @@ def run_table1(
         target_count,
         config.machine,
     )
+    # a run with a signature cache keeps the machine profile next to it
     machine = get_machine(
-        config.machine, accesses_per_probe=config.accesses_per_probe
+        config.machine,
+        accesses_per_probe=config.accesses_per_probe,
+        root=None if config.cache is None else config.cache.root / STORE_DIR,
     )
     spec = get_spec(config.machine)
 
@@ -130,7 +133,7 @@ def run_table1(
     signatures = collect_signatures(
         app,
         counts,
-        machine.hierarchy,
+        spec.hierarchy,
         config.collection,
         cache=config.cache,
         report=report,
@@ -223,13 +226,10 @@ def collect_training_traces(
     II/III) and re-collecting per experiment would dominate.
     """
     config = config or Table1Config()
-    machine = get_machine(
-        config.machine, accesses_per_probe=config.accesses_per_probe
-    )
     signatures = collect_signatures(
         app,
         sorted(train_counts),
-        machine.hierarchy,
+        get_spec(config.machine).hierarchy,
         config.collection,
         cache=config.cache,
         report=report,

@@ -52,7 +52,8 @@ Fault discipline (see :mod:`repro.serve.resilience`):
 from __future__ import annotations
 
 import asyncio
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from functools import partial
 from time import perf_counter
@@ -83,6 +84,9 @@ from repro.util.errors import (
 
 ADMISSION_POLICIES = ("wait", "reject")
 QUERY_KINDS = ("features", "runtime")
+#: recorded jobs an engine keeps for runtime replays (least recently
+#: used dropped first)
+RUNTIME_JOBS = 8
 
 
 @dataclass(frozen=True)
@@ -256,6 +260,10 @@ class QueryEngine:
         # GC pauses into the dispatch hot loop
         self._metric_names: Dict[tuple, str] = {}
         self._runtime_ctx: Dict[str, tuple] = {}
+        # (model digest, target) -> recorded job, shared by the replay
+        # threads: a job is a read-only table
+        self._jobs: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
+        self._jobs_lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._inflight: set = set()
         self._wake: Optional[asyncio.Event] = None
@@ -573,6 +581,28 @@ class QueryEngine:
             self._runtime_ctx[model.digest] = ctx
         return ctx
 
+    def _runtime_job(self, digest: str, app, target: int):
+        """The job ``app`` records at ``target``, kept for later answers.
+
+        ``None`` when recording fails: the replay task then records it
+        itself and fails alone, so its batch mates are still answered.
+        """
+        key = (digest, target)
+        with self._jobs_lock:
+            job = self._jobs.get(key)
+            if job is not None:
+                self._jobs.move_to_end(key)
+                return job
+        try:
+            job = app.build_job(target)
+        except Exception:  # noqa: BLE001 - raised again by the task
+            return None
+        with self._jobs_lock:
+            self._jobs[key] = job
+            if len(self._jobs) > RUNTIME_JOBS:
+                self._jobs.popitem(last=False)
+        return job
+
     @staticmethod
     def _batch_key(digest: str, kind: str) -> str:
         return f"serve:batch:{digest[:12]}:{kind}"
@@ -651,7 +681,8 @@ class QueryEngine:
 
             def _replay():
                 tasks = [
-                    (app, machine, t, model.synthesize(t, prediction=sweep))
+                    (app, machine, t, model.synthesize(t, prediction=sweep),
+                     self._runtime_job(digest, app, t))
                     for t in targets
                 ]
                 return run_tasks_resilient(

@@ -230,12 +230,15 @@ class CircuitBreaker:
             self._open(now)
 
 
-def replay_runtime_task(app, machine, target, trace) -> float:
+def replay_runtime_task(app, machine, target, trace, job) -> float:
     """One offloadable runtime replay: pure in its arguments.
 
     Module-level so pool workers can pickle it; pure so a retry after a
     crash (or the serial in-thread fallback) replays bit-identically.
+    ``job`` is ``app``'s recorded job at ``target``, which the engine
+    records once per target and passes to every replay of it (``None``:
+    record it here).
     """
     from repro.pipeline.predict import predict_runtime
 
-    return predict_runtime(app, int(target), trace, machine).runtime_s
+    return predict_runtime(app, int(target), trace, machine, job=job).runtime_s

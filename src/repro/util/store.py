@@ -1,7 +1,8 @@
 """One content-addressed store: the whole lifecycle of a keyed entry.
 
 Signatures (:mod:`repro.exec.sigcache`), reuse profiles
-(:class:`repro.cache.reuse.ProfileCache`), fitted models
+(:class:`repro.cache.reuse.ProfileCache`), machine profiles
+(:func:`repro.machine.systems.get_machine`), fitted models
 (:mod:`repro.serve.registry`) and DAG node artifacts
 (:mod:`repro.pipeline.dag`) are all kept under a digest of their inputs,
 with the lifecycle this class owns (DESIGN.md §7.13):

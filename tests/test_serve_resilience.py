@@ -342,6 +342,83 @@ class TestOffload:
         ).runtime_s
         assert answer.runtime_s == expected
 
+    def test_runtime_replays_reuse_the_recorded_job(
+        self, serve_model, bw_machine, monkeypatch
+    ):
+        """Each target's job is recorded once and replayed by every later
+        answer; a target whose recording fails fails on its own."""
+        from repro.apps.registry import get_app
+
+        app = get_app("jacobi")
+        recorded = []
+
+        def build_job(n_ranks):
+            recorded.append(n_ranks)
+            if n_ranks == 96:
+                raise ValueError("cannot record 96 ranks")
+            return type(app).build_job(app, n_ranks)
+
+        monkeypatch.setattr(app, "build_job", build_job)
+
+        async def main():
+            engine = _engine(serve_model)
+            engine._runtime_ctx[serve_model.digest] = (app, bw_machine)
+            await engine.start()
+            answers = [
+                await engine.query(Query(target=t, kind="runtime"))
+                for t in (64, 128, 64, 64)
+            ]
+            with pytest.raises(ValueError, match="cannot record 96"):
+                await engine.query(Query(target=96, kind="runtime"))
+            await engine.stop()
+            return answers
+
+        answers = asyncio.run(main())
+        assert recorded[:2] == [64, 128]
+        assert set(recorded[2:]) == {96}  # never cached, raised in the task
+        assert answers[0].runtime_s == answers[2].runtime_s == answers[3].runtime_s
+
+    def test_recorded_jobs_shared_by_racing_threads(self, serve_model):
+        """Replay threads share the recorded jobs: under a tiny switch
+        interval every call still gets its own target's job, and the
+        table never holds more than its bound."""
+        import sys
+        from types import SimpleNamespace
+
+        from repro.serve.engine import RUNTIME_JOBS
+
+        engine = _engine(serve_model)
+        app = SimpleNamespace(build_job=lambda n: SimpleNamespace(n_ranks=n))
+        errors, sizes = [], []
+
+        def replay_thread(seed):
+            try:
+                for i in range(300):
+                    target = (seed * 7 + i) % (2 * RUNTIME_JOBS) + 1
+                    job = engine._runtime_job("model", app, target)
+                    assert job.n_ranks == target
+                    with engine._jobs_lock:
+                        sizes.append(len(engine._jobs))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=replay_thread, args=(k,))
+                for k in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(sizes) == 8 * 300 and max(sizes) == RUNTIME_JOBS
+
     def test_worker_crash_during_replay_fails_one_query(
         self, serve_model, bw_machine
     ):
