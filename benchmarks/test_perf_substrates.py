@@ -1,17 +1,21 @@
-"""Throughput microbenchmarks of the two hot substrates.
+"""Throughput microbenchmarks of the hot substrates.
 
 Not a paper table — these guard the engineering properties the pipeline
-depends on: the exact cache simulator (addresses/second) and the
-replay engine (events/second).  Regressions here directly inflate every
+depends on: the exact cache simulator (addresses/second), the replay
+engine (events/second) and the address-stream generator
+(addresses/second).  Regressions here directly inflate every
 experiment's wall-clock.
 
 A non-smoke cache-simulator run records its best-of-rounds throughput
-as ``cache_sim_<pattern>_maccess_per_s`` in ``BENCH_pipeline.json``, and
-a non-smoke replay run records the SPECFEM3D 6144-rank job's throughput
+as ``cache_sim_<pattern>_maccess_per_s`` in ``BENCH_pipeline.json``, a
+non-smoke replay run records the SPECFEM3D 6144-rank job's throughput
 through the native kernel and through ``ReplayEngine`` (its base) as
 ``replay_{native,python}_mevents_per_s`` and their ratio
-``replay_native_speedup``; set ``REPRO_BENCH_SMOKE=1`` to skip the
-writes.
+``replay_native_speedup``, and a non-smoke stream run records the
+SPECFEM3D 1536-rank slowest task's block streams through the native
+kernel and through the numpy patterns as
+``stream_{native,numpy}_maccess_per_s`` and ``stream_native_speedup``;
+set ``REPRO_BENCH_SMOKE=1`` to skip the writes.
 """
 
 import os
@@ -137,6 +141,79 @@ def test_replay_native_vs_engine_throughput():
                 "replay_native_mevents_per_s": round(native_rate, 3),
                 "replay_python_mevents_per_s": round(python_rate, 3),
                 "replay_native_speedup": round(native_rate / python_rate, 1),
+            },
+        )
+
+
+def test_stream_native_vs_numpy_throughput(monkeypatch):
+    """The exact collector's address streams: every block of SPECFEM3D's
+    1536-rank slowest task (a Table I training run) over its measured
+    sample on the Blue Waters hierarchy, interleaved by the native kernel
+    and by the numpy patterns (its oracle)."""
+    import hashlib
+
+    from repro.apps.registry import get_app
+    from repro.instrument.pebil import InstrumentedProgram
+    from repro.memstream import generator
+    from repro.memstream.generator import interleave_streams
+    from repro.simmpi.profiler import profile_job
+
+    smoke = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+    app, n_ranks = get_app("specfem3d"), 1536
+    rank = profile_job(
+        app.build_job(n_ranks), app.program_factory(n_ranks),
+        app.equivalence_classes(n_ranks),
+    ).slowest_rank()
+    program = InstrumentedProgram(app.rank_program(rank, n_ranks), blue_waters_p1())
+    rng = stream("bench", "stream", n_ranks, rank)
+    blocks = []
+    for block in program.program.blocks:
+        iters = program._sampled_iterations(block)
+        if iters and block.mem_instructions:
+            blocks.append((
+                [m.pattern for m in block.mem_instructions],
+                [m.per_iteration * iters for m in block.mem_instructions],
+                rng.child("block", block.block_id),
+            ))
+
+    def drain():
+        n = 0
+        for patterns, counts, block_rng in blocks:
+            for _, addrs in interleave_streams(
+                patterns, counts, block_rng, chunk=program.chunk
+            ):
+                n += len(addrs)
+        return n
+
+    def digest():
+        h = hashlib.sha256()
+        for patterns, counts, block_rng in blocks:
+            for instr, addrs in interleave_streams(
+                patterns, counts, block_rng, chunk=program.chunk
+            ):
+                h.update(instr.tobytes() + addrs.tobytes())
+        return h.hexdigest()
+
+    repeats = 1 if smoke else 3
+    native_digest = digest()  # also compiles or loads the kernel, untimed
+    native_s, n_accesses = _best_cpu_s(drain, repeats)
+    monkeypatch.setattr(generator, "load", lambda kernel: None)
+    numpy_s, _ = _best_cpu_s(drain, repeats)
+    assert digest() == native_digest
+    native_rate = n_accesses / native_s / 1e6
+    numpy_rate = n_accesses / numpy_s / 1e6
+    print(f"\n{n_accesses} stream accesses: native {native_rate:.1f} "
+          f"Maccess/s, numpy {numpy_rate:.1f} Maccess/s")
+    assert native_rate > numpy_rate
+    if not smoke:
+        from benchmarks.conftest import merge_bench
+
+        merge_bench(
+            "BENCH_pipeline",
+            {
+                "stream_native_maccess_per_s": round(native_rate, 3),
+                "stream_numpy_maccess_per_s": round(numpy_rate, 3),
+                "stream_native_speedup": round(native_rate / numpy_rate, 1),
             },
         )
 

@@ -100,15 +100,18 @@ class JacobiProxy(AppModel):
     def rank_script(self, comm: SimComm) -> None:
         geom = self.decomposition(comm.size).geometry(comm.rank)
         n_cells = geom.n_cells
+        halo_cells = max(geom.halo_cells(), 1)
+        messages = [
+            (neighbor, geom.face_cells(dim) * _BYTES_PER_CELL, dim)
+            for (dim, _direction), neighbor in sorted(geom.neighbors.items())
+        ]
         for _step in range(self.params.n_steps):
             comm.compute(BLOCK_SWEEP, n_cells)
-            comm.compute(BLOCK_HALO_PACK, max(geom.halo_cells(), 1))
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _BYTES_PER_CELL
-                comm.send(neighbor, nbytes, tag=dim)
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _BYTES_PER_CELL
-                comm.recv(neighbor, nbytes, tag=dim)
+            comm.compute(BLOCK_HALO_PACK, halo_cells)
+            for peer, nbytes, tag in messages:
+                comm.send(peer, nbytes, tag=tag)
+            for peer, nbytes, tag in messages:
+                comm.recv(peer, nbytes, tag=tag)
             comm.compute(BLOCK_RESIDUAL, n_cells)
             comm.allreduce(8)
 

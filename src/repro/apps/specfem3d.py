@@ -264,18 +264,20 @@ class SpecFEM3DProxy(AppModel):
     def rank_script(self, comm: SimComm) -> None:
         c = self._counts(comm.rank, comm.size)
         geom = c["geom"]
+        messages = [
+            (neighbor, geom.face_cells(dim) * _POINTS_PER_FACE * 8, dim)
+            for (dim, _direction), neighbor in sorted(geom.neighbors.items())
+        ]
         for _step in range(self.params.n_steps):
             comm.compute(BLOCK_ELEMENT_KERNEL, c["elements"])
             comm.compute(BLOCK_UPDATE_VECTORS, c["points"])
             if c["boundary_points"]:
                 comm.compute(BLOCK_ABSORBING, c["boundary_points"])
             comm.compute(BLOCK_HALO_PACK, max(c["halo_points"], 1))
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _POINTS_PER_FACE * 8
-                comm.send(neighbor, nbytes, tag=dim)
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _POINTS_PER_FACE * 8
-                comm.recv(neighbor, nbytes, tag=dim)
+            for peer, nbytes, tag in messages:
+                comm.send(peer, nbytes, tag=tag)
+            for peer, nbytes, tag in messages:
+                comm.recv(peer, nbytes, tag=tag)
             comm.compute(BLOCK_ASSEMBLY, max(c["halo_points"], 1))
             comm.compute(BLOCK_NORM_STAGES, c["norm_iters"])
             comm.allreduce(8)

@@ -252,39 +252,48 @@ class UH3DProxy(AppModel):
 
     def rank_script(self, comm: SimComm) -> None:
         c = self._counts(comm.rank, comm.size)
-        geom = c["geom"]
-        field_halo = {
-            dim: geom.face_cells(dim) * _BYTES_PER_CELL * _FIELD_ARRAYS
-            for dim in range(3)
-        }
-        particle_msg = max(
-            1, c["exchange_particles"] // max(len(geom.neighbors), 1)
-        ) * _BYTES_PER_PARTICLE
+        neighbors = sorted(c["geom"].neighbors.items())
+
+        def particle_msg(counts: dict) -> int:
+            return max(
+                1,
+                counts["exchange_particles"]
+                // max(len(counts["geom"].neighbors), 1),
+            ) * _BYTES_PER_PARTICLE
+
+        # particle exchange: sizes depend on the *sender's* load, so post
+        # sends first, then receive what each neighbor sent
+        particle_sends = [
+            (neighbor, particle_msg(c), 10 + dim)
+            for (dim, _direction), neighbor in neighbors
+        ]
+        particle_recvs = [
+            (neighbor, particle_msg(self._counts(neighbor, comm.size)), 10 + dim)
+            for (dim, _direction), neighbor in neighbors
+        ]
+        field_halo = [
+            (neighbor,
+             c["geom"].face_cells(dim) * _BYTES_PER_CELL * _FIELD_ARRAYS,
+             20 + dim)
+            for (dim, _direction), neighbor in neighbors
+        ]
         for _step in range(self.params.n_steps):
             comm.compute(BLOCK_FIELD_GATHER, c["particles"])
             comm.compute(BLOCK_PARTICLE_PUSH, c["particles"])
             comm.compute(BLOCK_EXCHANGE_PACK, c["exchange_particles"])
-            # particle exchange: sizes depend on the *sender's* load, so
-            # post sends first, then receive what each neighbor sent.
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                comm.send(neighbor, particle_msg, tag=10 + dim)
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                their = self._counts(neighbor, comm.size)
-                their_msg = max(
-                    1,
-                    their["exchange_particles"]
-                    // max(len(their["geom"].neighbors), 1),
-                ) * _BYTES_PER_PARTICLE
-                comm.recv(neighbor, their_msg, tag=10 + dim)
+            for peer, nbytes, tag in particle_sends:
+                comm.send(peer, nbytes, tag=tag)
+            for peer, nbytes, tag in particle_recvs:
+                comm.recv(peer, nbytes, tag=tag)
             comm.compute(BLOCK_CURRENT_SCATTER, c["particles"])
             comm.compute(
                 BLOCK_FIELD_SOLVE, c["cells"] * self.params.field_solve_iters
             )
             # field halo exchange
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                comm.send(neighbor, field_halo[dim], tag=20 + dim)
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                comm.recv(neighbor, field_halo[dim], tag=20 + dim)
+            for peer, nbytes, tag in field_halo:
+                comm.send(peer, nbytes, tag=tag)
+            for peer, nbytes, tag in field_halo:
+                comm.recv(peer, nbytes, tag=tag)
             comm.compute(BLOCK_ELECTRON_FLUID, c["cells"])
             comm.compute(BLOCK_DIV_CLEAN, c["div_iters"])
             comm.allreduce(16)

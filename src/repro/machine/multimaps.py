@@ -24,6 +24,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.simulator import HierarchySimulator
 from repro.machine.surface import BandwidthSurface
 from repro.machine.timing import HardwareTiming
+from repro.memstream.generator import pattern_addresses
 from repro.memstream.patterns import StridedPattern
 from repro.util.rng import RngStream, stream
 from repro.util.units import KB
@@ -133,12 +134,12 @@ def run_multimaps(
             sim = HierarchySimulator(hierarchy)
             # warm-up pass over the working set, excluded from measurement
             warm = min(pattern.n_elements, accesses_per_probe)
-            sim.process(pattern.addresses(0, warm, rng))
+            sim.process(pattern_addresses(pattern, 0, warm, rng))
             sim.clear_counters()  # keep caches warm, measure steady state
             produced = warm
             while produced < warm + accesses_per_probe:
                 n = min(chunk, warm + accesses_per_probe - produced)
-                sim.process(pattern.addresses(produced, n, rng))
+                sim.process(pattern_addresses(pattern, produced, n, rng))
                 produced += n
             result = sim.result()
             hits = np.array([lv.hits for lv in result.levels])

@@ -14,7 +14,9 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.memstream.patterns import AccessPattern
+from repro.memstream import native
+from repro.memstream.patterns import AccessPattern, path_salt
+from repro.util.native import load
 from repro.util.rng import RngStream
 from repro.util.validation import check_positive
 
@@ -80,6 +82,10 @@ def interleave_streams(
     instruction's relative count — the order a simple loop body would
     produce.  This interleaving matters: cache behavior of instruction A
     depends on the lines B and C touch in between A's accesses.
+
+    Each chunk is filled by the native kernel (:mod:`repro.memstream.native`)
+    when it loads and knows every pattern's type, else by the numpy
+    patterns; both give the same arrays, fresh for every chunk.
     """
     if len(patterns) != len(counts):
         raise ValueError("patterns and counts must have the same length")
@@ -88,53 +94,84 @@ def interleave_streams(
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise ValueError("counts must be non-negative")
-    total = sum(counts)
-    if total == 0:
+    if sum(counts) == 0:
         return
+    fn = load(native.KERNEL)
+    encoded = native.encode(patterns) if fn is not None else None
+    if encoded is None:
+        for parts in _schedule(counts, chunk):
+            yield _merge_numpy(patterns, rng, parts)
+        return
+    salts = np.array(
+        [path_salt(*rng.path, "instr", i, root=rng.root)
+         for i in range(len(patterns))],
+        dtype=np.uint64,
+    )
+    for parts in _schedule(counts, chunk):
+        yield native.fill(fn, encoded, salts, parts)
+
+
+def pattern_addresses(
+    pattern: AccessPattern, start: int, count: int, rng: RngStream
+) -> np.ndarray:
+    """``pattern.addresses(start, count, rng)``, filled by the native
+    kernel as a one-part chunk when it loads and knows the pattern."""
+    fn = load(native.KERNEL)
+    encoded = (
+        native.encode([pattern])
+        if fn is not None and start >= 0 and count > 0 else None
+    )
+    if encoded is None:
+        return pattern.addresses(start, count, rng)
+    salts = np.array([path_salt(*rng.path, root=rng.root)], dtype=np.uint64)
+    return native.fill(fn, encoded, salts, [(0, start, count)])[1]
+
+
+def _schedule(counts: List[int], chunk: int) -> Iterator[List[Tuple[int, int, int]]]:
+    """Each chunk's ``(instruction, start, n)`` parts, in instruction order."""
+    total = sum(counts)
     max_count = max(counts)
     # per-iteration issue ratio of instruction i
     ratios = np.array([c / max_count for c in counts])
-    produced = [0] * len(patterns)
+    produced = [0] * len(counts)
     emitted = 0
     # iterate in "super-iterations"; in each one, instruction i issues
-    # round(ratio_i * span) accesses.  Build index/addr chunks of ~chunk.
-    span = max(1, chunk // max(1, len(patterns)))
+    # round(ratio_i * span) accesses.  Build chunks of ~chunk accesses.
+    span = max(1, chunk // len(counts))
     iteration = 0
     while emitted < total:
-        idx_parts: List[np.ndarray] = []
-        addr_parts: List[np.ndarray] = []
-        for i, (pattern, count) in enumerate(zip(patterns, counts)):
+        parts = []
+        for i, count in enumerate(counts):
             target = min(count, int(round(ratios[i] * (iteration + 1) * span)))
-            n = target - produced[i]
-            if n <= 0:
-                continue
-            addr = pattern.addresses(produced[i], n, rng.child("instr", i))
-            idx_parts.append(np.full(n, i, dtype=np.int32))
-            addr_parts.append(addr)
+            if target > produced[i]:
+                parts.append((i, produced[i], target - produced[i]))
+        iteration += 1
+        if not parts:
+            # ratio rounding stalled; flush remaining instructions directly
+            parts = [(i, produced[i], count - produced[i])
+                     for i, count in enumerate(counts) if count > produced[i]]
+        for i, start, n in parts:
             produced[i] += n
             emitted += n
-        iteration += 1
-        if not idx_parts:
-            # ratio rounding stalled; flush remaining instructions directly
-            for i, (pattern, count) in enumerate(zip(patterns, counts)):
-                n = count - produced[i]
-                if n <= 0:
-                    continue
-                addr = pattern.addresses(produced[i], n, rng.child("instr", i))
-                idx_parts.append(np.full(n, i, dtype=np.int32))
-                addr_parts.append(addr)
-                produced[i] += n
-                emitted += n
-            if not idx_parts:
-                break
-        # interleave the per-instruction runs element-wise to approximate
-        # issue order within the super-iteration
-        order = np.argsort(
-            np.concatenate(
-                [np.linspace(0, 1, len(p), endpoint=False) for p in idx_parts]
-            ),
-            kind="stable",
-        )
-        instr_idx = np.concatenate(idx_parts)[order]
-        addrs = np.concatenate(addr_parts)[order]
-        yield instr_idx, addrs
+        yield parts
+
+
+def _merge_numpy(
+    patterns: Sequence[AccessPattern], rng: RngStream,
+    parts: List[Tuple[int, int, int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One chunk from the numpy patterns: the oracle of the native kernel."""
+    idx_parts = [np.full(n, i, dtype=np.int32) for i, _, n in parts]
+    addr_parts = [
+        patterns[i].addresses(start, n, rng.child("instr", i))
+        for i, start, n in parts
+    ]
+    # interleave the per-instruction runs element-wise to approximate
+    # issue order within the super-iteration
+    order = np.argsort(
+        np.concatenate(
+            [np.linspace(0, 1, len(p), endpoint=False) for p in idx_parts]
+        ),
+        kind="stable",
+    )
+    return np.concatenate(idx_parts)[order], np.concatenate(addr_parts)[order]

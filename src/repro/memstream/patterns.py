@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, derive_seed
 from repro.util.validation import check_in_range, check_positive
 
 #: Cache-line-sized default element; most HPC codes move 8-byte doubles.
@@ -137,10 +137,14 @@ class BlockedPattern(AccessPattern):
         check_positive("tile_elements", self.tile_elements)
         check_positive("revisits", self.revisits)
 
-    def addresses(self, start: int, count: int, rng: RngStream) -> np.ndarray:
+    @property
+    def tiling(self) -> tuple:
+        """``(tile, tile * revisits, tile count)`` in elements."""
         tile = min(self.tile_elements, self.n_elements)
-        per_tile = tile * self.revisits
-        n_tiles = max(1, self.n_elements // tile)
+        return tile, tile * self.revisits, max(1, self.n_elements // tile)
+
+    def addresses(self, start: int, count: int, rng: RngStream) -> np.ndarray:
+        tile, per_tile, n_tiles = self.tiling
         pos = np.arange(start, start + count, dtype=np.int64)
         tile_idx = (pos // per_tile) % n_tiles
         within = (pos % per_tile) % tile
@@ -183,14 +187,18 @@ class GatherScatterPattern(AccessPattern):
         check_in_range("locality", self.locality, 0.0, 1.0)
         check_positive("cluster_elements", self.cluster_elements)
 
+    @property
+    def cluster(self) -> int:
+        """Elements streamed from each random cluster start."""
+        if self.locality <= 0.0:
+            return 1
+        return max(1, int(round(self.cluster_elements * self.locality)) or 1)
+
     def addresses(self, start: int, count: int, rng: RngStream) -> np.ndarray:
         n = np.uint64(self.n_elements)
         pos = np.arange(start, start + count, dtype=np.uint64)
         salt = np.uint64(_path_salt(rng))
-        cluster = max(1, int(round(self.cluster_elements * self.locality)) or 1)
-        if self.locality <= 0.0:
-            cluster = 1
-        cluster_u = np.uint64(cluster)
+        cluster_u = np.uint64(self.cluster)
         cluster_id = pos // cluster_u
         offset = pos % cluster_u
         cluster_base = _splitmix64(cluster_id + salt) % n
@@ -244,11 +252,16 @@ class PointerChasePattern(AccessPattern):
         super().__post_init__()
         check_positive("hop_elements", self.hop_elements)
 
+    @property
+    def hop_window(self) -> int:
+        """Hop lengths are drawn from ``[0, hop_window)`` elements."""
+        return min(self.hop_elements, self.n_elements)
+
     def addresses(self, start: int, count: int, rng: RngStream) -> np.ndarray:
         n = np.uint64(self.n_elements)
         salt = np.uint64(_path_salt(rng))
         pos = np.arange(start, start + count, dtype=np.uint64)
-        hops = _splitmix64(pos + salt) % np.uint64(min(self.hop_elements, self.n_elements))
+        hops = _splitmix64(pos + salt) % np.uint64(self.hop_window)
         # cumulative position of instance k = sum of hops 0..k; to keep the
         # function counter-based (chunk-stable) we use a closed form:
         # position(k) = mix(k) scaled into a window that slides with k.
@@ -270,12 +283,12 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def path_salt(*path, root: int) -> int:
+    """The 64-bit salt of the stream at ``path`` under ``root``: derived
+    from the path, not the generator state, so pattern output does not
+    depend on how many draws other components made from the stream."""
+    return derive_seed(*path, "pattern-salt", root=root)
+
+
 def _path_salt(rng: RngStream) -> int:
-    """A 64-bit salt derived from the stream's path (not its state).
-
-    Using the path rather than the generator state keeps pattern output
-    independent of how many draws other components made from the stream.
-    """
-    from repro.util.rng import derive_seed
-
-    return derive_seed(*rng.path, "pattern-salt", root=rng.root)
+    return path_salt(*rng.path, root=rng.root)

@@ -22,7 +22,7 @@ unfinished units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 from repro.apps.base import AppModel
 from repro.cache.hierarchy import CacheHierarchy
@@ -196,10 +196,11 @@ def _collect_signature_task(
     n_ranks: int,
     hierarchy: CacheHierarchy,
     settings: CollectionSettings,
+    job: Optional[Job] = None,
 ) -> ApplicationSignature:
     """One core count's collection, for pool submission (the nested
     rank-level pool degrades to serial inside a worker)."""
-    return collect_signature(app, n_ranks, hierarchy, settings)
+    return collect_signature(app, n_ranks, hierarchy, settings, job=job)
 
 
 def collect_signatures(
@@ -208,6 +209,7 @@ def collect_signatures(
     hierarchy: CacheHierarchy,
     settings: Optional[CollectionSettings] = None,
     *,
+    jobs: Optional[Mapping[int, Job]] = None,
     cache: Optional[SignatureCache] = None,
     report: Optional[RunReport] = None,
 ) -> List[ApplicationSignature]:
@@ -219,8 +221,11 @@ def collect_signatures(
     ``counts`` order.  Each signature is cached the moment it lands
     (in completion order, not batch order), so a killed run re-run
     with the same cache re-collects only the unfinished counts.
+    ``jobs`` maps a core count to its pre-built job, passed on to
+    :func:`collect_signature`; a cache hit leaves it unused.
     """
     settings = settings or CollectionSettings()
+    jobs = jobs or {}
     if cache is not None and report is not None:
         cache.bind_report(report)
     results: List[Optional[ApplicationSignature]] = [None] * len(counts)
@@ -257,7 +262,8 @@ def collect_signatures(
     ):
         run_tasks_resilient(
             _collect_signature_task,
-            [(app, counts[i], hierarchy, settings) for i in missing],
+            [(app, counts[i], hierarchy, settings, jobs.get(counts[i]))
+             for i in missing],
             keys=[task_key(app.name, counts[i]) for i in missing],
             workers=settings.workers,
             config=settings.resilience,

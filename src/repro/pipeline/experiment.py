@@ -124,6 +124,12 @@ def run_table1(
     )
     spec = get_spec(config.machine)
 
+    # one target job: its collected trace is the expensive one the
+    # methodology is designed to avoid — gathered anyway to evaluate it
+    # (Table I's "Coll." rows) — and both predictions and the ground
+    # truth replay it
+    target_job = app.build_job(target_count)
+
     # 1+3. signatures at every core count — the three training runs and
     # the target run are independent, so they are collected as one batch
     # (concurrently when the pool allows, memoized per unit when a cache
@@ -135,6 +141,7 @@ def run_table1(
         counts,
         spec.hierarchy,
         config.collection,
+        jobs={target_count: target_job},
         cache=config.cache,
         report=report,
     )
@@ -166,11 +173,6 @@ def run_table1(
         check_prediction_inputs(
             collected, machine, config=config.guard, report=degradation
         )
-
-    # the collected target trace is the expensive one the methodology is
-    # designed to avoid — gathered anyway to evaluate it (Table I's
-    # "Coll." rows); the replay below shares one rebuilt job
-    target_job = app.build_job(target_count)
 
     # 4. predictions with both trace types (sharing the replayed job)
     pred_extrap = predict_runtime(

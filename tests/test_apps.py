@@ -1,5 +1,7 @@
 """Unit tests: domain decomposition and the application proxies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,46 @@ class TestProxyContracts:
         j1, j2 = a1.build_job(p), a2.build_job(p)
         for s1, s2 in zip(j1.scripts, j2.scripts):
             assert s1.events == s2.events
+
+
+#: SHA-256 of ``job.rows`` and ``job.offsets`` of each registered app's
+#: job, recorded before the rank scripts built their message lists once
+#: per rank instead of once per step
+JOB_DIGESTS = {
+    ("jacobi", 8): (
+        "84b6b2c4f42d6ee2df3205d2dc4e7c46d5f29fa47575cfe766cfe09dcdd9ee7c",
+        "a8d9b4bab3d7d29e88728bbcdb9ebe1d6a2644cfa7af7c6a37f4da9cae20f98b",
+    ),
+    ("jacobi", 96): (
+        "6d782a0890c53a642a66d2319bd73bfd1abe2d7354bc685a9c1597793a5037c1",
+        "d85bd13657654b8d2abeca14bf49ed5f2ebd20169b32f49744b34c9ceccf6b5b",
+    ),
+    ("specfem3d", 96): (
+        "c89ecdff8ca8f48aa61988eba75006b8b350d4026eea894945a9bcbf8442e119",
+        "c274b5c350cbd19eaa4b03bbdd9412e9b75973e08deaefdb65195a0db21a5d8e",
+    ),
+    ("specfem3d", 384): (
+        "f23ac95a9379ba3667662dab6bb4440871e7dff6c8c6dc5e367cffd05f2f0918",
+        "2d987fd4dc1a9c868d9240bcfd6b0bca8f55408662d072667d2579072dd9d689",
+    ),
+    ("uh3d", 64): (
+        "e72533c8ca54805e847e35ff01fb04ad6199298ec7b653a603fa530afb59f2a5",
+        "4078971ede6ebfb73c01f39c2b1b2361ae5c61c2da3cd8d9ae3b65790cea4504",
+    ),
+    ("uh3d", 256): (
+        "fc49a92f47f7f009a351535aeb493f9d8ec1825fa769dc731783acc44bf47890",
+        "ba214e9b00e7efc27fabf1f39380b0eafe462d3dcb69b5ca0c158d1fb409846d",
+    ),
+}
+
+
+@pytest.mark.parametrize("app,n_ranks", sorted(JOB_DIGESTS))
+def test_job_rows_match_recorded_digests(app, n_ranks):
+    job = get_app(app).build_job(n_ranks)
+    digests = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (job.rows, job.offsets)
+    )
+    assert digests == JOB_DIGESTS[app, n_ranks]
 
 
 class TestJacobiSpecifics:

@@ -4,9 +4,11 @@ Each kernel is compiled on first use into ``~/.cache/repro/kernels``;
 these tests pin what happens without a compiler, with a damaged cached
 library, with two processes racing the first build, at import time and
 when the kernel root is not writable.  The lifecycle tests run once per
-kernel in :data:`KERNELS`: the LRU replay kernel (``repro.cache.native``)
-and the event replay kernel (``repro.psins.native``); the event replay's
-no-compiler fallback is pinned in ``tests/test_psins_native.py``.
+kernel in :data:`KERNELS`: the LRU replay kernel (``repro.cache.native``),
+the event replay kernel (``repro.psins.native``) and the address-stream
+kernel (``repro.memstream.native``); the other two kernels' no-compiler
+fallbacks are pinned in ``tests/test_psins_native.py`` and
+``tests/test_memstream_native.py``.
 Subprocess tests point ``HOME`` at a temp dir so each starts from an
 empty kernel root.
 """
@@ -25,7 +27,13 @@ import pytest
 
 from repro.cache.simulator import HierarchySimulator
 from repro.machine.network import NetworkParameters
-from repro.memstream.patterns import RandomPattern
+from repro.memstream.generator import interleave_streams
+from repro.memstream.patterns import (
+    BlockedPattern,
+    GatherScatterPattern,
+    RandomPattern,
+    StridedPattern,
+)
 from repro.psins.replay import UniformTimer, replay_job
 from repro.simmpi.runtime import run_job
 from repro.util import native as loader
@@ -55,6 +63,17 @@ from tests.test_cache_native import _replay_digest_here
 
 assert load(native.KERNEL) is not None
 print(_replay_digest_here())
+"""
+
+
+#: a child's answer, from the address-stream kernel it built or loaded
+STREAM_DIGEST = """
+from repro.memstream import native
+from repro.util.native import load
+from tests.test_cache_native import _stream_digest_here
+
+assert load(native.KERNEL) is not None
+print(_stream_digest_here())
 """
 
 
@@ -91,10 +110,26 @@ def _replay_digest_here() -> str:
     ).hexdigest()
 
 
+def _stream_digest_here() -> str:
+    """SHA-256 of a three-instruction block's interleaved stream."""
+    patterns = [
+        BlockedPattern(region_bytes=64 * KB, tile_elements=64, revisits=3),
+        StridedPattern(region_bytes=16 * KB),
+        GatherScatterPattern(region_bytes=32 * KB, locality=0.8),
+    ]
+    digest = hashlib.sha256()
+    for instr, addrs in interleave_streams(
+        patterns, [2400, 32000, 1000], stream("native", "stream"), chunk=4096
+    ):
+        digest.update(instr.tobytes() + addrs.tobytes())
+    return digest.hexdigest()
+
+
 #: name -> (child script, in-process digest function) of each kernel
 KERNELS = {
     "lru": (ZOO_DIGEST, _zoo_digest_here),
     "replay": (REPLAY_DIGEST, _replay_digest_here),
+    "stream": (STREAM_DIGEST, _stream_digest_here),
 }
 
 
@@ -212,7 +247,8 @@ def test_import_cli_builds_nothing(tmp_path):
     _finish(_spawn(
         tmp_path,
         "import repro.cli, repro.cache.simulator, repro.psins.replay, "
-        "repro.pipeline.predict",
+        "repro.pipeline.predict, repro.memstream.generator, "
+        "repro.machine.multimaps",
     ))
     root = _kernel_root(tmp_path)
     assert not root.exists() or not any(root.iterdir())

@@ -4,9 +4,12 @@ Collect -> extrapolate -> predict -> measure, exercising every subsystem
 together the way the benchmark harness does, but at test-friendly sizes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.apps.jacobi import JacobiParams, JacobiProxy
 from repro.core.errors import abs_rel_error
 from repro.core.extrapolate import extrapolate_trace
 from repro.core.influence import influential_instructions
@@ -132,6 +135,26 @@ class TestEndToEnd:
         assert coll_row.pct_error < 25.0
         report = table1_report(result.rows)
         assert "jacobi" in report and "Extrap." in report
+
+
+    def test_table1_builds_the_target_job_once(self, monkeypatch):
+        """Collection, both predictions and the ground truth share one
+        target job."""
+        app = JacobiProxy(JacobiParams(global_cells=(64, 64, 64), n_steps=2))
+        built = []
+        build = app.build_job
+
+        def counting(n_ranks):
+            built.append(n_ranks)
+            return build(n_ranks)
+
+        monkeypatch.setattr(app, "build_job", counting)
+        cfg = Table1Config(
+            collection=dataclasses.replace(FAST_SETTINGS, workers=0),
+            accesses_per_probe=20_000,
+        )
+        run_table1(app, train_counts=(4, 8), target_count=16, config=cfg)
+        assert built.count(16) == 1
 
 
 class TestWhatIfStudies:
