@@ -14,8 +14,10 @@ through the native kernel and through ``ReplayEngine`` (its base) as
 ``replay_native_speedup``, and a non-smoke stream run records the
 SPECFEM3D 1536-rank slowest task's block streams through the native
 kernel and through the numpy patterns as
-``stream_{native,numpy}_maccess_per_s`` and ``stream_native_speedup``;
-set ``REPRO_BENCH_SMOKE=1`` to skip the writes.
+``stream_{native,numpy}_maccess_per_s`` and ``stream_native_speedup``,
+and a non-smoke job-build run records how fast the Table I targets' jobs
+are recorded as ``job_build_<app>_<ranks>_rows_per_s``; set
+``REPRO_BENCH_SMOKE=1`` to skip the writes.
 """
 
 import os
@@ -216,6 +218,37 @@ def test_stream_native_vs_numpy_throughput(monkeypatch):
                 "stream_native_speedup": round(native_rate / numpy_rate, 1),
             },
         )
+
+
+def test_job_build_throughput():
+    """Recording the Table I targets' jobs (SPECFEM3D 6144, UH3D 8192)
+    through ``AppModel.build_job``, each round on a fresh proxy so that
+    its decomposition table and density levels are built in the timed
+    call too; the rows must match the digests pinned in ``tests``."""
+    import hashlib
+
+    from repro.apps.registry import get_app
+    from tests.test_apps import JOB_DIGESTS
+
+    smoke = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+    repeats = 1 if smoke else 3
+    entry = {}
+    for name, n_ranks in (("specfem3d", 6144), ("uh3d", 8192)):
+        apps = [get_app(name) for _ in range(repeats)]
+        seconds, job = _best_cpu_s(lambda: apps.pop().build_job(n_ranks), repeats)
+        digests = tuple(
+            hashlib.sha256(a.tobytes()).hexdigest() for a in (job.rows, job.offsets)
+        )
+        assert digests == JOB_DIGESTS[name, n_ranks, "strong"][:2]
+        rate = job.n_events / seconds
+        print(f"\n{name} {n_ranks}: {job.n_events} rows in {seconds:.3f} s CPU, "
+              f"{rate / 1e6:.2f}M rows/s")
+        assert rate >= 3e6
+        entry[f"job_build_{name}_{n_ranks}_rows_per_s"] = round(rate)
+    if not smoke:
+        from benchmarks.conftest import merge_bench
+
+        merge_bench("BENCH_pipeline", entry)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ An :class:`AppModel` is everything the pipeline needs from a workload:
 
 - per-rank :class:`~repro.instrument.program.Program`\\ s (what the task
   computes, for instrumentation/tracing),
-- per-rank event scripts via a SimMPI rank function (when it computes
-  vs. communicates, for replay),
+- every rank's event script, recorded in one pass of an SPMD script
+  over per-rank arrays (when each rank computes vs. communicates, for
+  replay),
 - rank equivalence classes (for tractable ground-truth simulation).
 
 Strong vs. weak scaling (§V: "Each application was scaled using strong
@@ -20,8 +21,7 @@ import enum
 from typing import Callable, List
 
 from repro.instrument.program import Program
-from repro.simmpi.comm import SimComm
-from repro.simmpi.runtime import Job, run_job
+from repro.simmpi.runtime import AllRanksComm, Job
 
 
 class ScalingMode(enum.Enum):
@@ -43,8 +43,16 @@ class AppModel:
         """Build the (laid-out) program of one rank at one core count."""
         raise NotImplementedError
 
-    def rank_script(self, comm: SimComm) -> None:
-        """Emit one rank's events (the SPMD rank function)."""
+    def rank_script(self, comm: AllRanksComm) -> None:
+        """Emit every rank's events at once (the SPMD script).
+
+        Each ``comm`` call takes one value for every rank or an array of
+        per-rank values (``comm.rank`` lines them up), and a peer of -1
+        or an iteration count <= 0 records nothing for that rank.  Rank
+        ``r``'s events are the ``SimComm`` calls the script stands for
+        at ``r``, in call order.  Hand-written per-rank functions record
+        through :func:`~repro.simmpi.runtime.run_job` instead.
+        """
         raise NotImplementedError
 
     def equivalence_classes(self, n_ranks: int) -> List[List[int]]:
@@ -55,7 +63,9 @@ class AppModel:
 
     def build_job(self, n_ranks: int) -> Job:
         """Record every rank's event script at one core count."""
-        return run_job(self.name, n_ranks, self.rank_script)
+        comm = AllRanksComm(n_ranks)
+        self.rank_script(comm)
+        return comm.job(self.name)
 
     def program_factory(self, n_ranks: int) -> Callable[[int], Program]:
         """Rank -> program callable bound to one core count."""

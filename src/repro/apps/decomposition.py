@@ -5,14 +5,25 @@ The decomposition determines everything that scales: local cell counts
 (volume work), face areas (halo exchange sizes and boundary work), and
 which ranks sit on the physical domain boundary (extra work, hence load
 imbalance and a well-defined "most computationally demanding task").
+
+A decomposition computes every rank's geometry at once, as the int64
+columns of one :class:`GeometryTable`; :meth:`CartesianDecomposition.
+geometry` reads one rank's row as Python ints, and the proxies' event
+scripts and equivalence classes read whole columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+import functools
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.util.validation import check_positive
+
+#: a rank's six face-neighbor slots, in sorted ``(dim, direction)`` order
+SLOTS = ((0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1))
 
 
 def factor3(p: int) -> Tuple[int, int, int]:
@@ -38,6 +49,14 @@ def factor3(p: int) -> Tuple[int, int, int]:
         dims[0] *= f
     dims.sort(reverse=True)
     return (dims[0], dims[1], dims[2])
+
+
+def rank_row(columns: Dict[str, np.ndarray], rank: int) -> Dict[str, int]:
+    """One rank's entries of per-rank columns, as Python ints."""
+    n_ranks = len(next(iter(columns.values())))
+    if not 0 <= rank < n_ranks:
+        raise ValueError(f"rank {rank} out of range")
+    return {key: int(column[rank]) for key, column in columns.items()}
 
 
 @dataclass(frozen=True)
@@ -81,6 +100,33 @@ class RankGeometry:
                 if (dim, direction) not in self.neighbors:
                     total += self.face_cells(dim)
         return total
+
+
+@dataclass(frozen=True)
+class GeometryTable:
+    """Every rank's geometry as read-only int64 columns; row ``r`` is rank ``r``."""
+
+    #: process-grid coordinates, ``(n_ranks, 3)``
+    coords: np.ndarray
+    #: local extents, ``(n_ranks, 3)``
+    local_cells: np.ndarray
+    #: the face neighbor in each of :data:`SLOTS`, -1 where there is none
+    #: (a non-periodic physical boundary, or a periodic dim of one rank)
+    neighbors: np.ndarray
+    #: cells on a face perpendicular to each dim, ``(n_ranks, 3)``
+    face_cells: np.ndarray
+    #: cells exchanged with all present neighbors
+    halo_cells: np.ndarray
+    #: cells on the faces without a neighbor (extra-work surface)
+    boundary_cells: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    @property
+    def n_cells(self) -> np.ndarray:
+        return self.local_cells.prod(axis=1)
 
 
 class CartesianDecomposition:
@@ -135,49 +181,68 @@ class CartesianDecomposition:
         x, y, z = coords
         return x + y * px + z * px * py
 
-    def _local_extent(self, dim: int, coord: int) -> int:
-        total = self.global_cells[dim]
-        parts = self.grid[dim]
-        base, extra = divmod(total, parts)
-        return base + (1 if coord < extra else 0)
-
-    def geometry(self, rank: int) -> RankGeometry:
-        """Full geometry of one rank."""
-        coords = self.coords_of(rank)
-        local = tuple(self._local_extent(d, coords[d]) for d in range(3))
-        neighbors: Dict[Tuple[int, int], int] = {}
-        boundary = 0
-        for dim in range(3):
-            for direction in (-1, +1):
-                c = coords[dim] + direction
-                if 0 <= c < self.grid[dim]:
-                    ncoords = list(coords)
-                    ncoords[dim] = c
-                    neighbors[(dim, direction)] = self.rank_of(tuple(ncoords))
-                elif self.periodic[dim] and self.grid[dim] > 1:
-                    ncoords = list(coords)
-                    ncoords[dim] = c % self.grid[dim]
-                    neighbors[(dim, direction)] = self.rank_of(tuple(ncoords))
-                else:
-                    boundary += 1
-        return RankGeometry(
-            rank=rank,
+    @functools.cached_property
+    def table(self) -> GeometryTable:
+        """Every rank's geometry, computed once."""
+        rank = np.arange(self.n_ranks, dtype=np.int64)
+        grid = np.array(self.grid, dtype=np.int64)
+        stride = np.array([1, grid[0], grid[0] * grid[1]])
+        coords = rank[:, None] // stride % grid
+        base, extra = np.divmod(np.array(self.global_cells, dtype=np.int64), grid)
+        local = base + (coords < extra)
+        neighbors = np.empty((self.n_ranks, len(SLOTS)), dtype=np.int64)
+        for slot, (dim, direction) in enumerate(SLOTS):
+            c = coords[:, dim] + direction
+            if self.periodic[dim] and grid[dim] > 1:
+                c %= grid[dim]
+            inside = (c >= 0) & (c < grid[dim])
+            neighbors[:, slot] = np.where(inside, rank + (c - coords[:, dim]) * stride[dim], -1)
+        faces = local[:, [1, 0, 0]] * local[:, [2, 2, 1]]
+        slot_faces = faces[:, [dim for dim, _direction in SLOTS]]
+        present = neighbors >= 0
+        return GeometryTable(
             coords=coords,
             local_cells=local,
             neighbors=neighbors,
-            boundary_faces=boundary,
+            face_cells=faces,
+            halo_cells=(slot_faces * present).sum(axis=1),
+            boundary_cells=(slot_faces * ~present).sum(axis=1),
         )
 
-    def equivalence_classes(self) -> List[List[int]]:
+    def geometry(self, rank: int) -> RankGeometry:
+        """Full geometry of one rank (its row of :attr:`table`)."""
+        if not 0 <= rank < self.n_ranks:
+            raise ValueError(f"rank {rank} out of range")
+        t = self.table
+        neighbors = {
+            slot: peer for slot, peer in zip(SLOTS, t.neighbors[rank].tolist()) if peer >= 0
+        }
+        return RankGeometry(
+            rank=rank,
+            coords=tuple(t.coords[rank].tolist()),
+            local_cells=tuple(t.local_cells[rank].tolist()),
+            neighbors=neighbors,
+            boundary_faces=len(SLOTS) - len(neighbors),
+        )
+
+    def equivalence_classes(self, extra: Optional[np.ndarray] = None) -> List[List[int]]:
         """Group ranks whose geometry implies identical programs.
 
-        The key is (local extents, halo cells, boundary cells): proxies
-        build their programs from exactly these quantities, so ranks in
-        a class have identical programs by construction.
+        The key is (local extents, halo cells, boundary cells), plus the
+        per-rank ``extra`` column when given: proxies build their
+        programs from exactly these quantities, so ranks in a class have
+        identical programs by construction.  Each class lists its ranks
+        in order, and classes are ordered by their first rank.
         """
-        classes: Dict[Tuple, List[int]] = {}
-        for rank in range(self.n_ranks):
-            geom = self.geometry(rank)
-            key = (geom.local_cells, geom.halo_cells(), geom.boundary_cells())
-            classes.setdefault(key, []).append(rank)
-        return [sorted(v) for v in sorted(classes.values(), key=lambda c: c[0])]
+        t = self.table
+        keys = [t.local_cells, t.halo_cells[:, None], t.boundary_cells[:, None]]
+        if extra is not None:
+            keys.append(np.asarray(extra, dtype=np.int64)[:, None])
+        _, first, inverse = np.unique(
+            np.hstack(keys), axis=0, return_index=True, return_inverse=True
+        )
+        inverse = inverse.ravel()
+        members = np.split(
+            np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1]
+        )
+        return [members[c].tolist() for c in np.argsort(first)]

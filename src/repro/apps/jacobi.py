@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.apps.base import AppModel, ScalingMode
-from repro.apps.decomposition import CartesianDecomposition
+from repro.apps.decomposition import SLOTS, CartesianDecomposition
 from repro.instrument.builder import ProgramBuilder
 from repro.instrument.program import Program
 from repro.memstream.patterns import StencilPattern, StridedPattern
-from repro.simmpi.comm import SimComm
+from repro.simmpi.runtime import AllRanksComm
 
 #: Block ids (stable across core counts, as extrapolation requires).
 BLOCK_SWEEP = 0
@@ -97,13 +99,13 @@ class JacobiProxy(AppModel):
             .build()
         )
 
-    def rank_script(self, comm: SimComm) -> None:
-        geom = self.decomposition(comm.size).geometry(comm.rank)
-        n_cells = geom.n_cells
-        halo_cells = max(geom.halo_cells(), 1)
+    def rank_script(self, comm: AllRanksComm) -> None:
+        geo = self.decomposition(comm.size).table
+        n_cells = geo.n_cells
+        halo_cells = np.maximum(geo.halo_cells, 1)
         messages = [
-            (neighbor, geom.face_cells(dim) * _BYTES_PER_CELL, dim)
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items())
+            (geo.neighbors[:, slot], geo.face_cells[:, dim] * _BYTES_PER_CELL, dim)
+            for slot, (dim, _direction) in enumerate(SLOTS)
         ]
         for _step in range(self.params.n_steps):
             comm.compute(BLOCK_SWEEP, n_cells)

@@ -35,12 +35,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.apps.base import AppModel, ScalingMode
-from repro.apps.decomposition import CartesianDecomposition, factor3
+from repro.apps.decomposition import SLOTS, CartesianDecomposition, factor3, rank_row
 from repro.instrument.builder import ProgramBuilder
 from repro.instrument.program import Program
 from repro.memstream.patterns import BlockedPattern, GatherScatterPattern, StridedPattern
-from repro.simmpi.comm import SimComm
+from repro.simmpi.runtime import AllRanksComm
 
 BLOCK_ELEMENT_KERNEL = 0
 BLOCK_UPDATE_VECTORS = 1
@@ -96,33 +98,30 @@ class SpecFEM3DProxy(AppModel):
         return CartesianDecomposition(elements, n_ranks)
 
     # ------------------------------------------------------------------
-    # per-step iteration counts (shared by program and script)
+    # per-step iteration counts of every rank (shared by program and script)
 
-    def _counts(self, rank: int, n_ranks: int) -> dict:
-        geom = self.decomposition(n_ranks).geometry(rank)
-        n_elements = geom.n_cells
-        n_points = n_elements * _POINTS_PER_ELEMENT
-        halo_points = geom.halo_cells() * _POINTS_PER_FACE
-        boundary_points = geom.boundary_cells() * _POINTS_PER_FACE
-        tree_depth = max(1, math.ceil(math.log2(max(n_ranks, 2))))
+    def _counts(self, n_ranks: int) -> dict:
+        geo = self.decomposition(n_ranks).table
         return {
-            "geom": geom,
-            "elements": n_elements,
-            "points": n_points,
-            "halo_points": halo_points,
-            "boundary_points": boundary_points,
-            "norm_iters": self.params.norm_buffer_points * tree_depth,
+            "elements": geo.n_cells,
+            "points": geo.n_cells * _POINTS_PER_ELEMENT,
+            "halo_points": geo.halo_cells * _POINTS_PER_FACE,
+            "boundary_points": geo.boundary_cells * _POINTS_PER_FACE,
         }
 
+    def _norm_iters(self, n_ranks: int) -> int:
+        tree_depth = max(1, math.ceil(math.log2(max(n_ranks, 2))))
+        return self.params.norm_buffer_points * tree_depth
+
     def rank_program(self, rank: int, n_ranks: int) -> Program:
-        c = self._counts(rank, n_ranks)
+        c = rank_row(self._counts(n_ranks), rank)
+        c["norm_iters"] = self._norm_iters(n_ranks)
         steps = self.params.n_steps
         element_bytes = max(c["elements"] * _BYTES_PER_ELEMENT, 4096)
         vector_bytes = max(c["points"] * _BYTES_PER_POINT, 4096)
         halo_bytes = max(c["halo_points"] * 8, 512)
         boundary_bytes = max(c["boundary_points"] * 8, 512)
         norm_bytes = self.params.norm_buffer_points * 8
-        nx, ny, _nz = c["geom"].local_cells
         return (
             ProgramBuilder(f"{self.name}-r{rank}-p{n_ranks}")
             # 1. dense element kernel: blocked reuse of element data
@@ -261,25 +260,24 @@ class SpecFEM3DProxy(AppModel):
             .build()
         )
 
-    def rank_script(self, comm: SimComm) -> None:
-        c = self._counts(comm.rank, comm.size)
-        geom = c["geom"]
+    def rank_script(self, comm: AllRanksComm) -> None:
+        c = self._counts(comm.size)
+        geo = self.decomposition(comm.size).table
         messages = [
-            (neighbor, geom.face_cells(dim) * _POINTS_PER_FACE * 8, dim)
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items())
+            (geo.neighbors[:, slot], geo.face_cells[:, dim] * _POINTS_PER_FACE * 8, dim)
+            for slot, (dim, _direction) in enumerate(SLOTS)
         ]
         for _step in range(self.params.n_steps):
             comm.compute(BLOCK_ELEMENT_KERNEL, c["elements"])
             comm.compute(BLOCK_UPDATE_VECTORS, c["points"])
-            if c["boundary_points"]:
-                comm.compute(BLOCK_ABSORBING, c["boundary_points"])
-            comm.compute(BLOCK_HALO_PACK, max(c["halo_points"], 1))
+            comm.compute(BLOCK_ABSORBING, c["boundary_points"])
+            comm.compute(BLOCK_HALO_PACK, np.maximum(c["halo_points"], 1))
             for peer, nbytes, tag in messages:
                 comm.send(peer, nbytes, tag=tag)
             for peer, nbytes, tag in messages:
                 comm.recv(peer, nbytes, tag=tag)
-            comm.compute(BLOCK_ASSEMBLY, max(c["halo_points"], 1))
-            comm.compute(BLOCK_NORM_STAGES, c["norm_iters"])
+            comm.compute(BLOCK_ASSEMBLY, np.maximum(c["halo_points"], 1))
+            comm.compute(BLOCK_NORM_STAGES, self._norm_iters(comm.size))
             comm.allreduce(8)
 
     def equivalence_classes(self, n_ranks: int) -> List[List[int]]:

@@ -32,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.apps.base import AppModel, ScalingMode
-from repro.apps.decomposition import CartesianDecomposition, factor3
+from repro.apps.decomposition import SLOTS, CartesianDecomposition, factor3, rank_row
 from repro.instrument.builder import ProgramBuilder
 from repro.instrument.program import Program
 from repro.memstream.patterns import (
@@ -43,7 +45,7 @@ from repro.memstream.patterns import (
     StencilPattern,
     StridedPattern,
 )
-from repro.simmpi.comm import SimComm
+from repro.simmpi.runtime import AllRanksComm
 
 BLOCK_PARTICLE_PUSH = 0
 BLOCK_FIELD_GATHER = 1
@@ -106,8 +108,9 @@ class UH3DProxy(AppModel):
     # ------------------------------------------------------------------
     # particle density model
 
-    def density_level(self, rank: int, n_ranks: int) -> int:
-        """Quantized density level (0..levels-1) at a rank's position.
+    @lru_cache(maxsize=32)
+    def density_levels(self, n_ranks: int) -> np.ndarray:
+        """Quantized density level (0..levels-1) of every rank.
 
         The density field is a fixed function of *normalized* domain
         position — a Gaussian enhancement centered on the dayside
@@ -117,59 +120,58 @@ class UH3DProxy(AppModel):
         across core counts.
         """
         dec = self.decomposition(n_ranks)
-        coords = dec.coords_of(rank)
-        pos = tuple(
-            (coords[d] + 0.5) / dec.grid[d] for d in range(3)
-        )
-        dx = pos[0] - 0.25
-        dy = pos[1] - 0.5
-        dz = pos[2] - 0.5
-        enhancement = math.exp(-(dx * dx + dy * dy + dz * dz) / 0.08)
+        pos = (dec.table.coords + 0.5) / np.array(dec.grid)
+        dx = pos[:, 0] - 0.25
+        dy = pos[:, 1] - 0.5
+        dz = pos[:, 2] - 0.5
+        exponent = -(dx * dx + dy * dy + dz * dz) / 0.08
+        # math.exp per rank: np.exp can differ from it in the last bit,
+        # which could move a rank across a level boundary
+        enhancement = np.array([math.exp(x) for x in exponent.tolist()])
         density = 1.0 + (self.params.density_peak - 1.0) * enhancement
         # quantize into [1, density_peak]
         levels = self.params.density_levels
         frac = (density - 1.0) / max(self.params.density_peak - 1.0, 1e-12)
-        return min(int(frac * levels), levels - 1)
+        out = np.minimum((frac * levels).astype(np.int64), levels - 1)
+        out.flags.writeable = False
+        return out
 
     def _density_of_level(self, level: int) -> float:
         levels = self.params.density_levels
         frac = (level + 0.5) / levels
         return 1.0 + (self.params.density_peak - 1.0) * frac
 
-    def local_particles(self, rank: int, n_ranks: int) -> int:
-        """Particle count of one rank (density-quantized)."""
-        geom = self.decomposition(n_ranks).geometry(rank)
-        level = self.density_level(rank, n_ranks)
-        return int(
-            geom.n_cells * self.params.particles_per_cell * self._density_of_level(level)
-        )
-
     # ------------------------------------------------------------------
+    # per-step iteration counts of every rank (shared by program and script)
 
-    @lru_cache(maxsize=65536)
-    def _counts(self, rank: int, n_ranks: int) -> dict:
-        geom = self.decomposition(n_ranks).geometry(rank)
-        particles = self.local_particles(rank, n_ranks)
-        tree_depth = max(1, math.ceil(math.log2(max(n_ranks, 2))))
+    def _counts(self, n_ranks: int) -> dict:
+        cells = self.decomposition(n_ranks).table.n_cells
+        density = np.array(
+            [self._density_of_level(level) for level in range(self.params.density_levels)]
+        )[self.density_levels(n_ranks)]
+        particles = (cells * self.params.particles_per_cell * density).astype(np.int64)
         return {
-            "geom": geom,
-            "cells": geom.n_cells,
+            "cells": cells,
             "particles": particles,
-            "exchange_particles": max(
-                1, int(particles * self.params.exchange_fraction)
+            "exchange_particles": np.maximum(
+                1, (particles * self.params.exchange_fraction).astype(np.int64)
             ),
-            "div_iters": self.params.div_clean_buffer * tree_depth,
         }
 
+    def _div_iters(self, n_ranks: int) -> int:
+        tree_depth = max(1, math.ceil(math.log2(max(n_ranks, 2))))
+        return self.params.div_clean_buffer * tree_depth
+
     def rank_program(self, rank: int, n_ranks: int) -> Program:
-        c = self._counts(rank, n_ranks)
+        c = rank_row(self._counts(n_ranks), rank)
+        c["div_iters"] = self._div_iters(n_ranks)
         steps = self.params.n_steps
         particle_bytes = max(c["particles"] * _BYTES_PER_PARTICLE, 4096)
         field_bytes = max(c["cells"] * _BYTES_PER_CELL * _FIELD_ARRAYS, 4096)
         grid_bytes = max(c["cells"] * _BYTES_PER_CELL, 4096)
         exchange_bytes = max(c["exchange_particles"] * _BYTES_PER_PARTICLE, 512)
         div_bytes = self.params.div_clean_buffer * 8
-        nx, ny, _nz = c["geom"].local_cells
+        nx, ny, _nz = self.decomposition(n_ranks).geometry(rank).local_cells
         stencil = (-nx * ny, -nx, -1, 0, 1, nx, nx * ny)
         return (
             ProgramBuilder(f"{self.name}-r{rank}-p{n_ranks}")
@@ -250,32 +252,28 @@ class UH3DProxy(AppModel):
             .build()
         )
 
-    def rank_script(self, comm: SimComm) -> None:
-        c = self._counts(comm.rank, comm.size)
-        neighbors = sorted(c["geom"].neighbors.items())
-
-        def particle_msg(counts: dict) -> int:
-            return max(
-                1,
-                counts["exchange_particles"]
-                // max(len(counts["geom"].neighbors), 1),
-            ) * _BYTES_PER_PARTICLE
-
+    def rank_script(self, comm: AllRanksComm) -> None:
+        c = self._counts(comm.size)
+        geo = self.decomposition(comm.size).table
+        n_neighbors = np.count_nonzero(geo.neighbors >= 0, axis=1)
+        particle_msg = np.maximum(
+            1, c["exchange_particles"] // np.maximum(n_neighbors, 1)
+        ) * _BYTES_PER_PARTICLE
         # particle exchange: sizes depend on the *sender's* load, so post
-        # sends first, then receive what each neighbor sent
+        # sends first, then receive what each neighbor sent (a peer of -1
+        # records nothing, so its looked-up size is never used)
         particle_sends = [
-            (neighbor, particle_msg(c), 10 + dim)
-            for (dim, _direction), neighbor in neighbors
+            (geo.neighbors[:, slot], particle_msg, 10 + dim)
+            for slot, (dim, _direction) in enumerate(SLOTS)
         ]
         particle_recvs = [
-            (neighbor, particle_msg(self._counts(neighbor, comm.size)), 10 + dim)
-            for (dim, _direction), neighbor in neighbors
+            (peer, particle_msg[peer], tag) for peer, _nbytes, tag in particle_sends
         ]
         field_halo = [
-            (neighbor,
-             c["geom"].face_cells(dim) * _BYTES_PER_CELL * _FIELD_ARRAYS,
+            (geo.neighbors[:, slot],
+             geo.face_cells[:, dim] * _BYTES_PER_CELL * _FIELD_ARRAYS,
              20 + dim)
-            for (dim, _direction), neighbor in neighbors
+            for slot, (dim, _direction) in enumerate(SLOTS)
         ]
         for _step in range(self.params.n_steps):
             comm.compute(BLOCK_FIELD_GATHER, c["particles"])
@@ -295,15 +293,10 @@ class UH3DProxy(AppModel):
             for peer, nbytes, tag in field_halo:
                 comm.recv(peer, nbytes, tag=tag)
             comm.compute(BLOCK_ELECTRON_FLUID, c["cells"])
-            comm.compute(BLOCK_DIV_CLEAN, c["div_iters"])
+            comm.compute(BLOCK_DIV_CLEAN, self._div_iters(comm.size))
             comm.allreduce(16)
 
     def equivalence_classes(self, n_ranks: int) -> List[List[int]]:
-        """Group ranks by (geometry class, density level)."""
-        base = self.decomposition(n_ranks).equivalence_classes()
-        classes: Dict[Tuple[int, int], List[int]] = {}
-        for gi, group in enumerate(base):
-            for rank in group:
-                key = (gi, self.density_level(rank, n_ranks))
-                classes.setdefault(key, []).append(rank)
-        return [sorted(v) for v in sorted(classes.values(), key=lambda c: c[0])]
+        """Group ranks by (geometry, density level)."""
+        dec = self.decomposition(n_ranks)
+        return dec.equivalence_classes(self.density_levels(n_ranks))

@@ -22,7 +22,7 @@ from repro.memstream.patterns import (
     StencilPattern,
     StridedPattern,
 )
-from repro.memstream.generator import StreamGenerator, interleave_streams
+from repro.memstream.generator import interleave_streams
 from repro.memstream.workingset import footprint_bytes, unique_lines
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "StencilPattern",
     "PointerChasePattern",
     "ConstantPattern",
-    "StreamGenerator",
     "interleave_streams",
     "footprint_bytes",
     "unique_lines",

@@ -1,15 +1,14 @@
 """Chunked address-stream generation and interleaving.
 
 A basic block executes several memory instructions per iteration; the
-dynamic address stream interleaves their accesses.  :class:`StreamGenerator`
-yields ``(instruction_index, addresses)`` chunks in program order without
-materializing the full stream, mirroring the paper's on-the-fly
-processing (Fig. 2).
+dynamic address stream interleaves their accesses.
+:func:`interleave_streams` yields ``(instruction_index, addresses)``
+chunks in program order without materializing the full stream,
+mirroring the paper's on-the-fly processing (Fig. 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -18,52 +17,10 @@ from repro.memstream import native
 from repro.memstream.patterns import AccessPattern, path_salt
 from repro.util.native import load
 from repro.util.rng import RngStream
-from repro.util.validation import check_positive
 
 #: Default number of addresses per generated chunk.  Large enough to
 #: amortize numpy call overhead, small enough to stay cache-resident.
 DEFAULT_CHUNK = 1 << 16
-
-
-@dataclass
-class StreamGenerator:
-    """Generates the address stream of one instruction lazily.
-
-    Parameters
-    ----------
-    pattern:
-        The instruction's access pattern.
-    total:
-        Total number of dynamic instances to generate.
-    rng:
-        Stream seeding any stochastic pattern decisions.
-    chunk:
-        Chunk length.
-    """
-
-    pattern: AccessPattern
-    total: int
-    rng: RngStream
-    chunk: int = DEFAULT_CHUNK
-
-    def __post_init__(self):
-        if self.total < 0:
-            raise ValueError(f"total must be >= 0, got {self.total}")
-        check_positive("chunk", self.chunk)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        produced = 0
-        while produced < self.total:
-            n = min(self.chunk, self.total - produced)
-            yield self.pattern.addresses(produced, n, self.rng)
-            produced += n
-
-    def all_addresses(self) -> np.ndarray:
-        """Materialize the whole stream (tests / small streams only)."""
-        parts = list(self)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
 
 
 def interleave_streams(

@@ -9,9 +9,11 @@ against an mpi4py-like API and records their communication/computation
 events; the PSiNS replay engine (:mod:`repro.psins.replay`) later assigns
 times to those events.
 
-Rank functions are plain Python callables executed one rank at a time —
-apps are SPMD and deterministic, so no actual concurrency is needed to
-reconstruct each rank's event sequence.
+Apps are SPMD and deterministic, so no actual concurrency is needed to
+reconstruct each rank's event sequence: a hand-written rank function is
+executed one rank at a time (:func:`run_job`), and an app proxy's script
+runs once for every rank together, on per-rank arrays
+(:class:`AllRanksComm`).
 
 A :class:`Job` stores the events as one ``(n_events, 4)`` int64 table
 (kind, arg, size, tag) with per-rank offsets; recording, verification,
@@ -30,7 +32,7 @@ from repro.simmpi.events import (
     SendEvent,
 )
 from repro.simmpi.comm import SimComm
-from repro.simmpi.runtime import Job, RankScript, run_job, verify_job
+from repro.simmpi.runtime import AllRanksComm, Job, RankScript, run_job, verify_job
 from repro.simmpi.profiler import LightweightProfile, profile_job
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "CollectiveEvent",
     "BarrierEvent",
     "SimComm",
+    "AllRanksComm",
     "RankScript",
     "Job",
     "run_job",

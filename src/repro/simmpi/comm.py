@@ -17,7 +17,7 @@ checked for the whole job when it is assembled
 from __future__ import annotations
 
 from array import array
-from typing import List
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -34,7 +34,65 @@ from repro.simmpi.events import (
 _OP = {op: i for i, op in enumerate(COLLECTIVE_OPS)}
 
 
-class SimComm:
+def peer_error(kind: int, peer: int, rank: int, size: int) -> Optional[str]:
+    """Why ``rank`` may not send to (or receive from) ``peer``, if it may not."""
+    if not 0 <= peer < size:
+        what = "send dest" if kind == SEND else "recv src"
+        return f"{what} {peer} out of range (size {size})"
+    if peer == rank:
+        return "self-sends are not modeled" if kind == SEND else "self-receives are not modeled"
+    return None
+
+
+#: one integer, or one integer per rank (:class:`~repro.simmpi.runtime.AllRanksComm`)
+Ints = Union[int, np.ndarray]
+
+
+class CommBase:
+    """The mpi4py-style calls every communicator shares, built on each
+    subclass's ``_p2p`` (checks and records one point-to-point call) and
+    ``_record`` (records one row)."""
+
+    # -- point-to-point ---------------------------------------------------
+
+    def send(self, dest: Ints, nbytes: Ints, tag: Ints = 0) -> None:
+        self._p2p(SEND, dest, nbytes, tag)
+
+    def recv(self, src: Ints, nbytes: Ints, tag: Ints = 0) -> None:
+        self._p2p(RECV, src, nbytes, tag)
+
+    def sendrecv(
+        self, dest: Ints, send_bytes: Ints, src: Ints, recv_bytes: Ints, tag: Ints = 0
+    ) -> None:
+        """Combined exchange, posted send-first (deadlock-free pairwise)."""
+        self.send(dest, send_bytes, tag=tag)
+        self.recv(src, recv_bytes, tag=tag)
+
+    # -- collectives ------------------------------------------------------
+
+    def _collective(self, op: str, nbytes: Ints) -> None:
+        self._record(COLLECTIVE, _OP[op], nbytes, 0)
+
+    def barrier(self) -> None:
+        self._collective("barrier", 0)
+
+    def allreduce(self, nbytes: Ints) -> None:
+        self._collective("allreduce", nbytes)
+
+    def reduce(self, nbytes: Ints) -> None:
+        self._collective("reduce", nbytes)
+
+    def broadcast(self, nbytes: Ints) -> None:
+        self._collective("broadcast", nbytes)
+
+    def alltoall(self, nbytes_per_rank: Ints) -> None:
+        self._collective("alltoall", nbytes_per_rank)
+
+    def allgather(self, nbytes_per_rank: Ints) -> None:
+        self._collective("allgather", nbytes_per_rank)
+
+
+class SimComm(CommBase):
     """Event-recording communicator for one rank.
 
     Parameters
@@ -58,6 +116,9 @@ class SimComm:
         """The recorded events, decoded (a copy: recording is by rows)."""
         return decode_rows(np.frombuffer(self.rows, dtype=np.int64).reshape(-1, 4))
 
+    def _record(self, kind: int, arg: int, size: int, tag: int) -> None:
+        self.rows.extend((kind, arg, size, tag))
+
     # -- introspection (mpi4py-style) -----------------------------------
 
     def get_rank(self) -> int:
@@ -71,50 +132,10 @@ class SimComm:
     def compute(self, block_id: int, iterations: int) -> None:
         """Record ``iterations`` executions of basic block ``block_id``."""
         if iterations > 0:
-            self.rows.extend((COMPUTE, block_id, iterations, 0))
+            self._record(COMPUTE, block_id, iterations, 0)
 
-    # -- point-to-point ---------------------------------------------------
-
-    def send(self, dest: int, nbytes: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"send dest {dest} out of range (size {self.size})")
-        if dest == self.rank:
-            raise ValueError("self-sends are not modeled")
-        self.rows.extend((SEND, dest, nbytes, tag))
-
-    def recv(self, src: int, nbytes: int, tag: int = 0) -> None:
-        if not 0 <= src < self.size:
-            raise ValueError(f"recv src {src} out of range (size {self.size})")
-        if src == self.rank:
-            raise ValueError("self-receives are not modeled")
-        self.rows.extend((RECV, src, nbytes, tag))
-
-    def sendrecv(
-        self, dest: int, send_bytes: int, src: int, recv_bytes: int, tag: int = 0
-    ) -> None:
-        """Combined exchange, posted send-first (deadlock-free pairwise)."""
-        self.send(dest, send_bytes, tag=tag)
-        self.recv(src, recv_bytes, tag=tag)
-
-    # -- collectives ------------------------------------------------------
-
-    def _collective(self, op: str, nbytes: int) -> None:
-        self.rows.extend((COLLECTIVE, _OP[op], nbytes, 0))
-
-    def barrier(self) -> None:
-        self._collective("barrier", 0)
-
-    def allreduce(self, nbytes: int) -> None:
-        self._collective("allreduce", nbytes)
-
-    def reduce(self, nbytes: int) -> None:
-        self._collective("reduce", nbytes)
-
-    def broadcast(self, nbytes: int) -> None:
-        self._collective("broadcast", nbytes)
-
-    def alltoall(self, nbytes_per_rank: int) -> None:
-        self._collective("alltoall", nbytes_per_rank)
-
-    def allgather(self, nbytes_per_rank: int) -> None:
-        self._collective("allgather", nbytes_per_rank)
+    def _p2p(self, kind: int, peer: int, nbytes: int, tag: int) -> None:
+        message = peer_error(kind, peer, self.rank, self.size)
+        if message:
+            raise ValueError(message)
+        self._record(kind, peer, nbytes, tag)

@@ -3,10 +3,13 @@
 ``run_job`` executes a rank function once per rank and assembles every
 rank's recorded rows into one :class:`Job`: an ``(n_events, 4)`` int64
 event table (kind, arg, size, tag; see :mod:`repro.simmpi.events`) plus
-per-rank offsets.  ``verify_job`` statically checks communication
-consistency with numpy — every send matched by a receive, collectives
-issued in the same order everywhere — which is also what keeps the
-replay deadlock-free.
+per-rank offsets.  :class:`AllRanksComm` records every rank of an SPMD
+script in one pass instead: the same methods, with one value for every
+rank or an array of per-rank values as each argument.
+
+``verify_job`` statically checks communication consistency with numpy
+— every send matched by a receive, collectives issued in the same
+order everywhere — which is also what keeps the replay deadlock-free.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.simmpi.comm import SimComm
+from repro.simmpi.comm import CommBase, Ints, SimComm, peer_error
 from repro.simmpi.events import (
     COLLECTIVE,
     COLLECTIVE_OPS,
@@ -209,6 +212,97 @@ def run_job(
         offsets.append(len(rows) // 4)
     table = np.frombuffer(rows, dtype=np.int64) if rows else np.empty(0, np.int64)
     return Job.from_rows(app, n_ranks, table.reshape(-1, 4), offsets)
+
+
+#: one int64 event row, as a single numpy item
+_ROW_ITEM = np.dtype((np.void, 32))
+
+
+class AllRanksComm(CommBase):
+    """Event recorder for every rank of an SPMD script at once.
+
+    Its methods are :class:`SimComm`'s.  Each argument is a scalar (the
+    same for every rank) or an array with one value per rank; a peer of
+    -1 or an iteration count <= 0 records nothing for that rank.  Each
+    call records at most one row per rank, and :meth:`job` lays them out
+    rank-major, so rank ``r``'s rows are its calls in call order, as
+    :func:`run_job` would record them.
+
+    Parameters
+    ----------
+    size:
+        The communicator size.
+    """
+
+    def __init__(self, size: int):
+        if size <= 0:
+            raise ValueError(f"communicator size must be positive, got {size}")
+        self.size = size
+        #: every rank, as the array the per-rank arguments line up with
+        self.rank = np.arange(size, dtype=np.int64)
+        #: one ``(kind, arg, size, tag, keep)`` per call; ``keep`` is a
+        #: per-rank mask, or None when every rank records the call
+        self._calls: list = []
+
+    def _column(self, value: Ints) -> np.ndarray:
+        column = np.asarray(value)
+        if column.dtype.kind not in "iu" or column.shape not in ((), (self.size,)):
+            raise ValueError(
+                f"expected an integer or {self.size} per-rank integers, "
+                f"got {column.dtype} of shape {column.shape}"
+            )
+        return column
+
+    def _record(self, kind: int, arg: Ints, size: Ints, tag: Ints, keep=None) -> None:
+        self._calls.append((kind, arg, self._column(size), self._column(tag), keep))
+
+    # -- computation phases ---------------------------------------------
+
+    def compute(self, block_id: int, iterations: Ints) -> None:
+        """Record ``iterations`` executions of ``block_id`` on each rank."""
+        iterations = self._column(iterations)
+        keep = np.broadcast_to(iterations > 0, (self.size,))
+        if keep.any():
+            self._record(COMPUTE, block_id, iterations, 0, None if keep.all() else keep)
+
+    # -- point-to-point ---------------------------------------------------
+
+    def _p2p(self, kind: int, peer: Ints, nbytes: Ints, tag: Ints) -> None:
+        peer = np.broadcast_to(self._column(peer), (self.size,))
+        bad = np.flatnonzero((peer < -1) | (peer >= self.size) | (peer == self.rank))
+        if bad.size:
+            rank = int(bad[0])
+            raise ValueError(
+                f"rank {rank}: {peer_error(kind, int(peer[rank]), rank, self.size)}"
+            )
+        keep = peer >= 0
+        if keep.any():
+            self._record(kind, peer, nbytes, tag, None if keep.all() else keep)
+
+    # -- assembly ---------------------------------------------------------
+
+    def job(self, app: str) -> Job:
+        """Every rank's recorded rows, as one job."""
+        counts = np.zeros(self.size, dtype=np.int64)
+        for *_, keep in self._calls:
+            counts += 1 if keep is None else keep
+        offsets = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        rows = np.empty((offsets[-1], 4), dtype=np.int64)
+        # each call writes its ranks' rows at their cursors, moving each
+        # row as one 32-byte item (numpy's fastest scatter)
+        items = rows.view(_ROW_ITEM).ravel()
+        cursor = offsets[:-1].copy()
+        call = np.empty((self.size, 4), dtype=np.int64)
+        for kind, arg, size, tag, keep in self._calls:
+            call[:, 0], call[:, 1], call[:, 2], call[:, 3] = kind, arg, size, tag
+            if keep is None:
+                items[cursor] = call.view(_ROW_ITEM).ravel()
+                cursor += 1
+            else:
+                items[cursor[keep]] = call.view(_ROW_ITEM).ravel()[keep]
+                cursor += keep
+        return Job.from_rows(app, self.size, rows, offsets)
 
 
 class JobVerificationError(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memstream.generator import StreamGenerator, interleave_streams
+from repro.memstream.generator import interleave_streams
 from repro.memstream.patterns import (
     BlockedPattern,
     ConstantPattern,
@@ -168,25 +168,6 @@ class TestRandomPattern:
         octant = (addrs * 8) // (1 << 16)
         counts = np.bincount(octant, minlength=8)
         assert counts.min() > 0.9 * counts.mean()
-
-
-class TestStreamGenerator:
-    def test_total_respected(self, rng):
-        gen = StreamGenerator(
-            pattern=StridedPattern(region_bytes=4096), total=1000, rng=rng, chunk=300
-        )
-        chunks = list(gen)
-        assert sum(len(c) for c in chunks) == 1000
-        assert len(chunks) == 4
-
-    def test_all_addresses_matches_pattern(self, rng):
-        p = StridedPattern(region_bytes=4096)
-        gen = StreamGenerator(pattern=p, total=700, rng=rng, chunk=128)
-        np.testing.assert_array_equal(gen.all_addresses(), p.addresses(0, 700, rng))
-
-    def test_zero_total(self, rng):
-        gen = StreamGenerator(pattern=StridedPattern(region_bytes=64), total=0, rng=rng)
-        assert gen.all_addresses().size == 0
 
 
 class TestInterleave:

@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.registry import get_app
 from repro.cache.configs import get_hierarchy
@@ -24,6 +25,7 @@ from repro.simmpi.comm import SimComm
 from repro.simmpi.events import CollectiveEvent, RecvEvent, SendEvent
 from repro.simmpi.profiler import _block_iteration_cost_ns, profile_job
 from repro.simmpi.runtime import (
+    AllRanksComm,
     Job,
     JobVerificationError,
     run_job,
@@ -122,6 +124,130 @@ def test_rank_checks_stay_at_the_call():
     with pytest.raises(ValueError, match="self-receives"):
         comm.recv(1, 8)
     assert list(comm.rows) == []
+
+
+@st.composite
+def spmd_calls(draw):
+    """A communicator size and calls with per-rank arguments: peers that
+    may be -1 (nothing recorded), iteration counts that may be <= 0
+    (nothing recorded), scalars mixed with arrays, and time loops that
+    pass the same arrays every step."""
+    n = draw(st.integers(1, 5))
+    per_rank = st.lists(st.integers(-3, 50), min_size=n, max_size=n).map(np.array)
+    value = st.one_of(st.integers(0, 50), per_rank.map(np.abs))
+
+    def peers():
+        # any rank or -1 (no peer); a rank's own number stands for -1 too
+        ranks = st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)
+        return ranks.map(lambda p: np.array([-1 if q == r else q for r, q in enumerate(p)]))
+
+    def call():
+        kind = draw(st.sampled_from(["compute", "send", "recv", "allreduce", "barrier"]))
+        if kind == "compute":
+            return kind, (draw(st.integers(0, 3)), draw(st.one_of(st.integers(-2, 9), per_rank)))
+        if kind in ("send", "recv"):
+            return kind, (draw(peers()), draw(value), draw(st.integers(0, 2)))
+        if kind == "allreduce":
+            return kind, (draw(st.integers(0, 64)),)
+        return kind, ()
+
+    body = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            body.append(call())
+        else:
+            body.append(("loop", (draw(st.integers(0, 3)), [call() for _ in range(3)])))
+    return n, body
+
+
+def _record_all(comm, body):
+    for kind, args in body:
+        if kind == "loop":
+            times, inner = args
+            for _ in range(times):
+                _record_all(comm, inner)
+        elif kind in ("send", "recv"):
+            peer, nbytes, tag = args
+            getattr(comm, kind)(peer, nbytes, tag=tag)
+        else:
+            getattr(comm, kind)(*args)
+
+
+def _record_one(comm, body):
+    """The same calls for one rank, through the scalar ``SimComm``."""
+    def pick(value):
+        return int(value[comm.rank]) if np.ndim(value) else value
+
+    for kind, args in body:
+        if kind == "loop":
+            times, inner = args
+            for _ in range(times):
+                _record_one(comm, inner)
+        elif kind in ("send", "recv"):
+            peer, nbytes, tag = (pick(a) for a in args)
+            if peer >= 0:
+                getattr(comm, kind)(peer, nbytes, tag=tag)
+        else:
+            getattr(comm, kind)(*(pick(a) for a in args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=spmd_calls())
+def test_all_ranks_recorder_matches_run_job(case):
+    n, body = case
+    comm = AllRanksComm(n)
+    _record_all(comm, body)
+    job = comm.job("hyp")
+    expected = run_job("hyp", n, lambda c: _record_one(c, body))
+    assert np.array_equal(job.rows, expected.rows)
+    assert np.array_equal(job.offsets, expected.offsets)
+    assert not job.rows.flags.writeable
+
+
+def test_all_ranks_recorder_drops_empty_work_and_absent_peers():
+    comm = AllRanksComm(3)
+    comm.compute(2, np.array([5, 0, -1]))
+    comm.compute(4, 0)
+    comm.send(np.array([1, -1, 0]), 8, tag=1)
+    comm.recv(np.array([-1, 0, -1]), np.array([0, 8, 0]), tag=1)
+    job = comm.job("t")
+    assert job.offsets.tolist() == [0, 2, 3, 4]
+    assert job.rows.tolist() == [
+        [0, 2, 5, 0], [1, 1, 8, 1], [2, 0, 8, 1], [1, 0, 8, 1],
+    ]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda comm: comm.send(np.array([1, 2, -2, 0]), 8), "rank 2: send dest -2 out of range"),
+    (lambda comm: comm.recv(np.array([1, 4, 5, 0]), 8),
+     r"rank 1: recv src 4 out of range \(size 4\)"),
+    (lambda comm: comm.send(np.array([1, 0, 2, 0]), 8), "rank 2: self-sends are not modeled"),
+    (lambda comm: comm.recv(3, 8), "rank 3: self-receives are not modeled"),
+    (lambda comm: comm.send(-5, 8), "rank 0: send dest -5 out of range"),
+])
+def test_all_ranks_recorder_names_the_first_bad_rank(call, message):
+    comm = AllRanksComm(4)
+    with pytest.raises(ValueError, match=message):
+        call(comm)
+    assert comm.job("t").n_events == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda comm: comm.compute(0, np.array([1.5, 2.0, 1.0, 1.0])),
+    lambda comm: comm.send(np.array([1, 2]), 8),
+    lambda comm: comm.allreduce(8.0),
+])
+def test_all_ranks_recorder_rejects_non_integer_or_misshaped_arguments(call):
+    comm = AllRanksComm(4)
+    with pytest.raises(ValueError, match="expected an integer or 4 per-rank integers"):
+        call(comm)
+
+
+def test_all_ranks_recorder_leaves_sizes_to_assembly():
+    comm = AllRanksComm(2)
+    comm.send(np.array([1, -1]), np.array([-4, -9]))
+    with pytest.raises(ValidationError, match="nbytes must be >= 0, got -4"):
+        comm.job("bad")
 
 
 def _per_event_times(job, program_for_rank):
