@@ -54,13 +54,8 @@ def _synthetic_training(n_blocks=120):
     shapes = rng.integers(0, 4, size=n_blocks)
     traces = []
     for n_ranks in (96, 384, 1536):
-        trace = TraceFile(
-            app="synt", rank=0, n_ranks=n_ranks, target="tgt", schema=schema
-        )
+        blocks = []
         for b in range(n_blocks):
-            block = BasicBlockRecord(
-                block_id=b, location=SourceLocation(function=f"f{b}")
-            )
             base = 1e7 * (1 + b % 7)
             if shapes[b] == 0:
                 count = base / n_ranks
@@ -70,27 +65,30 @@ def _synthetic_training(n_blocks=120):
                 count = base
             else:
                 count = base / np.sqrt(n_ranks)
-            block.instructions.append(
-                InstructionRecord(
-                    instr_id=0,
-                    kind="load",
-                    features=schema.vector_from_dict(
-                        {
-                            "exec_count": count,
-                            "mem_ops": 4 * count,
-                            "loads": 3 * count,
-                            "stores": count,
-                            "ref_bytes": 8.0,
-                            "working_set_bytes": 8 * base / n_ranks,
-                            "hit_rate_L1": 0.80 + 1e-5 * n_ranks * (b % 3),
-                            "hit_rate_L2": min(0.90 + 2e-5 * n_ranks, 1.0),
-                            "hit_rate_L3": 1.0,
-                        }
-                    ),
-                )
+            ins = InstructionRecord(
+                instr_id=0,
+                kind="load",
+                features=schema.vector_from_dict(
+                    {
+                        "exec_count": count,
+                        "mem_ops": 4 * count,
+                        "loads": 3 * count,
+                        "stores": count,
+                        "ref_bytes": 8.0,
+                        "working_set_bytes": 8 * base / n_ranks,
+                        "hit_rate_L1": 0.80 + 1e-5 * n_ranks * (b % 3),
+                        "hit_rate_L2": min(0.90 + 2e-5 * n_ranks, 1.0),
+                        "hit_rate_L3": 1.0,
+                    }
+                ),
             )
-            trace.add_block(block)
-        traces.append(trace)
+            blocks.append(
+                BasicBlockRecord(b, SourceLocation(function=f"f{b}"), [ins])
+            )
+        traces.append(TraceFile.from_blocks(
+            blocks, app="synt", rank=0, n_ranks=n_ranks, target="tgt",
+            schema=schema,
+        ))
     return traces
 
 
@@ -196,18 +194,12 @@ def test_multi_target_sweep_speedup(training_traces):
 
 def test_predict_many_matrix_throughput(training_traces):
     """The matrix-only sweep path (no TraceFile assembly) in targets/s."""
-    schema = training_traces[0].schema
-    template = training_traces[0]
-    series = {}
-    for bid in sorted(template.blocks):
-        for k in range(template.blocks[bid].n_instructions):
-            series[(bid, k)] = np.stack(
-                [
-                    t.blocks[bid].instructions[k].features
-                    for t in sorted(training_traces, key=lambda t: t.n_ranks)
-                ]
-            )
-    counts = sorted(t.n_ranks for t in training_traces)
+    traces = sorted(training_traces, key=lambda t: t.n_ranks)
+    schema = traces[0].schema
+    series = dict(zip(
+        traces[0].pair_keys(), np.stack([t.features for t in traces], axis=1)
+    ))
+    counts = [t.n_ranks for t in traces]
     report = fit_feature_series(schema, counts, series)
     t_eval, _ = _best_of(lambda: report.predict_many(SWEEP_TARGETS))
     merge_bench(

@@ -37,7 +37,7 @@ def hit_rate_evolution(app, machine, train_counts, targets):
     schema = traces[0].schema
     rows = {}  # (block, level) -> series over all counts
     for trace in traces:
-        for block in trace.sorted_blocks():
+        for block in trace.blocks.values():
             agg = block.aggregate(schema)
             for level in machine.hierarchy.level_names:
                 rows.setdefault(
@@ -45,7 +45,7 @@ def hit_rate_evolution(app, machine, train_counts, targets):
                 ).append(100 * agg[f"hit_rate_{level}"])
     for target in targets:
         extrap = extrapolate_trace(traces, target).trace
-        for block in extrap.sorted_blocks():
+        for block in extrap.blocks.values():
             agg = block.aggregate(schema)
             for level in machine.hierarchy.level_names:
                 rows[(block.location.function, level)].append(
@@ -77,13 +77,13 @@ def l1_whatif(app, counts):
         ]
         schema = traces[0].schema
         for function in [
-            b.location.function for b in traces[0].sorted_blocks()
+            b.location.function for b in traces[0].blocks.values()
         ]:
             series = []
             for trace in traces:
                 block = next(
                     b
-                    for b in trace.sorted_blocks()
+                    for b in trace.blocks.values()
                     if b.location.function == function
                 )
                 series.append(100 * block.aggregate(schema)["hit_rate_L1"])

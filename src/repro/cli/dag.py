@@ -144,7 +144,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
                    help="total sampled-access cap per trace")
     p.add_argument("--code-version", default=None, metavar="TOKEN",
                    help="code-version token in node keys (default: "
-                        "current git SHA)")
+                        "SHA-256 of the repro package's sources)")
     p.add_argument("--dag-root", default=None, metavar="DIR",
                    help="artifact/state directory (default: "
                         "$REPRO_DAG_ROOT or ~/.cache/repro/dag)")

@@ -41,7 +41,7 @@ def _rank_feature_matrix(signature: ApplicationSignature) -> Tuple[np.ndarray, L
     for r in ranks:
         trace = signature.traces[r]
         vec: List[float] = []
-        for block in trace.sorted_blocks():
+        for block in trace.blocks.values():
             agg = block.aggregate(trace.schema)
             vec.extend(agg[f] for f in trace.schema.fields)
         rows.append(vec)

@@ -100,11 +100,12 @@ def cross_validate_traces(
     x = np.array([t.n_ranks for t in kept], dtype=np.float64)
     report = CrossValidationReport(core_counts=[t.n_ranks for t in traces])
     schema = held_out.schema
-    for bid in sorted(held_out.blocks):
-        for k in range(held_out.blocks[bid].n_instructions):
-            truth_vec = held_out.blocks[bid].instructions[k].features
+    kept_blocks = [t.blocks for t in kept]
+    for bid, block in held_out.blocks.items():
+        for k, truth in enumerate(block.instructions):
+            truth_vec = truth.features
             series = np.stack(
-                [t.blocks[bid].instructions[k].features for t in kept]
+                [blocks[bid].instructions[k].features for blocks in kept_blocks]
             )
             for j, feature in enumerate(schema.fields):
                 # mirror the production extrapolation path: bounds-aware

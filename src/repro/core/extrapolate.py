@@ -33,7 +33,7 @@ exposes the multi-target sweep: one fit, many cheap target evaluations
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.core.fitting import (
     fit_feature_series,
 )
 from repro.obs.trace import span
-from repro.trace.records import BasicBlockRecord, InstructionRecord
 from repro.trace.tracefile import TraceFile
 from repro.util.errors import FitError
 
@@ -93,44 +92,15 @@ def _check_consistent(traces: Sequence[TraceFile]) -> None:
                 f"{other.target!r}",
                 stage="fit",
             )
-        if sorted(other.blocks) != sorted(first.blocks):
+        if list(other.locations) != list(first.locations):
             raise FitError("traces have differing basic-block sets", stage="fit")
-        for bid in first.blocks:
-            if other.blocks[bid].n_instructions != first.blocks[bid].n_instructions:
+        for column in ("block_ids", "instr_ids", "kinds"):
+            if not np.array_equal(getattr(other, column), getattr(first, column)):
                 raise FitError(
-                    f"block {bid} has differing instruction counts across traces",
+                    f"traces at {first.n_ranks} and {other.n_ranks} cores have "
+                    f"differing {column} columns",
                     stage="fit",
                 )
-
-
-def _build_trace(
-    template: TraceFile,
-    target_n_ranks: int,
-    rank: int,
-    vectors: Dict[Tuple[int, int], np.ndarray],
-) -> TraceFile:
-    """Assemble a synthetic trace from per-(block, instr) feature rows."""
-    out = TraceFile(
-        app=template.app,
-        rank=rank,
-        n_ranks=target_n_ranks,
-        target=template.target,
-        schema=template.schema,
-        extrapolated=True,
-    )
-    for bid in sorted(template.blocks):
-        src = template.blocks[bid]
-        block = BasicBlockRecord(block_id=bid, location=src.location)
-        for k, template_ins in enumerate(src.instructions):
-            block.instructions.append(
-                InstructionRecord(
-                    instr_id=template_ins.instr_id,
-                    kind=template_ins.kind,
-                    features=vectors[(bid, k)],
-                )
-            )
-        out.add_block(block)
-    return out
 
 
 def synthesize_from_prediction(
@@ -150,12 +120,14 @@ def synthesize_from_prediction(
     the path serving-time runtime queries take, where the fit is
     answered from the model registry instead of recomputed.
     """
-    t = prediction.targets.index(target)
-    vectors = {
-        pair: prediction.values[t, p].copy()
-        for p, pair in enumerate(prediction.pair_keys)
-    }
-    return _build_trace(template, target, rank, vectors)
+    if list(prediction.pair_keys) != template.pair_keys():
+        raise ValueError("prediction and template address different instructions")
+    return template.with_features(
+        prediction.matrix_for(target).copy(),
+        rank=rank,
+        n_ranks=target,
+        extrapolated=True,
+    )
 
 
 def synthesize_element_vector(
@@ -206,21 +178,21 @@ def _synthesize_reference(
     template: TraceFile,
     target_n_ranks: int,
     rate_trust_factor: float,
-) -> Dict[Tuple[int, int], np.ndarray]:
+) -> np.ndarray:
     """Per-element scalar synthesis (the reference the batched engine
     must agree with): select, clamp, trust-region cap, re-clamp,
-    monotonize, re-clamp."""
+    monotonize, re-clamp.  Rows in the template's pair order."""
     schema = template.schema
-    vectors: Dict[Tuple[int, int], np.ndarray] = {}
-    for bid in sorted(template.blocks):
-        for k in range(template.blocks[bid].n_instructions):
-            fits = [
-                report.fit_for(bid, k, feature) for feature in schema.fields
-            ]
-            vectors[(bid, k)] = synthesize_element_vector(
-                fits, schema, target_n_ranks, rate_trust_factor
-            )
-    return vectors
+    rows = [
+        synthesize_element_vector(
+            [report.fit_for(bid, k, feature) for feature in schema.fields],
+            schema,
+            target_n_ranks,
+            rate_trust_factor,
+        )
+        for bid, k in template.pair_keys()
+    ]
+    return np.array(rows).reshape(len(rows), schema.n_features)
 
 
 def fit_traces(
@@ -253,13 +225,10 @@ def fit_traces(
     schema = traces[0].schema
     template = traces[0]
 
-    # assemble per-(block, instr) series across core counts
-    series: Dict[Tuple[int, int], np.ndarray] = {}
-    for bid in sorted(template.blocks):
-        n_instr = template.blocks[bid].n_instructions
-        for k in range(n_instr):
-            rows = [t.blocks[bid].instructions[k].features for t in traces]
-            series[(bid, k)] = np.stack(rows)
+    # per-(block, instr) series across core counts: (n_counts, n_features)
+    series = dict(
+        zip(template.pair_keys(), np.stack([t.features for t in traces], axis=1))
+    )
 
     report = fit_feature_series(schema, counts, series, forms, engine=engine)
     return report, template
@@ -320,28 +289,21 @@ def extrapolate_trace_many(
             sweep = report.predict_many(
                 targets, rate_trust_factor=rate_trust_factor
             )
-            for ti, target in enumerate(targets):
-                vectors = {
-                    pair: sweep.values[ti, p].copy()
-                    for p, pair in enumerate(sweep.pair_keys)
-                }
-                trace = _build_trace(template, target, rank, vectors)
-                results.append(
-                    ExtrapolationResult(
-                        trace=trace, report=report, target_n_ranks=target
-                    )
-                )
+            matrices = [values.copy() for values in sweep.values]
         else:
-            for target in targets:
-                vectors = _synthesize_reference(
-                    report, template, target, rate_trust_factor
+            matrices = [
+                _synthesize_reference(report, template, target, rate_trust_factor)
+                for target in targets
+            ]
+        for target, features in zip(targets, matrices):
+            trace = template.with_features(
+                features, rank=rank, n_ranks=target, extrapolated=True
+            )
+            results.append(
+                ExtrapolationResult(
+                    trace=trace, report=report, target_n_ranks=target
                 )
-                trace = _build_trace(template, target, rank, vectors)
-                results.append(
-                    ExtrapolationResult(
-                        trace=trace, report=report, target_n_ranks=target
-                    )
-                )
+            )
     return ExtrapolationSweep(results=results, report=report, targets=targets)
 
 

@@ -54,7 +54,7 @@ def influential_instructions(
     total_mem = trace.total_memory_ops()
     total_fp = trace.total_fp_ops()
     report = InfluenceReport(threshold=threshold)
-    for block in trace.sorted_blocks():
+    for block in trace.blocks.values():
         for ins in block.instructions:
             report.total_instructions += 1
             mem_ops = float(ins.features[mem_idx])

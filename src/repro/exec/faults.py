@@ -286,15 +286,15 @@ def poison_trace(trace, key: str, attempt: int = 1):
     for spec in plan.specs:
         if spec.kind != "poison-trace" or not spec.matches(key, attempt):
             continue
-        blocks = trace.sorted_blocks()
+        blocks = list(trace.blocks.values())
         if not blocks:
             continue
         block = blocks[spec.block_index % len(blocks)]
         if not block.instructions:
             continue
-        ins = block.instructions[spec.instr_index % len(block.instructions)]
+        row = trace.row(block.block_id, spec.instr_index % block.n_instructions)
         value = float("nan") if spec.value is None else spec.value
-        ins.features[trace.schema.index(spec.feature)] = value
+        trace.features[row, trace.schema.index(spec.feature)] = value
     return trace
 
 

@@ -38,8 +38,9 @@ from repro.util.rng import DEFAULT_ROOT_SEED
 from repro.util.store import QUARANTINE_DIR, Store
 
 #: bump when collection output semantics change; invalidates all entries
-#: (2: digest-framed entry format; 3: the shared store's frame)
-SCHEMA_VERSION = 3
+#: (2: digest-framed entry format; 3: the shared store's frame; 4: traces
+#: pickle their columns instead of per-instruction records)
+SCHEMA_VERSION = 4
 
 #: environment override for the cache directory
 ENV_CACHE_ROOT = "REPRO_SIGNATURE_CACHE"

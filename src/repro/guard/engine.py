@@ -36,7 +36,6 @@ never modify anything.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -99,11 +98,9 @@ def _refuse(
 
 
 def _substitute_trace(src: TraceFile, target: int, rank: int) -> TraceFile:
-    out = copy.deepcopy(src)
-    out.n_ranks = target
-    out.rank = rank
-    out.extrapolated = True
-    return out
+    return src.with_features(
+        src.features.copy(), n_ranks=target, rank=rank, extrapolated=True
+    )
 
 
 def _substitute_sweep(
@@ -257,15 +254,19 @@ def guarded_extrapolate_many(
             report,
         )
 
-    # sanitize: deep-copy only affected traces, replace each invalid
-    # entry with the nearest valid one; remember the hold value (the
-    # valid entry at the largest count) for the output override
+    # sanitize: copy the matrix of only affected traces, replace each
+    # invalid entry with the nearest valid one; remember the hold value
+    # (the valid entry at the largest count) for the output override
     copies: Dict[int, TraceFile] = {}
 
     def writable(i: int) -> TraceFile:
         if i not in copies:
-            copies[i] = copy.deepcopy(usable[i])
+            copies[i] = usable[i].with_features(usable[i].features.copy())
         return copies[i]
+
+    def value_at(t: TraceFile, key: ElementKey) -> float:
+        bid, k, feature = key
+        return float(t.features[t.row(bid, k), schema.index(feature)])
 
     held: Dict[ElementKey, Tuple[float, str]] = {}
     for key, bad in sorted(invalid.items()):
@@ -279,16 +280,14 @@ def guarded_extrapolate_many(
                 report,
             )
         bid, k, feature = key
-        j = schema.index(feature)
         for i in sorted(bad):
             src = usable[_nearest_valid(valid, i)]
-            writable(i).blocks[bid].instructions[k].features[j] = float(
-                src.blocks[bid].instructions[k].features[j]
+            out = writable(i)
+            out.features[out.row(bid, k), schema.index(feature)] = value_at(
+                src, key
             )
         lo, hi = schema.bounds(feature)
-        value = float(
-            usable[max(valid)].blocks[bid].instructions[k].features[j]
-        )
+        value = value_at(usable[max(valid)], key)
         held[key] = (float(np.clip(value, lo, hi)), "training-data violation")
     sanitized = [copies.get(i, t) for i, t in enumerate(usable)]
 
@@ -318,10 +317,7 @@ def guarded_extrapolate_many(
         if key in held:
             continue
         lo, hi = schema.bounds(v.feature)
-        j = schema.index(v.feature)
-        value = float(
-            sanitized[-1].blocks[v.block_id].instructions[v.instr_id].features[j]
-        )
+        value = value_at(sanitized[-1], key)
         held[key] = (float(np.clip(value, lo, hi)), "non-finite fit")
 
     # -- quality gates --------------------------------------------------
@@ -336,16 +332,9 @@ def guarded_extrapolate_many(
 
     if isinstance(sweep.report, BatchedFitReport):
         template = sanitized[0]
-        vectors = {
-            res.target_n_ranks: {
-                pair: res.trace.blocks[pair[0]].instructions[pair[1]].features
-                for pair in res.trace.pair_keys()
-            }
-            for res in sweep.results
-        }
         outcome = spot_check_gate(
             sweep.report,
-            vectors,
+            {res.target_n_ranks: res.trace.features for res in sweep.results},
             forms=forms,
             rate_trust_factor=rate_trust_factor,
             seed_tokens=(template.app, template.target),
@@ -373,7 +362,7 @@ def guarded_extrapolate_many(
             raise GuardError(disagreements)
         for (target, pair), ref in sorted(outcome.reference.items()):
             trace = sweep.result_for(target).trace
-            trace.blocks[pair[0]].instructions[pair[1]].features[:] = ref
+            trace.features[trace.row(*pair)] = ref
         for f in outcome.flags:
             report.degrade_element(
                 ElementDegradation(
@@ -391,7 +380,7 @@ def guarded_extrapolate_many(
         bid, k, feature = key
         j = schema.index(feature)
         for res in sweep.results:
-            vec = res.trace.blocks[bid].instructions[k].features
+            vec = res.trace.features[res.trace.row(bid, k)]
             vec[j] = value
             if schema.is_rate_field(feature):
                 vec[hr] = np.clip(np.maximum.accumulate(vec[hr]), 0.0, 1.0)

@@ -181,7 +181,7 @@ class SpotCheckOutcome:
 
 def spot_check_gate(
     report: BatchedFitReport,
-    synthesized: Dict[int, Dict[Tuple[int, int], np.ndarray]],
+    synthesized: Dict[int, np.ndarray],
     *,
     forms: Sequence[CanonicalForm],
     rate_trust_factor: float,
@@ -190,9 +190,9 @@ def spot_check_gate(
     """Compare batched-engine output with a reference refit of a sample.
 
     ``synthesized`` maps each target count to the batched engine's
-    per-pair feature vectors.  The pair sample is drawn from the keyed
-    stream ``("guard", "spotcheck", *seed_tokens)``, so identical runs
-    check identical pairs.
+    feature matrix, one row per entry of ``report.pair_keys``.  The pair
+    sample is drawn from the keyed stream ``("guard", "spotcheck",
+    *seed_tokens)``, so identical runs check identical pairs.
     """
     outcome = SpotCheckOutcome()
     n_pairs = len(report.pair_keys)
@@ -225,11 +225,11 @@ def spot_check_gate(
                     train_y=y.copy(),
                 )
             )
-        for target, vectors in synthesized.items():
+        for target, matrix in synthesized.items():
             ref = synthesize_element_vector(
                 fits, schema, target, rate_trust_factor
             )
-            actual = vectors[(bid, k)]
+            actual = matrix[p]
             close = np.isclose(actual, ref, rtol=SPOT_CHECK_RTOL, atol=1e-12)
             if close.all():
                 continue

@@ -6,8 +6,8 @@ raises on bad *data* (only on caller programming errors), because the
 caller decides, per :class:`~repro.guard.config.GuardConfig` policy,
 whether to degrade or refuse.
 
-Checks are vectorized over the whole trace (one stacked feature matrix,
-a handful of array passes), so validating at every boundary costs far
+Checks are vectorized over the whole trace (its feature matrix, a
+handful of array passes), so validating at every boundary costs far
 less than the stage work it protects.
 
 Physical invariants checked on traces:
@@ -16,7 +16,7 @@ Physical invariants checked on traces:
 - count fields (``exec_count``, ``mem_ops``, ...) non-negative,
 - cumulative hit rates within [0, 1],
 - cumulative hit rates non-decreasing outward across cache levels,
-- per-instruction vector width matches the schema (structural),
+- feature-matrix width matches the schema (structural),
 - positive ``n_ranks`` (structural).
 
 Extrapolated traces additionally assert the synthesis postconditions
@@ -60,7 +60,7 @@ def _element_violations(
     for p, j in zip(*np.nonzero(mask)):
         bid, k = pair_keys[int(p)]
         feature = schema.fields[int(j)]
-        value = float(trace.blocks[bid].instructions[k].features[int(j)])
+        value = float(trace.features[p, j])
         out.append(
             GuardViolation(
                 artifact=artifact,
@@ -99,32 +99,23 @@ def validate_trace(
             )
         )
 
-    # structural: vector widths must match the schema before any
+    # structural: the matrix width must match the schema before any
     # physical check can address elements by column
-    structural = False
-    for block in trace.sorted_blocks():
-        for k, ins in enumerate(block.instructions):
-            width = np.asarray(ins.features).shape
-            if len(width) != 1 or width[0] != schema.n_features:
-                structural = True
-                violations.append(
-                    GuardViolation(
-                        artifact=artifact,
-                        boundary=boundary,
-                        check="schema",
-                        message=(
-                            f"feature vector has shape {width}, schema "
-                            f"expects ({schema.n_features},)"
-                        ),
-                        severity="fatal",
-                        block_id=block.block_id,
-                        instr_id=k,
-                    )
-                )
-    if structural:
+    matrix = trace.features
+    if matrix.ndim != 2 or matrix.shape[1] != schema.n_features:
+        violations.append(
+            GuardViolation(
+                artifact=artifact,
+                boundary=boundary,
+                check="schema",
+                message=(
+                    f"feature matrix has shape {matrix.shape}, schema "
+                    f"expects ({trace.n_instructions}, {schema.n_features})"
+                ),
+                severity="fatal",
+            )
+        )
         return violations
-
-    matrix = trace.stacked_features()
     if matrix.size == 0:
         return violations
 

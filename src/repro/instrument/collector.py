@@ -95,18 +95,11 @@ def collect_trace(
         ):
             report = engine.run(instrumented, rng)
     schema = FeatureSchema(hierarchy.level_names)
-    trace = TraceFile(
-        app=app,
-        rank=rank,
-        n_ranks=n_ranks,
-        target=hierarchy.name,
-        schema=schema,
-    )
+    records = []
     for block in program.blocks:
         obs = report.observation(block.block_id)
-        record = BasicBlockRecord(block_id=block.block_id, location=block.location)
+        instructions = []
         hit_rates = obs.cumulative_hit_rates() if obs.accesses.size else None
-        instr_id = 0
         for i, mem in enumerate(block.mem_instructions):
             full_count = float(block.exec_count * mem.per_iteration)
             values = {
@@ -123,10 +116,9 @@ def collect_trace(
             vec = schema.vector_from_dict(values)
             if hit_rates is not None and obs.accesses[i] > 0:
                 vec[schema.hit_rate_slice] = hit_rates[i]
-            record.instructions.append(
-                InstructionRecord(instr_id=instr_id, kind=mem.kind, features=vec)
+            instructions.append(
+                InstructionRecord(instr_id=len(instructions), kind=mem.kind, features=vec)
             )
-            instr_id += 1
         for fp in block.fp_instructions:
             values = {
                 "exec_count": float(block.exec_count),
@@ -136,9 +128,17 @@ def collect_trace(
             for kind, per_iter in fp.op_counts.items():
                 values[kind] = per_iter * block.exec_count
             vec = schema.vector_from_dict(values)
-            record.instructions.append(
-                InstructionRecord(instr_id=instr_id, kind="fp", features=vec)
+            instructions.append(
+                InstructionRecord(instr_id=len(instructions), kind="fp", features=vec)
             )
-            instr_id += 1
-        trace.add_block(record)
-    return trace
+        records.append(
+            BasicBlockRecord(block.block_id, block.location, instructions)
+        )
+    return TraceFile.from_blocks(
+        records,
+        app=app,
+        rank=rank,
+        n_ranks=n_ranks,
+        target=hierarchy.name,
+        schema=schema,
+    )

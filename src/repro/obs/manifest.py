@@ -16,6 +16,7 @@ reproducibility contract the manifest exists to check.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import platform
 import subprocess
@@ -67,9 +68,20 @@ def git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
+@functools.lru_cache(maxsize=None)
 def default_code_version() -> str:
-    """The code-version token content-addressed specs default to."""
-    return git_sha() or "unversioned"
+    """The code-version token content-addressed specs and stores default
+    to: a SHA-256 over the ``repro`` package's ``*.py`` files (sorted
+    relative path, then size and bytes).  Identical sources give one
+    token whatever the checkout or commit; any edit gives another.
+    Computed once per process."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
 
 
 def _describe_output(value: Union[str, Path, bytes]) -> dict:

@@ -6,8 +6,8 @@ touching the training pipeline again: the batched fit matrices
 :class:`~repro.core.fitting.BatchedFitReport`) plus the synthesis
 template trace.  Models are keyed by a SHA-256 **content digest** of
 their identity — application, machine, training core counts, cache
-engine, canonical-form set, and the code version that fitted them (the
-same ``git_sha`` the run manifest records) — so a registry can never
+engine, canonical-form set, and the code version that fitted them (a
+digest of the package's sources) — so a registry can never
 serve a stale fit for changed inputs: a different identity is a
 different digest is a different entry.
 
@@ -57,8 +57,9 @@ class ModelSpec:
 
     ``train_counts`` are canonicalized (sorted, deduplicated) so the
     digest is insensitive to argument order.  ``code_version`` defaults
-    to the current checkout's ``git_sha`` — pass it explicitly to query
-    for a model fitted by an older build.
+    to :func:`~repro.obs.manifest.default_code_version`, the digest of
+    the package's sources — pass it explicitly to query for a model
+    fitted by an older build.
     """
 
     app: str

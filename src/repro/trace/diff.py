@@ -87,12 +87,13 @@ def compare_traces(
     wanted_fields = fields or list(schema.fields)
     field_idx = [(f, schema.index(f)) for f in wanted_fields]
     diff = TraceDiff(reference=reference, candidate=candidate)
-    blocks = block_ids if block_ids is not None else sorted(reference.blocks)
+    ref_blocks, cand_blocks = reference.blocks, candidate.blocks
+    blocks = block_ids if block_ids is not None else sorted(ref_blocks)
     for bid in blocks:
-        if bid not in candidate.blocks:
+        if bid not in cand_blocks:
             raise KeyError(f"candidate trace missing block {bid}")
-        ref_block = reference.blocks[bid]
-        cand_block = candidate.blocks[bid]
+        ref_block = ref_blocks[bid]
+        cand_block = cand_blocks[bid]
         if ref_block.n_instructions != cand_block.n_instructions:
             raise ValueError(
                 f"block {bid}: instruction count mismatch "

@@ -3,13 +3,16 @@
 The paper's trace file contains, per basic block: source location, fp op
 counts and types, memory reference counts/kinds/sizes, expected target
 cache hit rates, and (for extrapolation) per-instruction detail.  These
-records mirror that structure.
+records mirror that structure.  A :class:`~repro.trace.tracefile.TraceFile`
+keeps their contents as columns: it packs records with
+:meth:`~repro.trace.tracefile.TraceFile.from_blocks` and hands them back
+from :attr:`~repro.trace.tracefile.TraceFile.blocks` as read-only views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -29,7 +32,7 @@ class SourceLocation:
         return f"{self.function} @ {self.file}:{self.line}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstructionRecord:
     """One static instruction's measured behavior at one core count.
 
@@ -40,7 +43,8 @@ class InstructionRecord:
     kind:
         Coarse class: ``"load"``, ``"store"`` or ``"fp"``.
     features:
-        Feature vector following the trace file's schema.
+        Feature vector following the trace file's schema; in a view, a
+        read-only row of the trace's feature matrix.
     """
 
     instr_id: int
@@ -51,13 +55,16 @@ class InstructionRecord:
         return float(self.features[schema.index(name)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasicBlockRecord:
     """One basic block's records: location + per-instruction features."""
 
     block_id: int
     location: SourceLocation
-    instructions: List[InstructionRecord] = field(default_factory=list)
+    instructions: Sequence[InstructionRecord] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "instructions", tuple(self.instructions))
 
     @property
     def n_instructions(self) -> int:

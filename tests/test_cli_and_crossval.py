@@ -12,29 +12,25 @@ SCHEMA = FeatureSchema(["L1", "L2", "L3"])
 
 
 def synth_trace(n_ranks, noise=0.0):
-    trace = TraceFile(
-        app="cv", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA
+    ins = InstructionRecord(
+        instr_id=0,
+        kind="load",
+        features=SCHEMA.vector_from_dict(
+            {
+                "exec_count": 1e8 / n_ranks,
+                "mem_ops": 5e8 / n_ranks,
+                "loads": 5e8 / n_ranks,
+                "ref_bytes": 8.0,
+                "hit_rate_L1": 0.9,
+                "hit_rate_L2": min(0.9 + 1e-5 * n_ranks + noise, 1.0),
+                "hit_rate_L3": 1.0,
+            }
+        ),
     )
-    block = BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
-    block.instructions.append(
-        InstructionRecord(
-            instr_id=0,
-            kind="load",
-            features=SCHEMA.vector_from_dict(
-                {
-                    "exec_count": 1e8 / n_ranks,
-                    "mem_ops": 5e8 / n_ranks,
-                    "loads": 5e8 / n_ranks,
-                    "ref_bytes": 8.0,
-                    "hit_rate_L1": 0.9,
-                    "hit_rate_L2": min(0.9 + 1e-5 * n_ranks + noise, 1.0),
-                    "hit_rate_L3": 1.0,
-                }
-            ),
-        )
+    block = BasicBlockRecord(0, SourceLocation(function="f"), [ins])
+    return TraceFile.from_blocks(
+        [block], app="cv", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA
     )
-    trace.add_block(block)
-    return trace
 
 
 class TestCrossValidation:

@@ -22,29 +22,26 @@ def make_signature(n_ranks, heavy_ranks, base=1e7):
     sig = ApplicationSignature(app="clu", n_ranks=n_ranks, target="tgt")
     for r in range(n_ranks):
         scale = 4.0 if r in heavy_ranks else 1.0
-        trace = TraceFile(
-            app="clu", rank=r, n_ranks=n_ranks, target="tgt", schema=SCHEMA
-        )
-        block = BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
         work = scale * base / n_ranks
-        block.instructions.append(
-            InstructionRecord(
-                instr_id=0,
-                kind="load",
-                features=SCHEMA.vector_from_dict(
-                    {
-                        "exec_count": work,
-                        "mem_ops": 4 * work,
-                        "loads": 4 * work,
-                        "ref_bytes": 8.0,
-                        "hit_rate_L1": 0.9,
-                        "hit_rate_L2": 1.0,
-                    }
-                ),
-            )
+        ins = InstructionRecord(
+            instr_id=0,
+            kind="load",
+            features=SCHEMA.vector_from_dict(
+                {
+                    "exec_count": work,
+                    "mem_ops": 4 * work,
+                    "loads": 4 * work,
+                    "ref_bytes": 8.0,
+                    "hit_rate_L1": 0.9,
+                    "hit_rate_L2": 1.0,
+                }
+            ),
         )
-        trace.add_block(block)
-        sig.add_trace(trace)
+        block = BasicBlockRecord(0, SourceLocation(function="f"), [ins])
+        sig.add_trace(TraceFile.from_blocks(
+            [block], app="clu", rank=r, n_ranks=n_ranks, target="tgt",
+            schema=SCHEMA,
+        ))
     return sig
 
 

@@ -1,66 +1,75 @@
 """Unit tests: per-element fitting, influence filtering, trace extrapolation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.canonical import EXTENDED_FORMS, PAPER_FORMS
 from repro.core.errors import abs_rel_error, percent, signed_rel_error
-from repro.core.extrapolate import extrapolate_trace, extrapolate_trace_many
+from repro.core.extrapolate import (
+    extrapolate_trace,
+    extrapolate_trace_many,
+    fit_traces,
+    synthesize_from_prediction,
+)
 from repro.core.fitting import fit_feature_series
 from repro.core.influence import influential_instructions
 from repro.trace.features import FeatureSchema
 from repro.trace.records import BasicBlockRecord, InstructionRecord, SourceLocation
 from repro.trace.tracefile import TraceFile
+from repro.util.errors import FitError
 
 SCHEMA = FeatureSchema(["L1", "L2"])
 
 
-def synthetic_trace(n_ranks, *, base=1e9, hit_slope=2e-5):
-    """A trace whose features follow known scaling laws."""
-    trace = TraceFile(
-        app="synt", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA
-    )
-    block = BasicBlockRecord(block_id=0, location=SourceLocation(function="hot"))
+def synthetic_trace(n_ranks, *, base=1e9, hit_slope=2e-5, kind="load",
+                    extra=(), blocks=(0, 1)):
+    """A trace whose features follow known scaling laws.
+
+    ``kind`` is the hot load's kind, ``extra`` instructions follow it in
+    block 0, and ``blocks`` picks which of the two blocks to keep.
+    """
     exec_count = base / n_ranks  # strong scaling
-    block.instructions.append(
-        InstructionRecord(
-            instr_id=0,
-            kind="load",
-            features=SCHEMA.vector_from_dict(
-                {
-                    "exec_count": exec_count,
-                    "mem_ops": 5 * exec_count,
-                    "loads": 5 * exec_count,
-                    "ref_bytes": 8.0,
-                    "working_set_bytes": 8 * base / n_ranks,
-                    "hit_rate_L1": 0.875,  # constant
-                    "hit_rate_L2": min(0.875 + hit_slope * n_ranks, 1.0),
-                }
-            ),
-        )
+    hot = InstructionRecord(
+        instr_id=0,
+        kind=kind,
+        features=SCHEMA.vector_from_dict(
+            {
+                "exec_count": exec_count,
+                "mem_ops": 5 * exec_count,
+                "loads": 5 * exec_count,
+                "ref_bytes": 8.0,
+                "working_set_bytes": 8 * base / n_ranks,
+                "hit_rate_L1": 0.875,  # constant
+                "hit_rate_L2": min(0.875 + hit_slope * n_ranks, 1.0),
+            }
+        ),
     )
     # a log-growing block (reduction stages)
-    block2 = BasicBlockRecord(block_id=1, location=SourceLocation(function="reduce"))
-    block2.instructions.append(
-        InstructionRecord(
-            instr_id=0,
-            kind="load",
-            features=SCHEMA.vector_from_dict(
-                {
-                    "exec_count": 1000 * np.log2(n_ranks),
-                    "mem_ops": 2000 * np.log2(n_ranks),
-                    "loads": 2000 * np.log2(n_ranks),
-                    "ref_bytes": 8.0,
-                    "working_set_bytes": 32768.0,
-                    "hit_rate_L1": 0.99,
-                    "hit_rate_L2": 1.0,
-                }
-            ),
-        )
+    reduce = InstructionRecord(
+        instr_id=0,
+        kind="load",
+        features=SCHEMA.vector_from_dict(
+            {
+                "exec_count": 1000 * np.log2(n_ranks),
+                "mem_ops": 2000 * np.log2(n_ranks),
+                "loads": 2000 * np.log2(n_ranks),
+                "ref_bytes": 8.0,
+                "working_set_bytes": 32768.0,
+                "hit_rate_L1": 0.99,
+                "hit_rate_L2": 1.0,
+            }
+        ),
     )
-    trace.add_block(block)
-    trace.add_block(block2)
-    return trace
+    records = [
+        BasicBlockRecord(0, SourceLocation(function="hot"), [hot, *extra]),
+        BasicBlockRecord(1, SourceLocation(function="reduce"), [reduce]),
+    ]
+    return TraceFile.from_blocks(
+        [b for b in records if b.block_id in blocks],
+        app="synt", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA,
+    )
 
 
 TRAIN = [synthetic_trace(p) for p in (1024, 2048, 4096)]
@@ -163,9 +172,20 @@ class TestExtrapolateTrace:
             extrapolate_trace([TRAIN[0], synthetic_trace(1024)], 8192)
 
     def test_inconsistent_structure_rejected(self):
-        other = synthetic_trace(2048)
-        del other.blocks[1]
+        other = synthetic_trace(2048, blocks=(0,))
         with pytest.raises(ValueError):
+            extrapolate_trace([TRAIN[0], other, TRAIN[2]], 8192)
+
+    def test_mixed_instruction_kinds_rejected(self):
+        """A load at one count and a store at another is not one series."""
+        other = synthetic_trace(2048, kind="store")
+        with pytest.raises(FitError, match="kinds"):
+            extrapolate_trace([TRAIN[0], other, TRAIN[2]], 8192)
+
+    def test_mixed_instruction_ids_rejected(self):
+        other = synthetic_trace(2048)
+        other = dataclasses.replace(other, instr_ids=other.instr_ids + 1)
+        with pytest.raises(FitError, match="instr_ids"):
             extrapolate_trace([TRAIN[0], other, TRAIN[2]], 8192)
 
     def test_mismatched_apps_rejected(self):
@@ -199,12 +219,10 @@ class TestExtrapolateTrace:
         train = []
         for p in (1024, 2048, 4096):
             t = synthetic_trace(p)
-            for block in t.blocks.values():
-                for ins in block.instructions:
-                    # constant saturating series just above the bound:
-                    # spread = 0, so the trust region degenerates to
-                    # {1.05}, above the [0, 1] range
-                    ins.features[SCHEMA.index("hit_rate_L1")] = 1.05
+            # constant saturating series just above the bound: spread =
+            # 0, so the trust region degenerates to {1.05}, above the
+            # [0, 1] range
+            t.features[:, SCHEMA.index("hit_rate_L1")] = 1.05
             train.append(t)
         res = extrapolate_trace(train, 8192, engine=engine)
         for block in res.trace.blocks.values():
@@ -246,6 +264,17 @@ class TestExtrapolateTraceMany:
                 ):
                     assert np.array_equal(a.features, b.features)
 
+    def test_synthesis_from_a_prediction_checks_its_template(self):
+        report, template = fit_traces(TRAIN)
+        prediction = report.predict_many([8192])
+        trace = synthesize_from_prediction(template, prediction, 8192)
+        np.testing.assert_array_equal(
+            trace.features, extrapolate_trace(TRAIN, 8192).trace.features
+        )
+        other = synthetic_trace(1024, blocks=(0,))
+        with pytest.raises(ValueError, match="different instructions"):
+            synthesize_from_prediction(other, prediction, 8192)
+
     def test_one_report_shared(self):
         sweep = extrapolate_trace_many(TRAIN, [8192, 16384])
         assert all(r.report is sweep.report for r in sweep.results)
@@ -266,9 +295,8 @@ class TestExtrapolateTraceMany:
 
 class TestInfluence:
     def test_threshold_filters_tiny_instructions(self):
-        trace = synthetic_trace(1024)
-        # add a negligible instruction to block 0
-        trace.blocks[0].instructions.append(
+        # a negligible instruction in block 0
+        trace = synthetic_trace(1024, extra=[
             InstructionRecord(
                 instr_id=1,
                 kind="load",
@@ -276,7 +304,7 @@ class TestInfluence:
                     {"exec_count": 1.0, "mem_ops": 1.0, "loads": 1.0}
                 ),
             )
-        )
+        ])
         report = influential_instructions(trace, threshold=0.001)
         assert (0, 0) in report.influential_set()
         assert (0, 1) not in report.influential_set()
@@ -284,8 +312,7 @@ class TestInfluence:
         assert 0 < report.coverage() < 1
 
     def test_fp_only_instruction_judged_by_fp_share(self):
-        trace = synthetic_trace(1024)
-        trace.blocks[0].instructions.append(
+        trace = synthetic_trace(1024, extra=[
             InstructionRecord(
                 instr_id=1,
                 kind="fp",
@@ -293,7 +320,7 @@ class TestInfluence:
                     {"exec_count": 100.0, "fp_fma": 1e9}
                 ),
             )
-        )
+        ])
         report = influential_instructions(trace)
         assert (0, 1) in report.influential_set()
 

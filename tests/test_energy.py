@@ -16,42 +16,35 @@ from repro.trace.tracefile import TraceFile
 def two_block_trace(machine):
     """Block 0: memory-bound streaming; block 1: compute-bound FMA."""
     schema = FeatureSchema(machine.hierarchy.level_names)
-    trace = TraceFile(
-        app="e", rank=0, n_ranks=4, target=machine.hierarchy.name, schema=schema
+    stream = InstructionRecord(
+        instr_id=0,
+        kind="load",
+        features=schema.vector_from_dict(
+            {
+                "exec_count": 1e6,
+                "mem_ops": 8e6,
+                "loads": 8e6,
+                "ref_bytes": 8.0,
+                "hit_rate_L1": 0.2,
+                "hit_rate_L2": 0.4,
+                "hit_rate_L3": 0.6,
+            }
+        ),
     )
-    mem_block = BasicBlockRecord(
-        block_id=0, location=SourceLocation(function="stream")
+    fma = InstructionRecord(
+        instr_id=0,
+        kind="fp",
+        features=schema.vector_from_dict(
+            {"exec_count": 1e6, "fp_fma": 5e7, "ilp": 1.0}
+        ),
     )
-    mem_block.instructions.append(
-        InstructionRecord(
-            instr_id=0,
-            kind="load",
-            features=schema.vector_from_dict(
-                {
-                    "exec_count": 1e6,
-                    "mem_ops": 8e6,
-                    "loads": 8e6,
-                    "ref_bytes": 8.0,
-                    "hit_rate_L1": 0.2,
-                    "hit_rate_L2": 0.4,
-                    "hit_rate_L3": 0.6,
-                }
-            ),
-        )
+    return TraceFile.from_blocks(
+        [
+            BasicBlockRecord(0, SourceLocation(function="stream"), [stream]),
+            BasicBlockRecord(1, SourceLocation(function="fma"), [fma]),
+        ],
+        app="e", rank=0, n_ranks=4, target=machine.hierarchy.name, schema=schema,
     )
-    fp_block = BasicBlockRecord(block_id=1, location=SourceLocation(function="fma"))
-    fp_block.instructions.append(
-        InstructionRecord(
-            instr_id=0,
-            kind="fp",
-            features=schema.vector_from_dict(
-                {"exec_count": 1e6, "fp_fma": 5e7, "ilp": 1.0}
-            ),
-        )
-    )
-    trace.add_block(mem_block)
-    trace.add_block(fp_block)
-    return trace
 
 
 @pytest.fixture(scope="module")

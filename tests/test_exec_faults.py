@@ -158,12 +158,12 @@ class TestApplyFault:
         from tests.test_guard_validators import make_trace
 
         trace = make_trace()
-        before = trace.stacked_features().copy()
+        before = trace.features.copy()
         faults.poison_trace(trace, "k")  # no plan at all
         plan = FaultPlan(specs=(FaultSpec(key="other", kind="poison-trace"),))
         with faults.injected(plan):
             faults.poison_trace(trace, "k")
-        np.testing.assert_array_equal(trace.stacked_features(), before)
+        np.testing.assert_array_equal(trace.features, before)
 
     def test_poison_spec_json_roundtrip(self):
         plan = FaultPlan(

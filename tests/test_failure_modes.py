@@ -20,20 +20,22 @@ from repro.trace.tracefile import TraceFile
 SCHEMA = FeatureSchema(["L1", "L2", "L3"])
 
 
-def minimal_trace(n_ranks=8, app="fail", target="tgt"):
-    trace = TraceFile(app=app, rank=0, n_ranks=n_ranks, target=target, schema=SCHEMA)
-    block = BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
-    block.instructions.append(
-        InstructionRecord(
-            instr_id=0,
-            kind="load",
-            features=SCHEMA.vector_from_dict(
-                {"exec_count": 10.0 * n_ranks, "mem_ops": 10.0 * n_ranks}
-            ),
-        )
+def one_load_trace(features, n_ranks=8, app="fail", target="tgt"):
+    block = BasicBlockRecord(
+        block_id=0,
+        location=SourceLocation(function="f"),
+        instructions=[InstructionRecord(instr_id=0, kind="load", features=features)],
     )
-    trace.add_block(block)
-    return trace
+    return TraceFile.from_blocks(
+        [block], app=app, rank=0, n_ranks=n_ranks, target=target, schema=SCHEMA
+    )
+
+
+def minimal_trace(n_ranks=8, app="fail", target="tgt"):
+    features = SCHEMA.vector_from_dict(
+        {"exec_count": 10.0 * n_ranks, "mem_ops": 10.0 * n_ranks}
+    )
+    return one_load_trace(features, n_ranks, app, target)
 
 
 class TestTraceFileCorruption:
@@ -78,26 +80,14 @@ class TestExtrapolationInputErrors:
 
     def test_nan_features_rejected(self):
         a, b = minimal_trace(8), minimal_trace(16)
-        b.blocks[0].instructions[0].features[0] = np.nan
+        b.features[0, 0] = np.nan
         with pytest.raises(Exception):
             extrapolate_trace([a, b], 64)
 
     def test_all_zero_trace_extrapolates_to_zero(self):
-        traces = []
-        for n in (8, 16, 32):
-            t = TraceFile(
-                app="z", rank=0, n_ranks=n, target="tgt", schema=SCHEMA
-            )
-            block = BasicBlockRecord(
-                block_id=0, location=SourceLocation(function="f")
-            )
-            block.instructions.append(
-                InstructionRecord(
-                    instr_id=0, kind="load", features=SCHEMA.empty_vector()
-                )
-            )
-            t.add_block(block)
-            traces.append(t)
+        traces = [
+            one_load_trace(SCHEMA.empty_vector(), n, app="z") for n in (8, 16, 32)
+        ]
         res = extrapolate_trace(traces, 128)
         np.testing.assert_array_equal(
             res.trace.blocks[0].instructions[0].features, 0.0

@@ -35,7 +35,7 @@ def fresh_traces():
 
 
 def stacked(sweep):
-    return [r.trace.stacked_features() for r in sweep.results]
+    return [r.trace.features for r in sweep.results]
 
 
 @pytest.fixture(autouse=True)
@@ -134,9 +134,7 @@ class TestLadderRung1:
         assert deg.action == "hold-nearest"
         # held at the largest valid training count's collected value
         expected = float(
-            traces[2].blocks[1].instructions[0].features[
-                SCHEMA.index("exec_count")
-            ]
+            traces[2].features[traces[2].row(1, 0), SCHEMA.index("exec_count")]
         )
         assert deg.value == pytest.approx(expected)
         vec = result.trace.blocks[1].instructions[0].features
@@ -191,7 +189,7 @@ class TestLadderRung2:
 
     def test_structurally_broken_trace_dropped_not_fatal(self):
         traces = fresh_traces()
-        traces[0].blocks[0].instructions[0].features = np.zeros(3)
+        traces[0].features = np.zeros((traces[0].n_instructions, 3))
         sweep, report = guarded_extrapolate_many(
             traces, TARGETS, config=GuardConfig(policy="degrade"),
         )
@@ -205,7 +203,7 @@ class TestLadderRung3:
     def test_no_clean_trace_refuses_even_in_degrade(self):
         traces = fresh_traces()[:2]
         for t in traces:
-            t.blocks[0].instructions[0].features = np.zeros(3)
+            t.features = np.zeros((t.n_instructions, 3))
         report = DegradationReport(policy="degrade")
         with pytest.raises(GuardError):
             guarded_extrapolate_many(

@@ -33,38 +33,39 @@ SCHEMA = FeatureSchema(["L1", "L2"])
 
 def make_trace(n_ranks=64, scale=1.0, extrapolated=False):
     """A small physically valid trace: 2 blocks x 2 instructions."""
-    trace = TraceFile(
-        app="guardtest", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA
-    )
-    for bid in (0, 1):
-        block = BasicBlockRecord(
-            block_id=bid, location=SourceLocation(function=f"f{bid}")
+    def instruction(bid, k):
+        vec = SCHEMA.vector_from_dict(
+            {
+                "exec_count": 1000.0 * scale * (bid + k + 1),
+                "mem_ops": 400.0 * scale,
+                "loads": 300.0 * scale,
+                "stores": 100.0 * scale,
+                "ref_bytes": 8.0,
+                "working_set_bytes": 4096.0,
+                "ilp": 2.0,
+                "dep_chain": 3.0,
+                "hit_rate_L1": 0.9,
+                "hit_rate_L2": 0.97,
+            }
         )
-        for k in range(2):
-            vec = SCHEMA.vector_from_dict(
-                {
-                    "exec_count": 1000.0 * scale * (bid + k + 1),
-                    "mem_ops": 400.0 * scale,
-                    "loads": 300.0 * scale,
-                    "stores": 100.0 * scale,
-                    "ref_bytes": 8.0,
-                    "working_set_bytes": 4096.0,
-                    "ilp": 2.0,
-                    "dep_chain": 3.0,
-                    "hit_rate_L1": 0.9,
-                    "hit_rate_L2": 0.97,
-                }
+        return InstructionRecord(instr_id=k, kind="load", features=vec)
+
+    return TraceFile.from_blocks(
+        [
+            BasicBlockRecord(
+                block_id=bid,
+                location=SourceLocation(function=f"f{bid}"),
+                instructions=[instruction(bid, k) for k in range(2)],
             )
-            block.instructions.append(
-                InstructionRecord(instr_id=k, kind="load", features=vec)
-            )
-        trace.add_block(block)
-    trace.extrapolated = extrapolated
-    return trace
+            for bid in (0, 1)
+        ],
+        app="guardtest", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA,
+        extrapolated=extrapolated,
+    )
 
 
 def _set(trace, bid, k, feature, value):
-    trace.blocks[bid].instructions[k].features[SCHEMA.index(feature)] = value
+    trace.features[trace.row(bid, k), SCHEMA.index(feature)] = value
 
 
 class TestTraceValidator:
@@ -113,13 +114,12 @@ class TestTraceValidator:
         trace = make_trace()
         # poison values too — they must NOT be reported, since element
         # addressing by column is meaningless with a bad width
-        _set(trace, 0, 0, "exec_count", float("nan"))
-        trace.blocks[1].instructions[0].features = np.zeros(3)
+        trace.features = np.full((trace.n_instructions, 3), np.nan)
         violations = validate_trace(trace, boundary="collect->fit")
         assert [v.check for v in violations] == ["schema"]
         assert violations[0].severity == "fatal"
-        assert violations[0].block_id == 1
-        assert violations[0].instr_id == 0
+        assert not violations[0].element_addressed
+        assert "(4, 3)" in violations[0].message
 
     def test_nonpositive_ranks_is_fatal(self):
         trace = make_trace(n_ranks=0)

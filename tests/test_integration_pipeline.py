@@ -56,7 +56,7 @@ class TestCollection:
         t2 = collect_signature(
             small_jacobi, 8, bw_machine.hierarchy, FAST_SETTINGS
         ).slowest_trace()
-        for b1, b2 in zip(t1.sorted_blocks(), t2.sorted_blocks()):
+        for b1, b2 in zip(t1.blocks.values(), t2.blocks.values()):
             for i1, i2 in zip(b1.instructions, b2.instructions):
                 np.testing.assert_array_equal(i1.features, i2.features)
 

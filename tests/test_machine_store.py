@@ -5,6 +5,7 @@ by every later process."""
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,28 @@ def test_key_changes_with_probe_budget_and_spec():
     spec = get_spec("blue_waters_p1")
     slower = dataclasses.replace(spec, network=NetworkParameters(latency_us=9.0))
     assert profile_key(slower, PROBE) != profile_key(spec, PROBE)
+
+
+def test_key_follows_the_source_not_the_checkout(tmp_path):
+    """Copies of the package outside any git tree: identical sources
+    share one key, and a one-byte edit gives another."""
+    def key_of(copy: str) -> str:
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.machine.systems import get_spec, profile_key\n"
+             f"print(profile_key(get_spec('blue_waters_p1'), {PROBE}))"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path / copy)},
+            capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip()
+
+    for copy in ("a", "b", "edited"):
+        shutil.copytree(SRC / "repro", tmp_path / copy / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    edited = tmp_path / "edited" / "repro" / "util" / "units.py"
+    edited.write_bytes(edited.read_bytes() + b"\n")
+    assert key_of("a") == key_of("b")
+    assert key_of("edited") != key_of("a")
 
 
 def test_truncated_entry_is_quarantined_and_rebuilt(tmp_path, builds):

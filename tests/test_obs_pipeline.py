@@ -296,15 +296,17 @@ class TestDeterminism:
         from repro.trace.tracefile import TraceFile
 
         schema = FeatureSchema(["L1"])
-        trace = TraceFile(app="x", rank=0, n_ranks=2, target="t", schema=schema)
-        block = BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
-        block.instructions.append(
-            InstructionRecord(
+        block = BasicBlockRecord(
+            block_id=0,
+            location=SourceLocation(function="f"),
+            instructions=[InstructionRecord(
                 instr_id=0, kind="load",
                 features=np.zeros(schema.n_features),
-            )
+            )],
         )
-        trace.add_block(block)
+        trace = TraceFile.from_blocks(
+            [block], app="x", rank=0, n_ranks=2, target="t", schema=schema
+        )
         trace.save_npz(tmp_path / "a.npz")
         trace.save_npz(tmp_path / "b.npz")
         assert obs_manifest.digest_file(

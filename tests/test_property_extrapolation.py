@@ -77,16 +77,17 @@ class TestFitProperties:
 
 
 def trace_from_matrix(n_ranks, matrix):
-    trace = TraceFile(
-        app="prop", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA
-    )
-    block = BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
-    for k, row in enumerate(matrix):
-        block.instructions.append(
+    block = BasicBlockRecord(
+        block_id=0,
+        location=SourceLocation(function="f"),
+        instructions=[
             InstructionRecord(instr_id=k, kind="load", features=np.array(row))
-        )
-    trace.add_block(block)
-    return trace
+            for k, row in enumerate(matrix)
+        ],
+    )
+    return TraceFile.from_blocks(
+        [block], app="prop", rank=0, n_ranks=n_ranks, target="tgt", schema=SCHEMA
+    )
 
 
 @st.composite

@@ -29,10 +29,6 @@ from repro.util.units import KB, MB
 def make_trace(machine, mem_ops=1000.0, exec_count=100.0, hit=(1.0, 1.0, 1.0),
                fp=0.0, ilp=2.0):
     schema = FeatureSchema(machine.hierarchy.level_names)
-    trace = TraceFile(
-        app="t", rank=0, n_ranks=4, target=machine.hierarchy.name, schema=schema
-    )
-    block = BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
     vec = schema.vector_from_dict(
         {
             "exec_count": exec_count,
@@ -47,9 +43,15 @@ def make_trace(machine, mem_ops=1000.0, exec_count=100.0, hit=(1.0, 1.0, 1.0),
             "hit_rate_L3": hit[2],
         }
     )
-    block.instructions.append(InstructionRecord(instr_id=0, kind="load", features=vec))
-    trace.add_block(block)
-    return trace
+    block = BasicBlockRecord(
+        block_id=0,
+        location=SourceLocation(function="f"),
+        instructions=[InstructionRecord(instr_id=0, kind="load", features=vec)],
+    )
+    return TraceFile.from_blocks(
+        [block], app="t", rank=0, n_ranks=4, target=machine.hierarchy.name,
+        schema=schema,
+    )
 
 
 class TestOverlap:

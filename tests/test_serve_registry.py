@@ -107,7 +107,7 @@ class TestRegistryTiers:
         t_fresh = serve_model.synthesize(64)
         t_loaded = loaded.synthesize(64)
         assert np.array_equal(
-            t_fresh.stacked_features(), t_loaded.stacked_features()
+            t_fresh.features, t_loaded.features
         )
 
     def test_lru_eviction_counts(self, serve_model):

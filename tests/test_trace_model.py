@@ -22,30 +22,35 @@ def make_instruction(schema, instr_id=0, kind="load", **features):
 
 
 def make_trace(schema, rank=0, n_ranks=8, blocks=2, instrs=2, scale=1.0):
-    trace = TraceFile(
-        app="test", rank=rank, n_ranks=n_ranks, target="tgt", schema=schema
-    )
-    for b in range(blocks):
-        block = BasicBlockRecord(
-            block_id=b, location=SourceLocation(function=f"f{b}", line=b)
-        )
-        for k in range(instrs):
-            block.instructions.append(
-                make_instruction(
-                    schema,
-                    instr_id=k,
-                    exec_count=100.0 * scale,
-                    mem_ops=700.0 * scale,
-                    loads=700.0 * scale,
-                    ref_bytes=8.0,
-                    working_set_bytes=4096.0,
-                    hit_rate_L1=0.9,
-                    hit_rate_L2=0.95,
-                    hit_rate_L3=1.0,
-                )
+    return TraceFile.from_blocks(
+        [
+            BasicBlockRecord(
+                block_id=b,
+                location=SourceLocation(function=f"f{b}", line=b),
+                instructions=[
+                    make_instruction(
+                        schema,
+                        instr_id=k,
+                        exec_count=100.0 * scale,
+                        mem_ops=700.0 * scale,
+                        loads=700.0 * scale,
+                        ref_bytes=8.0,
+                        working_set_bytes=4096.0,
+                        hit_rate_L1=0.9,
+                        hit_rate_L2=0.95,
+                        hit_rate_L3=1.0,
+                    )
+                    for k in range(instrs)
+                ],
             )
-        trace.add_block(block)
-    return trace
+            for b in range(blocks)
+        ],
+        app="test", rank=rank, n_ranks=n_ranks, target="tgt", schema=schema,
+    )
+
+
+def set_feature(trace, block_id, k, schema, name, value):
+    trace.features[trace.row(block_id, k), schema.index(name)] = value
 
 
 class TestFeatureSchema:
@@ -119,10 +124,11 @@ class TestRecords:
 
 class TestTraceFile:
     def test_duplicate_block_rejected(self, schema):
-        trace = make_trace(schema)
-        with pytest.raises(ValueError):
-            trace.add_block(
-                BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
+        block = BasicBlockRecord(block_id=0, location=SourceLocation(function="f"))
+        with pytest.raises(ValueError, match="duplicate block id 0"):
+            TraceFile.from_blocks(
+                [block, block], app="t", rank=0, n_ranks=1, target="tgt",
+                schema=schema,
             )
 
     def test_counts(self, schema):
@@ -140,7 +146,7 @@ class TestTraceFile:
         assert loaded.n_ranks == trace.n_ranks
         assert loaded.schema.fields == trace.schema.fields
         assert loaded.n_instructions == trace.n_instructions
-        for b1, b2 in zip(trace.sorted_blocks(), loaded.sorted_blocks()):
+        for b1, b2 in zip(trace.blocks.values(), loaded.blocks.values()):
             assert b1.location == b2.location
             for i1, i2 in zip(b1.instructions, b2.instructions):
                 assert i1.kind == i2.kind
@@ -154,7 +160,7 @@ class TestTraceFile:
         loaded = TraceFile.load_jsonl(path)
         assert loaded.extrapolated is True
         assert loaded.n_blocks == 2
-        for b1, b2 in zip(trace.sorted_blocks(), loaded.sorted_blocks()):
+        for b1, b2 in zip(trace.blocks.values(), loaded.blocks.values()):
             for i1, i2 in zip(b1.instructions, b2.instructions):
                 np.testing.assert_allclose(i1.features, i2.features)
 
@@ -164,13 +170,13 @@ class TestTraceFile:
         trace.save_jsonl(tmp_path / "t.jsonl")
         a = TraceFile.load_npz(tmp_path / "t.npz")
         b = TraceFile.load_jsonl(tmp_path / "t.jsonl")
-        for b1, b2 in zip(a.sorted_blocks(), b.sorted_blocks()):
+        for b1, b2 in zip(a.blocks.values(), b.blocks.values()):
             for i1, i2 in zip(b1.instructions, b2.instructions):
                 np.testing.assert_allclose(i1.features, i2.features)
 
     def test_empty_trace_round_trip(self, schema, tmp_path):
-        trace = TraceFile(
-            app="e", rank=0, n_ranks=1, target="tgt", schema=schema
+        trace = TraceFile.from_blocks(
+            [], app="e", rank=0, n_ranks=1, target="tgt", schema=schema
         )
         trace.save_npz(tmp_path / "e.npz")
         loaded = TraceFile.load_npz(tmp_path / "e.npz")
@@ -246,7 +252,7 @@ class TestTraceDiff:
 
     def test_zero_expected_nonzero_actual_is_inf(self, schema):
         a, b = make_trace(schema), make_trace(schema)
-        b.blocks[0].instructions[0].features[schema.index("fp_add")] = 5.0
+        set_feature(b, 0, 0, schema, "fp_add", 5.0)
         diff = compare_traces(a, b, fields=["fp_add"])
         assert diff.max_abs_rel_error() == np.inf
 
@@ -265,7 +271,7 @@ class TestTraceDiff:
     def test_worst_sorted(self, schema):
         a = make_trace(schema)
         b = make_trace(schema)
-        b.blocks[0].instructions[0].features[schema.index("mem_ops")] *= 2
-        b.blocks[1].instructions[0].features[schema.index("mem_ops")] *= 1.5
+        set_feature(b, 0, 0, schema, "mem_ops", 700.0 * 2)
+        set_feature(b, 1, 0, schema, "mem_ops", 700.0 * 1.5)
         worst = compare_traces(a, b, fields=["mem_ops"]).worst(2)
         assert worst[0].abs_rel_error >= worst[1].abs_rel_error
