@@ -43,6 +43,15 @@ def test_figure3_per_element_extrapolation(
     )
     schema = uh3d_training_traces[0].schema
     block_id, instr_id = BLOCK_FIELD_GATHER, 0
+    report = result.report
+    pair = report.pair_keys.index((block_id, instr_id))
+
+    def element_row(field):
+        return pair * schema.n_features + schema.index(field)
+
+    def best_form(field):
+        return report.batch.forms[report.batch.order[element_row(field), 0]].name
+
     table = Table(
         columns=["Element", "Form", *(str(c) for c in UH3D_TRAIN),
                  f"pred@{UH3D_TARGET}", f"true@{UH3D_TARGET}"],
@@ -51,18 +60,20 @@ def test_figure3_per_element_extrapolation(
         float_fmt=".4g",
     )
     for field in ("mem_ops", "working_set_bytes", "hit_rate_L2", "hit_rate_L3"):
-        fit = result.report.fit_for(block_id, instr_id, field)
         pred = result.trace.blocks[block_id].instructions[instr_id].features[
             schema.index(field)
         ]
         true = uh3d_target_trace.blocks[block_id].instructions[instr_id].features[
             schema.index(field)
         ]
-        table.add_row(field, fit.fit.name, *fit.train_y, pred, true)
+        table.add_row(
+            field, best_form(field), *report.batch.Y[element_row(field)],
+            pred, true,
+        )
     publish("figure3_per_element", table.render())
     # elements are fitted independently: at least two different forms win
     forms = {
-        result.report.fit_for(block_id, instr_id, f).fit.name
+        best_form(f)
         for f in ("mem_ops", "working_set_bytes", "hit_rate_L2", "hit_rate_L3")
     }
     assert len(forms) >= 2

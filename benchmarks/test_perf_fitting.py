@@ -1,16 +1,17 @@
-"""Throughput benchmarks of the batched fitting & extrapolation engine.
+"""Throughput benchmarks of the batched fitting & extrapolation path.
 
-Guards the PR's two headline wins against regression:
+Guards its two headline wins against regression:
 
-- **fit+extrapolate**: the batched engine must beat the per-element
-  scalar reference by >= 10x on the Table I SPECFEM3D trace series;
+- **fit+extrapolate**: the batch path must beat the per-element scalar
+  oracle (``reference_matrices`` over every pair) by >= 10x on the
+  Table I SPECFEM3D trace series;
 - **multi-target sweep**: a 16-target what-if sweep through
   ``predict_many`` must beat 16 independent ``extrapolate_trace`` calls
   by >= 5x;
 
 and, inseparable from the speed claims, the agreement contract: every
-synthesized feature value within 1e-9 relative of the reference path
-with exact ties on form selection.
+synthesized feature value within 1e-9 relative of the oracle with exact
+ties on form selection.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI default) to run on a synthetic
 trace series instead of collecting SPECFEM3D, with thresholds relaxed
@@ -20,12 +21,18 @@ for noisy shared runners.  Numbers are merged into
 
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core.extrapolate import extrapolate_trace, extrapolate_trace_many
-from repro.core.fitting import fit_feature_series
+from repro.core.canonical import PAPER_FORMS, fit_all
+from repro.core.extrapolate import (
+    extrapolate_trace,
+    extrapolate_trace_many,
+    fit_traces,
+    reference_matrices,
+)
 from repro.trace.features import FeatureSchema
 from repro.trace.records import BasicBlockRecord, InstructionRecord, SourceLocation
 from repro.trace.tracefile import TraceFile
@@ -116,25 +123,26 @@ def _n_elements(trace):
 
 
 def test_batched_fit_extrapolate_speedup(training_traces):
-    """Tentpole criterion: batched fit+extrapolate >= 10x the reference."""
+    """Speed criterion: batched fit+extrapolate >= 10x the oracle."""
     target = SPECFEM_TARGET
     t_batched, res_b = _best_of(
-        lambda: extrapolate_trace(training_traces, target, engine="batched")
+        lambda: extrapolate_trace(training_traces, target)
     )
-    t_reference, res_r = _best_of(
-        lambda: extrapolate_trace(training_traces, target, engine="reference")
+    report = res_b.report
+    pairs = range(len(report.pair_keys))
+    t_reference, (oracle,) = _best_of(
+        lambda: reference_matrices(
+            report, pairs, [target], forms=PAPER_FORMS, rate_trust_factor=2.0
+        )
     )
 
     # the speed claim is meaningless without the agreement contract
-    tb, tr = res_b.trace, res_r.trace
-    for bid in tb.blocks:
-        for ib, ir in zip(
-            tb.blocks[bid].instructions, tr.blocks[bid].instructions
-        ):
-            np.testing.assert_allclose(
-                ib.features, ir.features, rtol=1e-9, atol=1e-300
-            )
-    assert res_b.report.form_histogram() == res_r.report.form_histogram()
+    np.testing.assert_allclose(
+        res_b.trace.features, oracle, rtol=1e-9, atol=1e-300
+    )
+    assert report.form_histogram() == Counter(
+        fit_all(report.batch.x, y)[0].form.name for y in report.batch.Y
+    )
 
     n_el = _n_elements(training_traces[0])
     speedup = t_reference / t_batched
@@ -150,7 +158,7 @@ def test_batched_fit_extrapolate_speedup(training_traces):
     )
     assert speedup >= MIN_FIT_SPEEDUP, (
         f"batched fit+extrapolate only {speedup:.1f}x faster than the "
-        f"reference (need >= {MIN_FIT_SPEEDUP}x)"
+        f"scalar oracle (need >= {MIN_FIT_SPEEDUP}x)"
     )
 
 
@@ -194,13 +202,7 @@ def test_multi_target_sweep_speedup(training_traces):
 
 def test_predict_many_matrix_throughput(training_traces):
     """The matrix-only sweep path (no TraceFile assembly) in targets/s."""
-    traces = sorted(training_traces, key=lambda t: t.n_ranks)
-    schema = traces[0].schema
-    series = dict(zip(
-        traces[0].pair_keys(), np.stack([t.features for t in traces], axis=1)
-    ))
-    counts = [t.n_ranks for t in traces]
-    report = fit_feature_series(schema, counts, series)
+    report, _template = fit_traces(training_traces)
     t_eval, _ = _best_of(lambda: report.predict_many(SWEEP_TARGETS))
     merge_bench(
         "BENCH_pipeline",

@@ -216,7 +216,10 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
             traces, args.target, forms=forms, config=guard,
             report=degradation,
         )
-    hist = dict(sweep.report.form_histogram())
+    # a run the guard substituted whole has no fit behind it
+    hist = (
+        dict(sweep.report.form_histogram()) if sweep.report is not None else {}
+    )
     train = [t.n_ranks for t in sorted(traces, key=lambda t: t.n_ranks)]
     outputs = {}
     for result in sweep.results:

@@ -27,7 +27,6 @@ from repro.core.batchfit import BatchFitResult, batch_fit_series
 from repro.core.fitting import (
     BatchedFitReport,
     ElementFit,
-    FitReport,
     SweepPrediction,
     fit_feature_series,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "BatchFitResult",
     "batch_fit_series",
     "ElementFit",
-    "FitReport",
     "BatchedFitReport",
     "SweepPrediction",
     "fit_feature_series",

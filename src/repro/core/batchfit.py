@@ -10,12 +10,15 @@ applicability mask (mixed-sign y for exponential/power, x <= 0 for log)
 as whole-matrix numpy expressions.
 
 The per-element path (:func:`repro.core.canonical.fit_all`) survives as
-the property-tested scalar reference; this engine replicates its exact
-arithmetic — the same centered normal equations, the same SSE noise
-floor, the same parsimony tie-breaks — so batched results agree with
-the reference to ~1e-9 relative with identical form selection (see
+the scalar oracle (:func:`repro.core.extrapolate.reference_matrices`,
+which the guard's spot check and the tests call); this module replicates
+its exact arithmetic — the same centered normal equations, the same SSE
+noise floor, the same parsimony tie-breaks — so batched results agree
+with the oracle to ~1e-9 relative with identical form selection (see
 DESIGN.md §7.4 for the numerical-agreement contract and
 ``tests/test_batchfit.py`` for the property suite that enforces it).
+Fitting, cross-validation and the guard's fit checks all run on these
+matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from repro.core.canonical import (
     CanonicalForm,
-    FitResult,
     PAPER_FORMS,
     _PARSIMONY_RTOL,
 )
@@ -39,7 +41,7 @@ class BatchFitResult:
     """All forms fitted to every row of one series matrix.
 
     ``order[i]`` ranks the form indices for row ``i`` best-first under
-    the reference selection rule (SSE with parsimony tie-breaks); only
+    the oracle's selection rule (SSE with parsimony tie-breaks); only
     the first ``n_candidates[i]`` entries are applicable forms, mirroring
     the candidate list :func:`repro.core.canonical.fit_all` returns.
     """
@@ -56,20 +58,6 @@ class BatchFitResult:
     @property
     def n_rows(self) -> int:
         return self.Y.shape[0]
-
-    def candidates_for(self, row: int) -> List[FitResult]:
-        """Materialize the reference-style candidate list for one row."""
-        out = []
-        for rank in range(int(self.n_candidates[row])):
-            f = int(self.order[row, rank])
-            out.append(
-                FitResult(
-                    form=self.forms[f],
-                    params=self.params[f][row].copy(),
-                    sse=float(self.sse[row, f]),
-                )
-            )
-        return out
 
     def predict_all_forms(self, targets: Sequence[float]) -> np.ndarray:
         """Every form evaluated at every target: (n_forms, n_rows, n_t).

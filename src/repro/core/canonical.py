@@ -97,7 +97,7 @@ class CanonicalForm:
         Returns ``(params, applicable)``: a ``(n_rows, n_params)`` array
         and a boolean mask of rows the form can represent.  The base
         implementation loops the scalar :meth:`fit`, so custom forms work
-        with the batched engine unmodified; built-ins override it with
+        with the batched fit unmodified; built-ins override it with
         closed-form whole-matrix passes.
         """
         rows = [self.fit(x, Y[i]) for i in range(Y.shape[0])]

@@ -9,6 +9,12 @@ constant hit rates, the log-growing reduction counts) can be trusted at
 the target; elements that fail are flagged for the analyst — typically
 the working sets crossing a cache level right at the training boundary.
 
+Every element is refitted at once: the kept traces' feature matrices
+are stacked into one ``(n_elements, n_kept)`` matrix, fitted by
+:func:`repro.core.batchfit.batch_fit_series`, and evaluated at the
+held-out count with the same physicality-aware selection and bounds
+clamp the extrapolation path applies.
+
 This is an extension beyond the paper (its natural "how much should I
 trust this extrapolation?" companion).  It is wired into the pipeline
 through the guard subsystem: :func:`repro.guard.gates.crossval_gate`
@@ -23,13 +29,16 @@ elements, never alter extrapolated values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.canonical import CanonicalForm, PAPER_FORMS, fit_all
+from repro.core.batchfit import batch_fit_series
+from repro.core.canonical import CanonicalForm, PAPER_FORMS
 from repro.core.errors import abs_rel_error
-from repro.core.fitting import ElementFit
+from repro.core.extrapolate import check_series
+from repro.core.fitting import row_bounds
 from repro.trace.tracefile import TraceFile
 
 
@@ -86,7 +95,9 @@ def cross_validate_traces(
 ) -> CrossValidationReport:
     """Score every element by leave-last-out refitting.
 
-    Requires at least three traces (two remain for refitting).  The
+    Requires at least three traces (two remain for refitting), and
+    refuses with :class:`~repro.util.errors.FitError` any series that
+    fitting refuses (duplicate counts, inconsistent traces).  The
     largest core count is held out because extrapolation always moves in
     that direction.
     """
@@ -94,40 +105,31 @@ def cross_validate_traces(
         raise ValueError(
             f"cross-validation needs >= 3 training traces, got {len(traces)}"
         )
-    traces = sorted(traces, key=lambda t: t.n_ranks)
-    held_out = traces[-1]
-    kept = traces[:-1]
-    x = np.array([t.n_ranks for t in kept], dtype=np.float64)
-    report = CrossValidationReport(core_counts=[t.n_ranks for t in traces])
+    traces = check_series(traces)
+    held_out, kept = traces[-1], traces[:-1]
     schema = held_out.schema
-    kept_blocks = [t.blocks for t in kept]
-    for bid, block in held_out.blocks.items():
-        for k, truth in enumerate(block.instructions):
-            truth_vec = truth.features
-            series = np.stack(
-                [blocks[bid].instructions[k].features for blocks in kept_blocks]
-            )
-            for j, feature in enumerate(schema.fields):
-                # mirror the production extrapolation path: bounds-aware
-                # selection among all candidate fits, then clamping
-                element = ElementFit(
-                    block_id=bid,
-                    instr_id=k,
-                    feature=feature,
-                    candidates=fit_all(x, series[:, j], forms),
-                    train_x=x,
-                    train_y=series[:, j].copy(),
-                )
-                predicted = element.predict(
-                    float(held_out.n_ranks), schema.bounds(feature)
-                )
-                report.elements.append(
-                    ElementConfidence(
-                        block_id=bid,
-                        instr_id=k,
-                        feature=feature,
-                        held_out_value=float(truth_vec[j]),
-                        predicted_value=predicted,
-                    )
-                )
+    pair_keys = held_out.pair_keys()
+    x = np.array([t.n_ranks for t in kept], dtype=np.float64)
+    # (n_pairs * n_features, n_kept): pair-major, feature-minor
+    Y = np.stack([t.features for t in kept], axis=2).reshape(-1, x.size)
+    batch = batch_fit_series(x, Y, forms)
+    # mirror the production extrapolation path: bounds-aware selection
+    # among all candidate fits, then clamping
+    lo, hi = row_bounds(schema, len(pair_keys))
+    raw, _chosen = batch.select_and_predict([held_out.n_ranks], lo)
+    predicted = np.clip(raw[:, 0], lo, hi)
+    truth = held_out.features.reshape(-1)
+    report = CrossValidationReport(core_counts=[t.n_ranks for t in traces])
+    report.elements = [
+        ElementConfidence(
+            block_id=bid,
+            instr_id=k,
+            feature=feature,
+            held_out_value=float(truth[row]),
+            predicted_value=float(predicted[row]),
+        )
+        for row, ((bid, k), feature) in enumerate(
+            product(pair_keys, schema.fields)
+        )
+    ]
     return report

@@ -22,25 +22,25 @@ form can see in three points; an exponential fit through a gently
 accelerating rate otherwise extrapolates straight to 100%.  The cap is
 conservative in exactly the way the fits are optimistic.
 
-Fitting and synthesis run on the batched engine by default (all
-elements as whole-trace array passes; see ``repro.core.batchfit``);
-``engine="reference"`` selects the per-element scalar path the batched
-engine is property-tested against.  :func:`extrapolate_trace_many`
-exposes the multi-target sweep: one fit, many cheap target evaluations
-— the path the Tables II/III what-if benches ride.
+Fitting and synthesis run as whole-trace array passes (see
+``repro.core.batchfit``).  :func:`extrapolate_trace_many` exposes the
+multi-target sweep: one fit, many cheap target evaluations — the path
+the Tables II/III what-if benches ride.  :func:`reference_matrices` is
+the per-element scalar oracle the array path is tested against; the
+guard's spot check runs it on a sample of every guarded fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.canonical import CanonicalForm, PAPER_FORMS
+from repro.core.canonical import CanonicalForm, PAPER_FORMS, fit_all
 from repro.core.fitting import (
     BatchedFitReport,
-    FitReport,
+    ElementFit,
     SweepPrediction,
     fit_feature_series,
 )
@@ -51,10 +51,11 @@ from repro.util.errors import FitError
 
 @dataclass
 class ExtrapolationResult:
-    """The synthesized trace plus the fit diagnostics behind it."""
+    """The synthesized trace plus the fit behind it (``None`` when the
+    guard substituted a collected trace for the whole run)."""
 
     trace: TraceFile
-    report: FitReport
+    report: Optional[BatchedFitReport]
     target_n_ranks: int
 
 
@@ -63,7 +64,7 @@ class ExtrapolationSweep:
     """Synthesized traces for a whole sweep of targets, from one fit."""
 
     results: List[ExtrapolationResult]
-    report: FitReport
+    report: Optional[BatchedFitReport]
     targets: List[int]
 
     def result_for(self, target: int) -> ExtrapolationResult:
@@ -76,7 +77,17 @@ class ExtrapolationSweep:
         return self.result_for(target).trace
 
 
-def _check_consistent(traces: Sequence[TraceFile]) -> None:
+def check_series(traces: Sequence[TraceFile]) -> List[TraceFile]:
+    """A training series sorted by core count, or :class:`FitError`.
+
+    Refuses duplicate core counts and traces that disagree on schema,
+    app, target, block set or instruction columns — everything that
+    would make one element's values across the series meaningless.
+    """
+    traces = sorted(traces, key=lambda t: t.n_ranks)
+    counts = [t.n_ranks for t in traces]
+    if len(set(counts)) != len(counts):
+        raise FitError(f"duplicate training core counts: {counts}", stage="fit")
     first = traces[0]
     for other in traces[1:]:
         if other.schema.fields != first.schema.fields:
@@ -101,6 +112,7 @@ def _check_consistent(traces: Sequence[TraceFile]) -> None:
                     f"differing {column} columns",
                     stage="fit",
                 )
+    return traces
 
 
 def synthesize_from_prediction(
@@ -131,21 +143,19 @@ def synthesize_from_prediction(
 
 
 def synthesize_element_vector(
-    fits: Sequence,
+    fits: Sequence[ElementFit],
     schema,
     target_n_ranks: int,
     rate_trust_factor: float,
 ) -> np.ndarray:
-    """Reference synthesis of one instruction's feature vector.
+    """Scalar synthesis of one instruction's feature vector.
 
     ``fits`` is the per-feature list of
     :class:`~repro.core.fitting.ElementFit` objects for one
     ``(block, instr)`` pair, in schema field order.  Applies the full
     scalar pipeline — physicality-aware selection, bounds clamping, the
-    rate trust region (re-clamped), hit-rate re-monotonization — and is
-    shared between the reference engine and the guard subsystem's
-    cross-engine spot check (which refits a keyed-RNG sample of pairs
-    with the reference engine and compares against the batched output).
+    rate trust region (re-clamped), hit-rate re-monotonization — one
+    element at a time: the oracle half of :func:`reference_matrices`.
     """
     vec = schema.empty_vector()
     for j, feature in enumerate(schema.fields):
@@ -173,41 +183,49 @@ def synthesize_element_vector(
     return vec
 
 
-def _synthesize_reference(
-    report: FitReport,
-    template: TraceFile,
-    target_n_ranks: int,
+def reference_matrices(
+    report: BatchedFitReport,
+    pairs: Sequence[int],
+    targets: Sequence[int],
+    *,
+    forms: Sequence[CanonicalForm],
     rate_trust_factor: float,
 ) -> np.ndarray:
-    """Per-element scalar synthesis (the reference the batched engine
-    must agree with): select, clamp, trust-region cap, re-clamp,
-    monotonize, re-clamp.  Rows in the template's pair order."""
-    schema = template.schema
-    rows = [
-        synthesize_element_vector(
-            [report.fit_for(bid, k, feature) for feature in schema.fields],
-            schema,
-            target_n_ranks,
-            rate_trust_factor,
-        )
-        for bid, k in template.pair_keys()
-    ]
-    return np.array(rows).reshape(len(rows), schema.n_features)
+    """The scalar oracle: refit some pairs element by element.
+
+    For each index ``p`` into ``report.pair_keys``, refits every feature
+    of that instruction from its training series in ``report.batch.Y``
+    with :func:`~repro.core.canonical.fit_all` and synthesizes it at
+    every target with :func:`synthesize_element_vector`.  Returns
+    ``(n_targets, len(pairs), n_features)``: the rows of
+    ``report.predict_many(targets).values`` the batch path must match
+    to ~1e-9 relative.  The guard's spot check calls it on a keyed
+    sample; the tests call it on every pair.
+    """
+    schema, batch = report.schema, report.batch
+    out = np.empty((len(targets), len(pairs), schema.n_features))
+    for i, p in enumerate(pairs):
+        rows = batch.Y[p * schema.n_features:(p + 1) * schema.n_features]
+        fits = [ElementFit(fit_all(batch.x, y, forms), y.copy()) for y in rows]
+        for t, target in enumerate(targets):
+            out[t, i] = synthesize_element_vector(
+                fits, schema, target, rate_trust_factor
+            )
+    return out
 
 
 def fit_traces(
     traces: Sequence[TraceFile],
     *,
     forms: Sequence[CanonicalForm] = PAPER_FORMS,
-    engine: str = "batched",
-) -> Tuple[FitReport, TraceFile]:
+) -> Tuple[BatchedFitReport, TraceFile]:
     """Validate a training series and fit every feature element once.
 
     The fit half of :func:`extrapolate_trace_many`, factored out so the
     serving model registry (:mod:`repro.serve.registry`) trains through
     the identical path the sweep API uses: sort by core count, reject
-    duplicates and inconsistent schemas/blocks, assemble the per-(block,
-    instr) series matrices, and fit.  Returns the report plus the
+    duplicates and inconsistent schemas/blocks, stack the series into
+    one ``(n_pairs, n_counts, n_features)`` array, and fit.  Returns the report plus the
     synthesis template (the smallest training trace) — everything needed
     to answer ``predict_many`` queries later without re-fitting.
     """
@@ -217,20 +235,15 @@ def fit_traces(
             "(the paper uses 3)",
             stage="fit",
         )
-    traces = sorted(traces, key=lambda t: t.n_ranks)
-    counts = [t.n_ranks for t in traces]
-    if len(set(counts)) != len(counts):
-        raise FitError(f"duplicate training core counts: {counts}", stage="fit")
-    _check_consistent(traces)
-    schema = traces[0].schema
+    traces = check_series(traces)
     template = traces[0]
-
-    # per-(block, instr) series across core counts: (n_counts, n_features)
-    series = dict(
-        zip(template.pair_keys(), np.stack([t.features for t in traces], axis=1))
+    report = fit_feature_series(
+        template.schema,
+        [t.n_ranks for t in traces],
+        np.stack([t.features for t in traces], axis=1),
+        forms,
+        pair_keys=template.pair_keys(),
     )
-
-    report = fit_feature_series(schema, counts, series, forms, engine=engine)
     return report, template
 
 
@@ -241,16 +254,13 @@ def extrapolate_trace_many(
     forms: Sequence[CanonicalForm] = PAPER_FORMS,
     rank: int = -1,
     rate_trust_factor: float = 2.0,
-    engine: str = "batched",
 ) -> ExtrapolationSweep:
     """Extrapolate one training series to *many* target core counts.
 
     Fits every feature element once, then evaluates the fitted models at
     every target — the multi-target sweep behind the Tables II/III
-    what-if benches, where re-fitting per target would dominate.  With
-    the default batched engine the whole sweep is a handful of array
-    passes; ``engine="reference"`` loops the scalar per-element path
-    once per target (the equivalence baseline).
+    what-if benches, where re-fitting per target would dominate.  The
+    whole sweep is a handful of array passes.
 
     Parameters
     ----------
@@ -276,34 +286,24 @@ def extrapolate_trace_many(
     for t in targets:
         if t <= 0:
             raise FitError(f"target core count must be positive, got {t}", stage="fit")
-    report, template = fit_traces(traces, forms=forms, engine=engine)
+    report, template = fit_traces(traces, forms=forms)
 
-    results: List[ExtrapolationResult] = []
     with span(
         "extrapolate.synthesize",
         targets=len(targets),
-        engine=engine,
         pairs=template.n_instructions,
     ):
-        if isinstance(report, BatchedFitReport):
-            sweep = report.predict_many(
-                targets, rate_trust_factor=rate_trust_factor
+        sweep = report.predict_many(targets, rate_trust_factor=rate_trust_factor)
+        results = [
+            ExtrapolationResult(
+                trace=template.with_features(
+                    values.copy(), rank=rank, n_ranks=target, extrapolated=True
+                ),
+                report=report,
+                target_n_ranks=target,
             )
-            matrices = [values.copy() for values in sweep.values]
-        else:
-            matrices = [
-                _synthesize_reference(report, template, target, rate_trust_factor)
-                for target in targets
-            ]
-        for target, features in zip(targets, matrices):
-            trace = template.with_features(
-                features, rank=rank, n_ranks=target, extrapolated=True
-            )
-            results.append(
-                ExtrapolationResult(
-                    trace=trace, report=report, target_n_ranks=target
-                )
-            )
+            for target, values in zip(targets, sweep.values)
+        ]
     return ExtrapolationSweep(results=results, report=report, targets=targets)
 
 
@@ -314,7 +314,6 @@ def extrapolate_trace(
     forms: Sequence[CanonicalForm] = PAPER_FORMS,
     rank: int = -1,
     rate_trust_factor: float = 2.0,
-    engine: str = "batched",
 ) -> ExtrapolationResult:
     """Extrapolate a series of small-core-count traces to a large count.
 
@@ -327,6 +326,5 @@ def extrapolate_trace(
         forms=forms,
         rank=rank,
         rate_trust_factor=rate_trust_factor,
-        engine=engine,
     )
     return sweep.results[0]

@@ -5,25 +5,22 @@ instruction's feature vector over the training core counts, recording
 which form won and how well it fit — the data behind Figs. 3-5 and the
 <20%-error claim of §IV.
 
-Two engines produce the same report:
-
-- ``engine="batched"`` (default): all elements are stacked into one
-  ``(n_elements, n_counts)`` matrix and fitted by
-  :func:`repro.core.batchfit.batch_fit_series` in a handful of
-  whole-matrix passes; per-element :class:`ElementFit` objects are
-  materialized lazily on access.
-- ``engine="reference"``: the original per-element Python loop over
-  :func:`repro.core.canonical.fit_all` — the scalar reference the
-  batched engine is property-tested against (numerical agreement to
-  ~1e-9 relative, identical form selection).
+All elements are stacked into one ``(n_elements, n_counts)`` matrix and
+fitted by :func:`repro.core.batchfit.batch_fit_series` in a handful of
+whole-matrix passes; :class:`BatchedFitReport` keeps those matrices as
+the fitted model.  The per-element scalar chain —
+:func:`repro.core.canonical.fit_all` and :class:`ElementFit` selection —
+is the oracle the batch path is tested against (agreement to ~1e-9
+relative, identical form selection); see
+:func:`repro.core.extrapolate.reference_matrices`.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +30,6 @@ from repro.core.canonical import (
     CanonicalForm,
     FitResult,
     PAPER_FORMS,
-    fit_all,
 )
 from repro.obs.trace import span
 from repro.trace.features import FeatureSchema
@@ -42,37 +38,27 @@ from repro.util.errors import FitError
 
 @dataclass
 class ElementFit:
-    """The fitted models for one (block, instruction, feature) element.
+    """The scalar oracle's candidate fits of one feature element.
 
     ``candidates`` hold every applicable canonical form, best-first (SSE
-    with parsimony tie-breaks).  ``fit`` is the best fit;
-    :meth:`select_for_target` may *demote* it for a given prediction
-    target when its extrapolation leaves the feature's physical range (a
-    negative operation count, say) in favor of the next-best form that
-    stays physical — without this, a least-squares line through a
-    decaying count series extrapolates below zero and clamping would
-    destroy the proportionality between related elements (see DESIGN.md
-    §5).  Selection is pure: it never mutates the element, so
-    diagnostics like :meth:`FitReport.form_histogram` and
-    :meth:`training_max_rel_error` are target-independent.
+    with parsimony tie-breaks), as :func:`~repro.core.canonical.fit_all`
+    returns them.  :meth:`select_for_target` may *demote* the best fit
+    for a given prediction target when its extrapolation leaves the
+    feature's physical range (a negative operation count, say) in favor
+    of the next-best form that stays physical — without this, a
+    least-squares line through a decaying count series extrapolates
+    below zero and clamping would destroy the proportionality between
+    related elements (see DESIGN.md §5).  Selection is pure: it never
+    mutates the element.
     """
 
-    block_id: int
-    instr_id: int
-    feature: str
     candidates: List[FitResult]
-    train_x: np.ndarray
     train_y: np.ndarray
 
-    @property
-    def fit(self) -> FitResult:
-        """The best fit (candidate 0), independent of any target."""
-        return self.candidates[0]
-
-    def selection_for_target(
+    def select_for_target(
         self, n_ranks: float, bounds: Tuple[float, float]
-    ) -> int:
-        """Index of the best candidate whose prediction is physical.
+    ) -> FitResult:
+        """The best candidate whose prediction at ``n_ranks`` is physical.
 
         A candidate is rejected if its prediction falls below the lower
         bound, or is non-positive when every training value was strictly
@@ -81,11 +67,11 @@ class ElementFit:
         between related count elements.  Predictions *above* the upper
         bound are kept: for bounded rates, exceeding the bound is
         saturation and the caller's clamp is the physical behavior.
-        If every candidate is rejected, index 0 (the best fit) wins.
+        If every candidate is rejected, the best fit wins.
         """
         lo, _hi = bounds
         require_positive = bool(np.all(self.train_y > 0))
-        for i, candidate in enumerate(self.candidates):
+        for candidate in self.candidates:
             raw = float(candidate.predict(np.array([n_ranks]))[0])
             if not np.isfinite(raw):
                 continue
@@ -93,14 +79,8 @@ class ElementFit:
                 continue
             if require_positive and raw <= 0:
                 continue
-            return i
-        return 0
-
-    def select_for_target(
-        self, n_ranks: float, bounds: Tuple[float, float]
-    ) -> FitResult:
-        """Pick the best fit whose prediction at ``n_ranks`` is physical."""
-        return self.candidates[self.selection_for_target(n_ranks, bounds)]
+            return candidate
+        return self.candidates[0]
 
     def predict(self, n_ranks: float, bounds: Tuple[float, float]) -> float:
         """Evaluate the selected fit at a core count, clamped to bounds."""
@@ -108,40 +88,6 @@ class ElementFit:
         raw = float(fit.predict(np.array([n_ranks]))[0])
         lo, hi = bounds
         return float(np.clip(raw, lo, hi))
-
-    def training_max_rel_error(self, candidate: int = 0) -> float:
-        """Worst relative training residual of one candidate (diagnostic).
-
-        Keyed explicitly by candidate index (default: the best fit) so
-        the meaning never depends on prediction history.
-        """
-        pred = self.candidates[candidate].predict(self.train_x)
-        denom = np.maximum(np.abs(self.train_y), 1e-12)
-        return float(np.max(np.abs(pred - self.train_y) / denom))
-
-
-@dataclass
-class FitReport:
-    """All element fits of one trace-extrapolation run."""
-
-    core_counts: List[int]
-    fits: Dict[Tuple[int, int, str], ElementFit] = field(default_factory=dict)
-
-    def fit_for(self, block_id: int, instr_id: int, feature: str) -> ElementFit:
-        try:
-            return self.fits[(block_id, instr_id, feature)]
-        except KeyError:
-            raise KeyError(
-                f"no fit recorded for block {block_id}, instr {instr_id}, "
-                f"feature {feature!r}"
-            ) from None
-
-    def form_histogram(self) -> Counter:
-        """How often each canonical form is the best fit (target-free)."""
-        return Counter(f.fit.form.name for f in self.fits.values())
-
-    def elements(self) -> List[ElementFit]:
-        return list(self.fits.values())
 
 
 @dataclass
@@ -186,53 +132,33 @@ FIT_SCHEMA_VERSION = 1
 _FIT_ARRAYS = ("x", "Y", "sse", "applicable", "order", "n_candidates")
 
 
-@dataclass
-class BatchedFitReport(FitReport):
-    """A :class:`FitReport` backed by whole-trace fit matrices.
+def row_bounds(
+    schema: FeatureSchema, n_pairs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row physical bounds ``(lo, hi)`` of a pair-major,
+    feature-minor element matrix of ``n_pairs`` instructions."""
+    lo = np.array([schema.bounds(f)[0] for f in schema.fields])
+    hi = np.array([schema.bounds(f)[1] for f in schema.fields])
+    return np.tile(lo, n_pairs), np.tile(hi, n_pairs)
 
-    Satisfies the reference report API (``fit_for`` materializes
-    :class:`ElementFit` objects lazily; ``form_histogram`` is computed
-    from the ranking arrays) and adds the vectorized multi-target sweep
-    entry point :meth:`predict_many`.
+
+@dataclass
+class BatchedFitReport:
+    """All element fits of one trace-extrapolation run, as matrices.
+
+    ``batch`` holds one row per (instruction pair, feature) element,
+    pair-major in ``pair_keys`` order and feature-minor in ``schema``
+    order.  :meth:`predict_many` is the synthesis entry point: one fit,
+    evaluated at any number of targets.
     """
 
-    schema: Optional[FeatureSchema] = None
-    pair_keys: List[Tuple[int, int]] = field(default_factory=list)
-    batch: Optional[BatchFitResult] = None
-
-    def _row_of(self, block_id: int, instr_id: int, feature: str) -> int:
-        try:
-            pair = self.pair_keys.index((block_id, instr_id))
-            j = self.schema.index(feature)
-        except (ValueError, KeyError):
-            raise KeyError(
-                f"no fit recorded for block {block_id}, instr {instr_id}, "
-                f"feature {feature!r}"
-            ) from None
-        return pair * self.schema.n_features + j
-
-    def fit_for(self, block_id: int, instr_id: int, feature: str) -> ElementFit:
-        key = (block_id, instr_id, feature)
-        if key not in self.fits:
-            row = self._row_of(*key)
-            self.fits[key] = ElementFit(
-                block_id=block_id,
-                instr_id=instr_id,
-                feature=feature,
-                candidates=self.batch.candidates_for(row),
-                train_x=self.batch.x,
-                train_y=self.batch.Y[row].copy(),
-            )
-        return self.fits[key]
-
-    def elements(self) -> List[ElementFit]:
-        return [
-            self.fit_for(bid, iid, feature)
-            for bid, iid in self.pair_keys
-            for feature in self.schema.fields
-        ]
+    core_counts: List[int]
+    schema: FeatureSchema
+    pair_keys: List[Tuple[int, int]]
+    batch: BatchFitResult
 
     def form_histogram(self) -> Counter:
+        """How often each canonical form is the best fit (target-free)."""
         counts = np.bincount(
             self.batch.order[:, 0], minlength=len(self.batch.forms)
         )
@@ -243,16 +169,6 @@ class BatchedFitReport(FitReport):
                 if n
             }
         )
-
-    def _bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        lo_f = np.array(
-            [self.schema.bounds(f)[0] for f in self.schema.fields]
-        )
-        hi_f = np.array(
-            [self.schema.bounds(f)[1] for f in self.schema.fields]
-        )
-        n_pairs = len(self.pair_keys)
-        return np.tile(lo_f, n_pairs), np.tile(hi_f, n_pairs)
 
     def predict_many(
         self,
@@ -278,7 +194,7 @@ class BatchedFitReport(FitReport):
                     f"target core count must be positive, got {t}",
                     stage="fit",
                 )
-        lo, hi = self._bounds_arrays()
+        lo, hi = row_bounds(self.schema, len(self.pair_keys))
         raw, _chosen = self.batch.select_and_predict(targets, lo)
         values = np.clip(raw, lo[:, None], hi[:, None])
 
@@ -374,11 +290,11 @@ class BatchedFitReport(FitReport):
 def fit_feature_series(
     schema: FeatureSchema,
     core_counts: Sequence[int],
-    series: Dict[Tuple[int, int], np.ndarray],
+    series: np.ndarray,
     forms: Sequence[CanonicalForm] = PAPER_FORMS,
     *,
-    engine: str = "batched",
-) -> FitReport:
+    pair_keys: Sequence[Tuple[int, int]],
+) -> BatchedFitReport:
     """Fit every feature element of every instruction.
 
     Parameters
@@ -388,59 +304,29 @@ def fit_feature_series(
     core_counts:
         Training core counts, ascending.
     series:
-        ``(block_id, instr_id) -> (n_counts, n_features)`` arrays of the
-        instruction's feature vectors at each training count.
-    engine:
-        ``"batched"`` (default) stacks all elements into one matrix and
-        fits with whole-trace array passes; ``"reference"`` runs the
-        per-element scalar loop the batched engine is tested against.
+        ``(n_pairs, n_counts, n_features)`` array: row ``p`` holds the
+        feature vectors of instruction ``pair_keys[p]`` at each
+        training count.
+    pair_keys:
+        ``(block_id, instr_index)`` of each row of ``series``.
     """
-    if engine not in ("batched", "reference"):
-        raise FitError(f"unknown fitting engine {engine!r}", stage="fit")
     x = np.asarray(core_counts, dtype=np.float64)
     if np.any(np.diff(x) <= 0):
         raise FitError("core counts must be strictly ascending", stage="fit")
-    matrices: List[np.ndarray] = []
-    pair_keys: List[Tuple[int, int]] = []
-    for (block_id, instr_id), matrix in series.items():
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (len(core_counts), schema.n_features):
-            raise ValueError(
-                f"series for block {block_id} instr {instr_id} has shape "
-                f"{matrix.shape}, expected ({len(core_counts)}, {schema.n_features})"
-            )
-        matrices.append(matrix)
-        pair_keys.append((block_id, instr_id))
-
-    counts = [int(c) for c in core_counts]
-    if engine == "reference":
-        with span("fit.series", engine="reference", pairs=len(pair_keys)):
-            report = FitReport(core_counts=counts)
-            for (block_id, instr_id), matrix in zip(pair_keys, matrices):
-                for j, feature in enumerate(schema.fields):
-                    candidates = fit_all(x, matrix[:, j], forms)
-                    report.fits[(block_id, instr_id, feature)] = ElementFit(
-                        block_id=block_id,
-                        instr_id=instr_id,
-                        feature=feature,
-                        candidates=candidates,
-                        train_x=x,
-                        train_y=matrix[:, j].copy(),
-                    )
-            return report
-
-    with span("fit.series", engine="batched", pairs=len(pair_keys)):
-        if matrices:
-            # (n_pairs * n_features, n_counts): pair-major, feature-minor
-            Y = np.concatenate(
-                [m.T for m in matrices], axis=0
-            )
-        else:
-            Y = np.zeros((0, len(counts)))
-        batch = batch_fit_series(x, Y, forms)
+    series = np.asarray(series, dtype=np.float64)
+    expected = (len(pair_keys), x.size, schema.n_features)
+    if series.shape != expected:
+        raise ValueError(
+            f"feature series has shape {series.shape}, expected {expected}"
+        )
+    with span("fit.series", pairs=len(pair_keys)):
+        # (n_pairs * n_features, n_counts), pair-major and feature-minor,
+        # stored column-major: the layout sets BLAS's summation order in
+        # the least-squares passes, so it is part of the fit's bytes
+        Y = series.transpose(1, 0, 2).reshape(x.size, -1).T
         return BatchedFitReport(
-            core_counts=counts,
+            core_counts=[int(c) for c in core_counts],
             schema=schema,
-            pair_keys=pair_keys,
-            batch=batch,
+            pair_keys=list(pair_keys),
+            batch=batch_fit_series(x, Y, forms),
         )

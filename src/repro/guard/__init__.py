@@ -10,8 +10,8 @@ the *data* flowing between stages.  Three pillars:
   a deep-stack crash.
 - **gates** (:mod:`repro.guard.gates`): per-element fit quality gates
   combining training residuals, leave-one-out cross-validation
-  (:mod:`repro.core.crossval`), and cross-engine spot checks of the
-  batched engine against the scalar reference.
+  (:mod:`repro.core.crossval`), and spot checks of the batched fit
+  against the scalar oracle.
 - **the degradation ladder** (:mod:`repro.guard.engine`): under
   ``GuardPolicy`` ``strict``/``degrade``/``off``, flagged elements
   degrade individually (hold the nearest collected value) before the

@@ -18,7 +18,7 @@ Quality-gate flags (training residuals, cross-validation) are
 *advisory* under every policy: with only a handful of training points a
 statistical gate flags clean data too, and acting on such flags would
 break the clean-run bit-identity invariant (DESIGN.md §7.7).  Only
-physical/structural violations and cross-engine spot-check
+physical/structural violations and fitting spot-check
 disagreements — which cannot occur on clean inputs — alter output or
 refuse.
 """

@@ -11,8 +11,8 @@ guard sequence:
    with the nearest valid one in the series, preferring the larger
    count) so fitting never sees poison;
 4. **fit + synthesize** on the sanitized series;
-5. run the **quality gates** (residual, cross-validation, cross-engine
-   spot check — see :mod:`repro.guard.gates`);
+5. run the **quality gates** (residual, cross-validation, the fitting
+   spot check against the scalar oracle — see :mod:`repro.guard.gates`);
 6. **hold** each flagged element at its nearest collected value in the
    synthesized output (ladder rung 1), re-monotonizing hit rates;
 7. **validate** every synthesized trace as an extrapolated-trace
@@ -29,9 +29,9 @@ prediction is **refused** (rung 3) — a :class:`GuardError` even under
 Invariant: on violation-free inputs the guarded path returns traces
 bit-identical to the unguarded path — validation only reads,
 sanitization and holds only touch flagged elements, the spot check
-cannot disagree on clean data (the engines agree to ~1e-9, three
-orders of magnitude inside the tolerance), and advisory gate flags
-never modify anything.
+cannot disagree on clean data (the batch path and the oracle agree to
+~1e-9, three orders of magnitude inside the tolerance), and advisory
+gate flags never modify anything.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.core.extrapolate import (
     ExtrapolationSweep,
     extrapolate_trace_many,
 )
-from repro.core.fitting import BatchedFitReport, FitReport
 from repro.guard.config import GuardConfig
 from repro.guard.degrade import (
     DegradationReport,
@@ -121,9 +120,6 @@ def _substitute_sweep(
             boundary="collect->fit",
         )
     src = max(clean, key=lambda t: t.n_ranks)
-    fit_report = FitReport(
-        core_counts=sorted(t.n_ranks for t in clean), fits={}
-    )
     results = []
     for target in targets:
         report.degrade_trace(
@@ -137,13 +133,11 @@ def _substitute_sweep(
         results.append(
             ExtrapolationResult(
                 trace=_substitute_trace(src, target, rank),
-                report=fit_report,
+                report=None,
                 target_n_ranks=target,
             )
         )
-    return ExtrapolationSweep(
-        results=results, report=fit_report, targets=list(targets)
-    )
+    return ExtrapolationSweep(results=results, report=None, targets=list(targets))
 
 
 def _nearest_valid(valid: Sequence[int], i: int) -> int:
@@ -158,7 +152,6 @@ def guarded_extrapolate_many(
     forms: Sequence[CanonicalForm] = PAPER_FORMS,
     rank: int = -1,
     rate_trust_factor: float = 2.0,
-    engine: str = "batched",
     config: Optional[GuardConfig] = None,
     report: Optional[DegradationReport] = None,
 ) -> Tuple[ExtrapolationSweep, DegradationReport]:
@@ -178,7 +171,6 @@ def guarded_extrapolate_many(
             forms=forms,
             rank=rank,
             rate_trust_factor=rate_trust_factor,
-            engine=engine,
         )
         return sweep, (report or DegradationReport(policy="off"))
     report = report or DegradationReport.for_config(config)
@@ -298,7 +290,6 @@ def guarded_extrapolate_many(
             forms=forms,
             rank=rank,
             rate_trust_factor=rate_trust_factor,
-            engine=engine,
         )
     except (FitError, ValueError) as exc:
         if config.strict:
@@ -308,7 +299,7 @@ def guarded_extrapolate_many(
     # fitted-model boundary: hold any element whose selected fit is
     # non-finite (cannot happen on finite sanitized series, but the
     # boundary is checked, not assumed)
-    fit_violations = validate_fit_report(sweep.report, schema)
+    fit_violations = validate_fit_report(sweep.report)
     report.add_violations(fit_violations)
     if config.strict and fit_violations:
         raise GuardError(fit_violations)
@@ -330,49 +321,48 @@ def guarded_extrapolate_many(
         report.crossval_median_error = crossval.median_error
         report.add_gate_flags(crossval.flags)
 
-    if isinstance(sweep.report, BatchedFitReport):
-        template = sanitized[0]
-        outcome = spot_check_gate(
-            sweep.report,
-            {res.target_n_ranks: res.trace.features for res in sweep.results},
-            forms=forms,
-            rate_trust_factor=rate_trust_factor,
-            seed_tokens=(template.app, template.target),
-        )
-        report.bump("n_spot_checks", len(outcome.checked_pairs))
-        report.add_gate_flags(outcome.flags)
-        if outcome.flags and config.strict:
-            disagreements = [
-                GuardViolation(
-                    artifact="extrapolated-trace",
-                    boundary="fit->extrapolate",
-                    check="spot-check",
-                    message=(
-                        f"engines disagree by {f.score:.3e} relative "
-                        f"(tolerance {f.threshold:g})"
-                    ),
-                    severity="error",
-                    block_id=f.block_id,
-                    instr_id=f.instr_id,
-                    feature=f.feature,
-                )
-                for f in outcome.flags
-            ]
-            report.add_violations(disagreements)
-            raise GuardError(disagreements)
-        for (target, pair), ref in sorted(outcome.reference.items()):
-            trace = sweep.result_for(target).trace
-            trace.features[trace.row(*pair)] = ref
-        for f in outcome.flags:
-            report.degrade_element(
-                ElementDegradation(
-                    block_id=f.block_id,
-                    instr_id=f.instr_id,
-                    feature=f.feature,
-                    action="reference-fallback",
-                    reason="cross-engine spot-check disagreement",
-                )
+    template = sanitized[0]
+    outcome = spot_check_gate(
+        sweep.report,
+        {res.target_n_ranks: res.trace.features for res in sweep.results},
+        forms=forms,
+        rate_trust_factor=rate_trust_factor,
+        seed_tokens=(template.app, template.target),
+    )
+    report.bump("n_spot_checks", len(outcome.checked_pairs))
+    report.add_gate_flags(outcome.flags)
+    if outcome.flags and config.strict:
+        disagreements = [
+            GuardViolation(
+                artifact="extrapolated-trace",
+                boundary="fit->extrapolate",
+                check="spot-check",
+                message=(
+                    f"batched fit and scalar oracle disagree by "
+                    f"{f.score:.3e} relative (tolerance {f.threshold:g})"
+                ),
+                severity="error",
+                block_id=f.block_id,
+                instr_id=f.instr_id,
+                feature=f.feature,
             )
+            for f in outcome.flags
+        ]
+        report.add_violations(disagreements)
+        raise GuardError(disagreements)
+    for (target, pair), ref in sorted(outcome.reference.items()):
+        trace = sweep.result_for(target).trace
+        trace.features[trace.row(*pair)] = ref
+    for f in outcome.flags:
+        report.degrade_element(
+            ElementDegradation(
+                block_id=f.block_id,
+                instr_id=f.instr_id,
+                feature=f.feature,
+                action="reference-fallback",
+                reason="fitting spot-check disagreement",
+            )
+        )
 
     # -- ladder rung 1: hold flagged elements at collected values -------
     hr = schema.hit_rate_slice
@@ -441,7 +431,6 @@ def guarded_extrapolate(
     forms: Sequence[CanonicalForm] = PAPER_FORMS,
     rank: int = -1,
     rate_trust_factor: float = 2.0,
-    engine: str = "batched",
     config: Optional[GuardConfig] = None,
     report: Optional[DegradationReport] = None,
 ) -> Tuple[ExtrapolationResult, DegradationReport]:
@@ -453,7 +442,6 @@ def guarded_extrapolate(
         forms=forms,
         rank=rank,
         rate_trust_factor=rate_trust_factor,
-        engine=engine,
         config=config,
         report=report,
     )

@@ -1,22 +1,25 @@
 """Per-element fit quality gates.
 
-Three complementary signals on a fitted extrapolation:
+Complementary signals on a fitted extrapolation:
 
 - **residual gate** — worst relative training residual of each
-  element's selected form; a form that cannot even reproduce its
-  training points will not extrapolate.  Advisory.
+  element's selected form, one array pass over the fit matrices; a
+  form that cannot even reproduce its training points will not
+  extrapolate.  Advisory.
 - **cross-validation gate** — leave-last-out held-out error via
-  :mod:`repro.core.crossval`; the extrapolation-direction confidence
-  signal the paper lacks.  Advisory; also yields the ``trust_fraction``
-  surfaced in the CLI summary and run manifest.
-- **cross-engine spot check** — refit a keyed-RNG sample of
-  ``(block, instr)`` pairs with the scalar reference engine and compare
-  the synthesized vectors against the batched engine's output.  The two
-  engines agree to ~1e-9 relative on valid inputs, so any disagreement
-  beyond tolerance marks a genuine anomaly: the element is flagged and
-  the reference vector is the fallback.  This is the one gate whose
-  flags *act* (they cannot fire on clean inputs, so acting preserves
-  the clean-run bit-identity invariant).
+  :mod:`repro.core.crossval`, itself one batched refit; the
+  extrapolation-direction confidence signal the paper lacks.
+  Advisory; also yields the ``trust_fraction`` surfaced in the CLI
+  summary and run manifest.
+- **fitting spot check** — refit a keyed-RNG sample of
+  ``(block, instr)`` pairs with the scalar oracle
+  (:func:`repro.core.extrapolate.reference_matrices`) and compare the
+  synthesized vectors against the batched output.  The two agree to
+  ~1e-9 relative on valid inputs, so any disagreement beyond tolerance
+  marks a genuine anomaly: the element is flagged and the oracle's
+  vector is the fallback.  This is the one gate whose flags *act*
+  (they cannot fire on clean inputs, so acting preserves the
+  clean-run bit-identity invariant).
 - **cache-engine spot check** — when collection runs the analytical
   ``reuse`` cache engine, re-simulate a keyed-RNG sample of blocks
   *exactly* on a truncated stream and compare per-level aggregate hit
@@ -38,10 +41,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.canonical import CanonicalForm, fit_all
+from repro.core.canonical import CanonicalForm
 from repro.core.crossval import cross_validate_traces
-from repro.core.extrapolate import synthesize_element_vector
-from repro.core.fitting import BatchedFitReport, ElementFit, FitReport
+from repro.core.extrapolate import reference_matrices
+from repro.core.fitting import BatchedFitReport
 from repro.trace.tracefile import TraceFile
 from repro.util.rng import stream
 
@@ -69,52 +72,28 @@ class GateFlag:
 
 
 def residual_gate(
-    report: FitReport, threshold: float
+    report: BatchedFitReport, threshold: float
 ) -> List[GateFlag]:
-    """Flag elements whose selected form misses its own training data.
-
-    Vectorized on the batched report (one ``predict_all_forms`` pass
-    over the training abscissa); falls back to the per-element loop for
-    the reference report.
-    """
+    """Flag elements whose selected form misses its own training data."""
+    batch, schema = report.batch, report.schema
+    # (n_forms, n_rows, n_counts) -> per-row selected-form residuals
+    preds = batch.predict_all_forms(batch.x)
+    selected = preds[batch.order[:, 0], np.arange(batch.n_rows), :]
+    denom = np.maximum(np.abs(batch.Y), 1e-12)
+    worst = np.max(np.abs(selected - batch.Y) / denom, axis=1)
     flags: List[GateFlag] = []
-    if isinstance(report, BatchedFitReport) and report.batch.n_rows:
-        batch = report.batch
-        # (n_forms, n_rows, n_counts) -> per-row selected-form residuals
-        preds = batch.predict_all_forms(batch.x)
-        chosen = batch.order[:, 0]
-        rows = np.arange(batch.n_rows)
-        selected = preds[chosen, rows, :]
-        denom = np.maximum(np.abs(batch.Y), 1e-12)
-        worst = np.max(np.abs(selected - batch.Y) / denom, axis=1)
-        schema = report.schema
-        for row in np.nonzero(worst > threshold)[0]:
-            pair = report.pair_keys[row // schema.n_features]
-            feature = schema.fields[row % schema.n_features]
-            flags.append(
-                GateFlag(
-                    gate="residual",
-                    block_id=pair[0],
-                    instr_id=pair[1],
-                    feature=feature,
-                    score=float(worst[row]),
-                    threshold=threshold,
-                )
+    for row in np.nonzero(worst > threshold)[0]:
+        pair = report.pair_keys[row // schema.n_features]
+        flags.append(
+            GateFlag(
+                gate="residual",
+                block_id=pair[0],
+                instr_id=pair[1],
+                feature=schema.fields[row % schema.n_features],
+                score=float(worst[row]),
+                threshold=threshold,
             )
-        return flags
-    for element in report.elements():
-        score = element.training_max_rel_error()
-        if score > threshold:
-            flags.append(
-                GateFlag(
-                    gate="residual",
-                    block_id=element.block_id,
-                    instr_id=element.instr_id,
-                    feature=element.feature,
-                    score=score,
-                    threshold=threshold,
-                )
-            )
+        )
     return flags
 
 
@@ -157,23 +136,24 @@ def crossval_gate(
     return outcome
 
 
-#: fraction of (block, instr) pairs spot-checked against the reference
-#: engine
+#: fraction of (block, instr) pairs spot-checked against the scalar
+#: oracle
 SPOT_CHECK_FRACTION = 0.05
 #: spot-check at least this many pairs (when the trace has them)
 SPOT_CHECK_MIN = 4
-#: relative tolerance beyond which the engines "disagree"; the engines
-#: agree to ~1e-9 on clean inputs, so 1e-6 never fires there
+#: relative tolerance beyond which the batch path and the oracle
+#: "disagree"; they agree to ~1e-9 on clean inputs, so 1e-6 never fires
+#: there
 SPOT_CHECK_RTOL = 1e-6
 
 
 @dataclass
 class SpotCheckOutcome:
-    """Cross-engine comparison result over a keyed-RNG pair sample."""
+    """Batch-vs-oracle comparison result over a keyed-RNG pair sample."""
 
     checked_pairs: List[Tuple[int, int]] = field(default_factory=list)
     flags: List[GateFlag] = field(default_factory=list)
-    #: reference vectors per disagreeing (target, pair) — the fallback
+    #: oracle vectors per disagreeing (target, pair) — the fallback
     reference: Dict[Tuple[int, Tuple[int, int]], np.ndarray] = field(
         default_factory=dict
     )
@@ -187,11 +167,11 @@ def spot_check_gate(
     rate_trust_factor: float,
     seed_tokens: Sequence = (),
 ) -> SpotCheckOutcome:
-    """Compare batched-engine output with a reference refit of a sample.
+    """Compare the batched output with the scalar oracle on a sample.
 
-    ``synthesized`` maps each target count to the batched engine's
-    feature matrix, one row per entry of ``report.pair_keys``.  The pair
-    sample is drawn from the keyed stream ``("guard", "spotcheck",
+    ``synthesized`` maps each target count to the batched feature
+    matrix, one row per entry of ``report.pair_keys``.  The pair sample
+    is drawn from the keyed stream ``("guard", "spotcheck",
     *seed_tokens)``, so identical runs check identical pairs.
     """
     outcome = SpotCheckOutcome()
@@ -204,48 +184,29 @@ def spot_check_gate(
     sample = sorted(
         int(p) for p in rng.choice(n_pairs, size=want, replace=False)
     )
-    schema = report.schema
-    x = report.batch.x
-    for p in sample:
-        bid, k = report.pair_keys[p]
-        outcome.checked_pairs.append((bid, k))
-        # independent reference refit of every feature of this pair,
-        # straight from the training series the batched engine saw
-        fits = []
-        for j, feature in enumerate(schema.fields):
-            row = p * schema.n_features + j
-            y = report.batch.Y[row]
-            fits.append(
-                ElementFit(
-                    block_id=bid,
-                    instr_id=k,
-                    feature=feature,
-                    candidates=fit_all(x, y, forms),
-                    train_x=x,
-                    train_y=y.copy(),
-                )
+    outcome.checked_pairs = [report.pair_keys[p] for p in sample]
+    targets = list(synthesized)
+    # (n_sample, n_targets, n_features), pair-major like the flags
+    ref = reference_matrices(
+        report, sample, targets,
+        forms=forms, rate_trust_factor=rate_trust_factor,
+    ).transpose(1, 0, 2)
+    actual = np.stack([synthesized[t][sample] for t in targets], axis=1)
+    close = np.isclose(actual, ref, rtol=SPOT_CHECK_RTOL, atol=1e-12)
+    for i, t, j in zip(*np.nonzero(~close)):
+        pair, target = outcome.checked_pairs[i], targets[t]
+        outcome.reference[(target, pair)] = ref[i, t]
+        denom = max(abs(float(ref[i, t, j])), 1e-12)
+        outcome.flags.append(
+            GateFlag(
+                gate="spot-check",
+                block_id=pair[0],
+                instr_id=pair[1],
+                feature=report.schema.fields[int(j)],
+                score=abs(float(actual[i, t, j]) - float(ref[i, t, j])) / denom,
+                threshold=SPOT_CHECK_RTOL,
             )
-        for target, matrix in synthesized.items():
-            ref = synthesize_element_vector(
-                fits, schema, target, rate_trust_factor
-            )
-            actual = matrix[p]
-            close = np.isclose(actual, ref, rtol=SPOT_CHECK_RTOL, atol=1e-12)
-            if close.all():
-                continue
-            outcome.reference[(target, (bid, k))] = ref
-            for j in np.nonzero(~close)[0]:
-                denom = max(abs(float(ref[j])), 1e-12)
-                outcome.flags.append(
-                    GateFlag(
-                        gate="spot-check",
-                        block_id=bid,
-                        instr_id=k,
-                        feature=schema.fields[int(j)],
-                        score=abs(float(actual[j]) - float(ref[j])) / denom,
-                        threshold=SPOT_CHECK_RTOL,
-                    )
-                )
+        )
     return outcome
 
 

@@ -21,9 +21,11 @@ Physical invariants checked on traces:
 
 Extrapolated traces additionally assert the synthesis postconditions
 (``extrapolated`` marker set; the same physical invariants double as
-the bounds/monotonization postcondition check).  Machine profiles check
-finite positive fp issue rates, finite network parameters, and a
-behavioral probe of the bandwidth surface.
+the bounds/monotonization postcondition check).  Fitted models check
+that every element's selected form has finite parameters and SSE, one
+array pass over the fit matrices.  Machine profiles check finite
+positive fp issue rates, finite network parameters, and a behavioral
+probe of the bandwidth surface.
 """
 
 from __future__ import annotations
@@ -188,38 +190,37 @@ def validate_trace(
 
 def validate_fit_report(
     report,
-    schema,
     *,
     boundary: str = "fit->extrapolate",
 ) -> List[GuardViolation]:
-    """Violations of a fitted model set: selected fits must have finite
-    parameters and finite training SSE.
-
-    Works on both engines through the common :class:`FitReport` API;
-    the batched report materializes only the selected candidate per
-    element (cheap: parameters are already fitted arrays).
-    """
+    """Violations of a fitted model set: every element's selected form
+    (``batch.order[:, 0]``) must have finite parameters and finite
+    training SSE.  One array pass over the fit matrices."""
+    batch, schema = report.batch, report.schema
+    rows = np.arange(batch.n_rows)
+    chosen = batch.order[:, 0]
+    finite = np.stack(
+        [np.isfinite(p).all(axis=1) for p in batch.params], axis=1
+    )
+    params_ok = finite[rows, chosen]
+    sse_ok = np.isfinite(batch.sse[rows, chosen])
     violations: List[GuardViolation] = []
-    for element in report.elements():
-        best = element.fit
-        bad = None
-        if not np.all(np.isfinite(best.params)):
-            bad = f"selected form {best.form.name!r} has non-finite parameters"
-        elif not np.isfinite(best.sse):
-            bad = f"selected form {best.form.name!r} has non-finite SSE"
-        if bad is not None:
-            violations.append(
-                GuardViolation(
-                    artifact="fit",
-                    boundary=boundary,
-                    check="fit-finite",
-                    message=bad,
-                    severity="error",
-                    block_id=element.block_id,
-                    instr_id=element.instr_id,
-                    feature=element.feature,
-                )
+    for row in np.flatnonzero(~(params_ok & sse_ok)):
+        name = batch.forms[chosen[row]].name
+        what = "parameters" if not params_ok[row] else "SSE"
+        bid, k = report.pair_keys[row // schema.n_features]
+        violations.append(
+            GuardViolation(
+                artifact="fit",
+                boundary=boundary,
+                check="fit-finite",
+                message=f"selected form {name!r} has non-finite {what}",
+                severity="error",
+                block_id=bid,
+                instr_id=k,
+                feature=schema.fields[row % schema.n_features],
             )
+        )
     return violations
 
 

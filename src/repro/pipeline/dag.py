@@ -317,9 +317,7 @@ def _rule_fit(name: str, spec: SweepSpec, parents: Dict[str, Path]):
         TraceFile.load_npz(parents[p])
         for p in sorted(parents, key=_target_of)
     ]
-    report, _template = fit_traces(
-        traces, forms=FORM_SETS[spec.forms], engine="batched"
-    )
+    report, _template = fit_traces(traces, forms=FORM_SETS[spec.forms])
     return report
 
 

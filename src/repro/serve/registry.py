@@ -161,8 +161,7 @@ def fit_model(spec: ModelSpec, *, config=None, report=None) -> FittedModel:
 
     Collection runs with the spec's cache engine (exact LRU replay or
     analytical reuse-distance), fitting through
-    :func:`repro.core.extrapolate.fit_traces` on the batched engine —
-    the identical code the offline sweep API uses, so served answers are
+    :func:`repro.core.extrapolate.fit_traces` — the identical code the offline sweep API uses, so served answers are
     bit-identical to what a fresh ``extrapolate_trace_many`` would
     produce.
     """
@@ -184,14 +183,7 @@ def fit_model(spec: ModelSpec, *, config=None, report=None) -> FittedModel:
         traces = collect_training_traces(
             app, list(spec.train_counts), config, report=report
         )
-        fit_report, template = fit_traces(
-            traces, forms=FORM_SETS[spec.forms], engine="batched"
-        )
-    if not isinstance(fit_report, BatchedFitReport):
-        raise ServeError(
-            "registry models require the batched fitting engine",
-            stage="serve",
-        )
+        fit_report, template = fit_traces(traces, forms=FORM_SETS[spec.forms])
     return FittedModel(spec=spec, report=fit_report, template=template)
 
 

@@ -1,14 +1,16 @@
-"""Batched fitting engine vs the per-element scalar reference.
+"""Batched fitting vs the per-element scalar oracle.
 
-The batched engine's contract (DESIGN.md §7.4) is *agreement*, not
+The batch path's contract (DESIGN.md §7.4) is *agreement*, not
 approximation: identical candidate form ordering, parameters and SSE to
-~1e-9 relative, and synthesized trace values matching the reference
-path to 1e-9 relative with exact ties on form selection.  These tests
-pit the two implementations against each other over adversarial series
-shapes — mixed signs, all zeros, exact canonical data, duplicate-y
-parsimony ties, physicality demotions — and over whole traces of the
-SPECFEM3D model.
+~1e-9 relative against :func:`fit_all`, and synthesized trace values
+matching the oracle (:func:`reference_matrices`) to 1e-9 relative with
+exact ties on form selection.  These tests pit the two implementations
+against each other over adversarial series shapes — mixed signs, all
+zeros, exact canonical data, duplicate-y parsimony ties, physicality
+demotions — and over whole traces of the SPECFEM3D model.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,28 +18,39 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batchfit import batch_fit_series
 from repro.core.canonical import EXTENDED_FORMS, PAPER_FORMS, fit_all
-from repro.core.extrapolate import extrapolate_trace, extrapolate_trace_many
-from repro.core.fitting import fit_feature_series
+from repro.core.extrapolate import (
+    extrapolate_trace,
+    extrapolate_trace_many,
+    reference_matrices,
+)
+from repro.core.fitting import ElementFit, fit_feature_series, row_bounds
 from repro.trace.features import FeatureSchema
 
 X3 = np.array([96.0, 384.0, 1536.0])
 
 
+def ranked_forms(res, row):
+    """Form indices of one row's applicable candidates, best-first."""
+    return [int(f) for f in res.order[row, : res.n_candidates[row]]]
+
+
 def assert_rows_match_reference(x, Y, forms, rtol=1e-9):
-    """Every row's batched candidate list must mirror fit_all's."""
+    """Every row's batched candidate ranking must mirror fit_all's."""
     res = batch_fit_series(x, Y, forms)
     for i in range(Y.shape[0]):
         ref = fit_all(x, Y[i], forms)
-        got = res.candidates_for(i)
+        got = ranked_forms(res, i)
         assert len(got) == len(ref), f"row {i}: candidate count differs"
-        for rank, (r, g) in enumerate(zip(ref, got)):
-            assert g.form.name == r.form.name, (
-                f"row {i} rank {rank}: {g.form.name} != {r.form.name}"
+        for rank, (r, f) in enumerate(zip(ref, got)):
+            assert res.forms[f].name == r.form.name, (
+                f"row {i} rank {rank}: {res.forms[f].name} != {r.form.name}"
             )
             np.testing.assert_allclose(
-                g.params, r.params, rtol=rtol, atol=1e-12
+                res.params[f][i], r.params, rtol=rtol, atol=1e-12
             )
-            np.testing.assert_allclose(g.sse, r.sse, rtol=rtol, atol=1e-18)
+            np.testing.assert_allclose(
+                res.sse[i, f], r.sse, rtol=rtol, atol=1e-18
+            )
 
 
 class TestAgainstReference:
@@ -89,7 +102,7 @@ class TestAgainstReference:
         names = {f.name for f in res.forms}
         assert "quadratic" in names  # present in the form set...
         for i in range(8):
-            got = {c.form.name for c in res.candidates_for(i)}
+            got = {res.forms[f].name for f in ranked_forms(res, i)}
             assert "quadratic" not in got  # ...but never a candidate
         assert_rows_match_reference(X3, Y, EXTENDED_FORMS)
 
@@ -131,11 +144,9 @@ class TestAgainstReference:
 class TestSelectionAndSweep:
     SCHEMA = FeatureSchema(["L1", "L2"])
 
-    def _series(self, rng, n_pairs=6):
-        counts = [1024, 2048, 4096]
-        series = {}
-        for p in range(n_pairs):
-            m = np.zeros((3, self.SCHEMA.n_features))
+    def _fit(self, rng, n_pairs=6):
+        series = np.zeros((n_pairs, 3, self.SCHEMA.n_features))
+        for m in series:
             for j, f in enumerate(self.SCHEMA.fields):
                 if self.SCHEMA.is_rate_field(f):
                     m[:, j] = np.sort(rng.uniform(0.4, 1.0, 3))
@@ -144,44 +155,47 @@ class TestSelectionAndSweep:
             # a decaying count column that a linear fit would drive
             # negative at large targets: the physicality-demotion case
             m[:, self.SCHEMA.index("exec_count")] = [3e4, 2e4, 1e4]
-            series[(p, 0)] = m
-        return counts, series
+        return fit_feature_series(
+            self.SCHEMA, [1024, 2048, 4096], series,
+            pair_keys=[(p, 0) for p in range(n_pairs)],
+        )
+
+    def oracle_fit(self, batch, row):
+        """The scalar oracle's fit of one element, from its series."""
+        return ElementFit(fit_all(batch.x, batch.Y[row]), batch.Y[row])
 
     def test_physicality_demotion_matches_reference(self):
         rng = np.random.default_rng(3)
-        counts, series = self._series(rng)
-        batched = fit_feature_series(self.SCHEMA, counts, series)
-        reference = fit_feature_series(
-            self.SCHEMA, counts, series, engine="reference"
-        )
+        report = self._fit(rng)
+        batch = report.batch
         target = 65536  # far enough to push the linear fit negative
-        for key in series:
-            for f in self.SCHEMA.fields:
-                b = batched.fit_for(key[0], key[1], f)
-                r = reference.fit_for(key[0], key[1], f)
-                bounds = self.SCHEMA.bounds(f)
-                sel_b = b.selection_for_target(target, bounds)
-                sel_r = r.selection_for_target(target, bounds)
-                assert b.candidates[sel_b].form.name == (
-                    r.candidates[sel_r].form.name
-                )
-                assert b.predict(target, bounds) == pytest.approx(
-                    r.predict(target, bounds), rel=1e-9, abs=1e-300
-                )
+        lo, _hi = row_bounds(self.SCHEMA, len(report.pair_keys))
+        raw, chosen = batch.select_and_predict([target], lo)
+        assert np.any(chosen[:, 0] != batch.order[:, 0])  # demotions ran
+        for row in range(batch.n_rows):
+            f = self.SCHEMA.fields[row % self.SCHEMA.n_features]
+            bounds = self.SCHEMA.bounds(f)
+            oracle = self.oracle_fit(batch, row)
+            assert batch.forms[chosen[row, 0]].name == (
+                oracle.select_for_target(target, bounds).form.name
+            )
+            assert float(np.clip(raw[row, 0], *bounds)) == pytest.approx(
+                oracle.predict(target, bounds), rel=1e-9, abs=1e-300
+            )
 
     def test_predict_many_matches_scalar_path(self):
         rng = np.random.default_rng(5)
-        counts, series = self._series(rng)
-        report = fit_feature_series(self.SCHEMA, counts, series)
+        report = self._fit(rng)
         targets = [8192, 16384, 65536]
         sweep = report.predict_many(targets)
         hr = self.SCHEMA.hit_rate_slice
+        n_f = self.SCHEMA.n_features
         for target in targets:
-            for key in series:
+            for p, key in enumerate(report.pair_keys):
                 # replicate the scalar synthesis pipeline per element
                 vec = self.SCHEMA.empty_vector()
                 for j, f in enumerate(self.SCHEMA.fields):
-                    fit = report.fit_for(key[0], key[1], f)
+                    fit = self.oracle_fit(report.batch, p * n_f + j)
                     bounds = self.SCHEMA.bounds(f)
                     value = fit.predict(target, bounds)
                     if self.SCHEMA.is_rate_field(f):
@@ -202,8 +216,7 @@ class TestSelectionAndSweep:
 
     def test_predict_many_validates_targets(self):
         rng = np.random.default_rng(9)
-        counts, series = self._series(rng, n_pairs=1)
-        report = fit_feature_series(self.SCHEMA, counts, series)
+        report = self._fit(rng, n_pairs=1)
         with pytest.raises(ValueError):
             report.predict_many([])
         with pytest.raises(ValueError):
@@ -228,22 +241,19 @@ class TestWholeTraceEquivalence:
 
     def test_specfem3d_batched_equals_reference(self, specfem_traces):
         target = 384
-        batched = extrapolate_trace(specfem_traces, target, engine="batched")
-        reference = extrapolate_trace(
-            specfem_traces, target, engine="reference"
+        batched = extrapolate_trace(specfem_traces, target)
+        report = batched.report
+        (oracle,) = reference_matrices(
+            report, range(len(report.pair_keys)), [target],
+            forms=PAPER_FORMS, rate_trust_factor=2.0,
         )
-        tb, tr = batched.trace, reference.trace
-        assert sorted(tb.blocks) == sorted(tr.blocks)
-        for bid in tb.blocks:
-            for ib, ir in zip(
-                tb.blocks[bid].instructions, tr.blocks[bid].instructions
-            ):
-                np.testing.assert_allclose(
-                    ib.features, ir.features, rtol=1e-9, atol=1e-300
-                )
+        np.testing.assert_allclose(
+            batched.trace.features, oracle, rtol=1e-9, atol=1e-300
+        )
         # exact ties on form selection
-        assert batched.report.form_histogram() == (
-            reference.report.form_histogram()
+        x = report.batch.x
+        assert report.form_histogram() == Counter(
+            fit_all(x, y)[0].form.name for y in report.batch.Y
         )
 
     def test_sweep_equals_single_target_calls(self, specfem_traces):
@@ -258,7 +268,3 @@ class TestWholeTraceEquivalence:
                     single.blocks[bid].instructions,
                 ):
                     assert np.array_equal(a.features, b.features)
-
-    def test_unknown_engine_rejected(self, specfem_traces):
-        with pytest.raises(ValueError):
-            extrapolate_trace(specfem_traces, 384, engine="gpu")

@@ -1,12 +1,16 @@
 """Unit tests: the command-line interface and cross-validation extension."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
 from repro.core.crossval import cross_validate_traces
+from repro.core.extrapolate import fit_traces
 from repro.trace.features import FeatureSchema
 from repro.trace.records import BasicBlockRecord, InstructionRecord, SourceLocation
 from repro.trace.tracefile import TraceFile
+from repro.util.errors import FitError
 
 SCHEMA = FeatureSchema(["L1", "L2", "L3"])
 
@@ -61,6 +65,40 @@ class TestCrossValidation:
         assert errors == sorted(errors, reverse=True)
 
 
+class TestCrossValidationRefusals:
+    """Cross-validation refuses every training series fitting refuses."""
+
+    def assert_refused(self, series):
+        with pytest.raises(FitError):
+            fit_traces(series)
+        with pytest.raises(FitError):
+            cross_validate_traces(series)
+
+    def test_instruction_kind_differs(self, jacobi_traces):
+        t4, t8, t16 = jacobi_traces
+        kinds = t8.kinds.copy()
+        kinds[0] = "store" if kinds[0] != "store" else "load"
+        self.assert_refused([t4, dataclasses.replace(t8, kinds=kinds), t16])
+
+    def test_app_differs(self, jacobi_traces):
+        t4, t8, t16 = jacobi_traces
+        self.assert_refused([t4, t8, dataclasses.replace(t16, app="specfem3d")])
+
+    def test_duplicate_core_count(self, jacobi_traces):
+        t4, t8, t16 = jacobi_traces
+        self.assert_refused([t4, t8, dataclasses.replace(t16, n_ranks=8)])
+
+    def test_kept_trace_lacks_a_block(self, jacobi_traces):
+        t4, t8, t16 = jacobi_traces
+        first = min(t4.blocks)
+        lacking = TraceFile.from_blocks(
+            [b for bid, b in t4.blocks.items() if bid != first],
+            app=t4.app, rank=t4.rank, n_ranks=t4.n_ranks, target=t4.target,
+            schema=t4.schema,
+        )
+        self.assert_refused([lacking, t8, t16])
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -83,6 +121,27 @@ class TestCli:
         loaded = TraceFile.load_npz(out_path)
         assert loaded.extrapolated and loaded.n_ranks == 128
         assert "128" in capsys.readouterr().out
+
+    def test_extrapolate_substituted_run_prints_no_forms(
+        self, tmp_path, capsys
+    ):
+        # a wholly poisoned middle trace exceeds the degraded-fraction
+        # ceiling, so the guard substitutes the 32-core trace whole
+        paths = []
+        for p in (8, 16, 32):
+            t = synth_trace(p)
+            if p == 16:
+                t.features[:] = float("nan")
+            path = tmp_path / f"t{p}.npz"
+            t.save_npz(path)
+            paths.append(str(path))
+        out_path = tmp_path / "sub.npz"
+        rc = main(
+            ["extrapolate", "--trace", *paths, "--target", "128",
+             "--out", str(out_path)]
+        )
+        assert rc == 0
+        assert "-> 128 ranks ({}) ->" in capsys.readouterr().out
 
     def test_extrapolate_extended_forms_flag(self, tmp_path):
         paths = []

@@ -11,6 +11,7 @@ from repro.core.extrapolate import (
     extrapolate_trace,
     extrapolate_trace_many,
     fit_traces,
+    reference_matrices,
     synthesize_from_prediction,
 )
 from repro.core.fitting import fit_feature_series
@@ -77,28 +78,34 @@ TRAIN = [synthetic_trace(p) for p in (1024, 2048, 4096)]
 
 class TestFitFeatureSeries:
     def test_histogram_and_lookup(self):
-        series = {
-            (0, 0): np.stack(
-                [t.blocks[0].instructions[0].features for t in TRAIN]
-            )
-        }
-        report = fit_feature_series(SCHEMA, [1024, 2048, 4096], series)
+        series = np.stack(
+            [t.blocks[0].instructions[0].features for t in TRAIN]
+        )[None]
+        report = fit_feature_series(
+            SCHEMA, [1024, 2048, 4096], series, pair_keys=[(0, 0)]
+        )
         assert sum(report.form_histogram().values()) == SCHEMA.n_features
-        fit = report.fit_for(0, 0, "hit_rate_L1")
-        assert fit.fit.form.name == "constant"
-        with pytest.raises(KeyError):
-            report.fit_for(9, 9, "mem_ops")
+        # rows are pair-major, feature-minor
+        row = (
+            report.pair_keys.index((0, 0)) * SCHEMA.n_features
+            + SCHEMA.index("hit_rate_L1")
+        )
+        assert report.batch.forms[report.batch.order[row, 0]].name == (
+            "constant"
+        )
 
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             fit_feature_series(
-                SCHEMA, [8, 16, 32], {(0, 0): np.zeros((2, SCHEMA.n_features))}
+                SCHEMA, [8, 16, 32], np.zeros((1, 2, SCHEMA.n_features)),
+                pair_keys=[(0, 0)],
             )
 
     def test_counts_must_ascend(self):
         with pytest.raises(ValueError):
             fit_feature_series(
-                SCHEMA, [32, 16, 8], {(0, 0): np.zeros((3, SCHEMA.n_features))}
+                SCHEMA, [32, 16, 8], np.zeros((1, 3, SCHEMA.n_features)),
+                pair_keys=[(0, 0)],
             )
 
 
@@ -202,8 +209,8 @@ class TestExtrapolateTrace:
         with pytest.raises(ValueError):
             extrapolate_trace(TRAIN, 0)
 
-    @pytest.mark.parametrize("engine", ["batched", "reference"])
-    def test_saturating_rate_series_stays_bounded(self, engine):
+    @pytest.mark.parametrize("path", ["batched", "reference"])
+    def test_saturating_rate_series_stays_bounded(self, path):
         """Regression: the rate trust region must not resurrect
         out-of-bounds values.
 
@@ -213,8 +220,8 @@ class TestExtrapolateTrace:
         ``last - factor*spread`` sits *above* 1 for such a series, so
         the cap used to push the value back out of range — and
         ``np.maximum.accumulate`` then propagated it outward through
-        the hierarchy.  Both engines must re-clamp after the cap and
-        after monotonization.
+        the hierarchy.  The batch path and the scalar oracle must both
+        re-clamp after the cap and after monotonization.
         """
         train = []
         for p in (1024, 2048, 4096):
@@ -224,27 +231,35 @@ class TestExtrapolateTrace:
             # [0, 1] range
             t.features[:, SCHEMA.index("hit_rate_L1")] = 1.05
             train.append(t)
-        res = extrapolate_trace(train, 8192, engine=engine)
-        for block in res.trace.blocks.values():
-            for ins in block.instructions:
-                rates = SCHEMA.hit_rates(ins.features)
-                assert np.all(rates >= 0.0) and np.all(rates <= 1.0)
-                assert np.all(np.diff(rates) >= 0)
+        res = extrapolate_trace(train, 8192)
+        features = res.trace.features
+        if path == "reference":
+            (features,) = reference_matrices(
+                res.report, range(len(res.report.pair_keys)), [8192],
+                forms=PAPER_FORMS, rate_trust_factor=2.0,
+            )
+        for vec in features:
+            rates = SCHEMA.hit_rates(vec)
+            assert np.all(rates >= 0.0) and np.all(rates <= 1.0)
+            assert np.all(np.diff(rates) >= 0)
 
     def test_selection_is_pure(self):
         """Regression: predicting at a target must not change diagnostics."""
-        res = extrapolate_trace(TRAIN, 8192)
-        before = res.report.form_histogram()
-        fit = res.report.fit_for(0, 0, "exec_count")
-        errs_before = fit.training_max_rel_error()
+        report = extrapolate_trace(TRAIN, 8192).report
+        before = report.form_histogram()
+        order, Y = report.batch.order.copy(), report.batch.Y.copy()
         # predictions at adversarial targets used to mutate the stored
-        # selection; the histogram and residuals must not move
+        # selection; the histogram, the ranking and the series must not
+        # move on either path
         for target in (2, 8192, 10**9):
-            fit.predict(target, SCHEMA.bounds("exec_count"))
-            fit.select_for_target(target, SCHEMA.bounds("exec_count"))
-        assert res.report.form_histogram() == before
-        assert fit.training_max_rel_error() == errs_before
-        assert fit.fit is fit.candidates[0]
+            report.predict_many([target])
+            reference_matrices(
+                report, range(len(report.pair_keys)), [target],
+                forms=PAPER_FORMS, rate_trust_factor=2.0,
+            )
+        assert report.form_histogram() == before
+        np.testing.assert_array_equal(report.batch.order, order)
+        np.testing.assert_array_equal(report.batch.Y, Y)
 
 
 class TestExtrapolateTraceMany:

@@ -9,7 +9,9 @@ short-circuiting all of it with an element-addressed error.
 import numpy as np
 import pytest
 
-from repro.core.extrapolate import extrapolate_trace_many
+from repro.core.canonical import PAPER_FORMS
+from repro.core.extrapolate import extrapolate_trace_many, reference_matrices
+from repro.core.fitting import BatchedFitReport
 from repro.exec.sigcache import SignatureCache  # noqa: F401 (import check)
 from repro.guard.config import GuardConfig
 from repro.guard.degrade import DegradationReport
@@ -61,13 +63,11 @@ class TestConfig:
 
 
 class TestCleanBitIdentity:
-    @pytest.mark.parametrize("engine", ["batched", "reference"])
-    def test_guarded_equals_unguarded_on_clean_inputs(self, engine):
+    def test_guarded_equals_unguarded_on_clean_inputs(self):
         traces = fresh_traces()
-        plain = extrapolate_trace_many(traces, TARGETS, engine=engine)
+        plain = extrapolate_trace_many(traces, TARGETS)
         sweep, report = guarded_extrapolate_many(
-            fresh_traces(), TARGETS, engine=engine,
-            config=GuardConfig(policy="degrade"),
+            fresh_traces(), TARGETS, config=GuardConfig(policy="degrade"),
         )
         assert report.clean
         for a, b in zip(stacked(plain), stacked(sweep)):
@@ -75,8 +75,7 @@ class TestCleanBitIdentity:
 
     def test_spot_check_ran_on_batched_engine(self):
         _, report = guarded_extrapolate_many(
-            fresh_traces(), TARGETS, engine="batched",
-            config=GuardConfig(policy="degrade"),
+            fresh_traces(), TARGETS, config=GuardConfig(policy="degrade"),
         )
         assert report.n_spot_checks > 0
         assert report.n_spot_disagreements == 0
@@ -103,6 +102,70 @@ class TestCleanBitIdentity:
         )
         assert report.policy == "off" and report.clean
         assert [r.target_n_ranks for r in sweep.results] == TARGETS
+
+
+def perturb_exec_count(monkeypatch, factor=2.0):
+    """Make the batched synthesis scale every exec_count it predicts."""
+    original = BatchedFitReport.predict_many
+
+    def perturbed(self, targets, **kwargs):
+        sweep = original(self, targets, **kwargs)
+        sweep.values[:, :, SCHEMA.index("exec_count")] *= factor
+        return sweep
+
+    monkeypatch.setattr(BatchedFitReport, "predict_many", perturbed)
+
+
+class TestSpotCheckRepair:
+    """A batched output the scalar oracle disagrees with is repaired
+    under ``degrade`` and refused under ``strict``."""
+
+    def test_degrade_falls_back_to_the_oracle(self, monkeypatch):
+        perturb_exec_count(monkeypatch)
+        sweep, report = guarded_extrapolate_many(
+            fresh_traces(), TARGETS, config=GuardConfig(policy="degrade"),
+        )
+        assert report.n_spot_disagreements > 0
+        assert report.degraded_elements
+        assert {d.action for d in report.degraded_elements} == {
+            "reference-fallback"
+        }
+        flagged = {
+            (d.block_id, d.instr_id, d.feature)
+            for d in report.degraded_elements
+        }
+        assert flagged == {
+            (f.block_id, f.instr_id, f.feature)
+            for f in report.gate_flags
+            if f.gate == "spot-check"
+        }
+        # the perturbed column disagrees at every sampled pair, so the
+        # flagged pairs are the sample, and each row is the oracle's
+        assert {feature for _, _, feature in flagged} == {"exec_count"}
+        pairs = sorted({(bid, k) for bid, k, _ in flagged})
+        assert len(pairs) == report.n_spot_checks
+        fit = sweep.report
+        oracle = reference_matrices(
+            fit, [fit.pair_keys.index(p) for p in pairs], TARGETS,
+            forms=PAPER_FORMS, rate_trust_factor=2.0,
+        )
+        for t, res in enumerate(sweep.results):
+            for i, pair in enumerate(pairs):
+                np.testing.assert_array_equal(
+                    res.trace.features[res.trace.row(*pair)], oracle[t, i]
+                )
+
+    def test_strict_refuses_the_disagreement(self, monkeypatch):
+        perturb_exec_count(monkeypatch)
+        with pytest.raises(GuardError) as info:
+            guarded_extrapolate_many(
+                fresh_traces(), TARGETS, config=GuardConfig(policy="strict"),
+            )
+        checks = {v.check for v in info.value.violations}
+        assert checks == {"spot-check"}
+        assert all(
+            v.feature == "exec_count" for v in info.value.violations
+        )
 
 
 class TestUsageErrors:
@@ -181,11 +244,13 @@ class TestLadderRung2:
         _set(traces[1], 0, 0, "exec_count", float("nan"))
         sweep, report = guarded_extrapolate_many(traces, TARGETS, config=config)
         assert report.n_traces_degraded == len(TARGETS)
+        assert sweep.report is None  # no fit stands behind a substitute
         for deg, result in zip(report.degraded_traces, sweep.results):
             assert deg.action == "substitute-collected"
             assert deg.substitute_n_ranks == 64  # largest clean trace
             assert result.trace.n_ranks == deg.target
             assert result.trace.extrapolated
+            assert result.report is None
 
     def test_structurally_broken_trace_dropped_not_fatal(self):
         traces = fresh_traces()

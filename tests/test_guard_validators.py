@@ -144,21 +144,37 @@ class TestTraceValidator:
 class TestFitReportValidator:
     @pytest.fixture(scope="class")
     def fit_report(self):
-        # the reference engine stores persistent ElementFit objects, so
-        # the poisoning test below can mutate a selected fit in place
         traces = [make_trace(n, scale=n / 16.0) for n in (16, 32, 64)]
-        return extrapolate_trace(traces, 256, engine="reference").report
+        return extrapolate_trace(traces, 256).report
 
     def test_clean_fit_report(self, fit_report):
-        assert validate_fit_report(fit_report, SCHEMA) == []
+        assert validate_fit_report(fit_report) == []
 
     def test_nonfinite_params_flagged(self, fit_report):
+        # poison the selected form's parameters of one element (row 1)
         report = copy.deepcopy(fit_report)
-        element = next(iter(report.elements()))
-        element.fit.params[...] = np.nan
-        violations = validate_fit_report(report, SCHEMA)
+        batch = report.batch
+        batch.params[batch.order[1, 0]][1] = np.nan
+        violations = validate_fit_report(report)
         assert violations and all(v.check == "fit-finite" for v in violations)
         assert violations[0].element_addressed
+        (v,) = violations
+        assert (v.block_id, v.instr_id) == report.pair_keys[0]
+        assert v.feature == SCHEMA.fields[1]
+        assert "non-finite parameters" in v.message
+
+    def test_nonfinite_sse_flagged(self, fit_report):
+        # an unselected form's SSE is not the fit's business
+        report = copy.deepcopy(fit_report)
+        batch = report.batch
+        n_f = SCHEMA.n_features
+        last = batch.order[n_f, batch.n_candidates[n_f] - 1]
+        batch.sse[n_f, last] = np.inf
+        batch.sse[n_f + 2, batch.order[n_f + 2, 0]] = np.inf
+        (v,) = validate_fit_report(report)
+        assert (v.block_id, v.instr_id) == report.pair_keys[1]
+        assert v.feature == SCHEMA.fields[2]
+        assert "non-finite SSE" in v.message
 
 
 class TestMachineProfileValidator:

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.canonical import EXTENDED_FORMS, PAPER_FORMS, fit_all, fit_best
-from repro.core.extrapolate import extrapolate_trace, extrapolate_trace_many
+from repro.core.extrapolate import (
+    extrapolate_trace,
+    extrapolate_trace_many,
+    reference_matrices,
+)
 from repro.core.fitting import fit_feature_series
 from repro.trace.features import FeatureSchema
 from repro.trace.records import BasicBlockRecord, InstructionRecord, SourceLocation
@@ -144,24 +148,31 @@ class TestExtrapolationProperties:
         res = extrapolate_trace(traces, 1024)
         assert_physical(res.trace)
 
-    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    @pytest.mark.parametrize("path", ["batched", "reference"])
     @given(traces=trace_series())
     @settings(max_examples=15, deadline=None)
     def test_physical_at_adversarial_targets_both_engines(
-        self, engine, traces
+        self, path, traces
     ):
-        """Both engines synthesize only physical traces, even when asked
-        to 'extrapolate' below, onto, or between the training counts —
-        the guard subsystem's postcondition check must never fire on
-        clean inputs at any target."""
-        sweep = extrapolate_trace_many(
-            traces, ADVERSARIAL_TARGETS, engine=engine
-        )
+        """The batch path and the scalar oracle synthesize only physical
+        traces, even when asked to 'extrapolate' below, onto, or between
+        the training counts — the guard subsystem's postcondition check
+        must never fire on clean inputs at any target."""
+        sweep = extrapolate_trace_many(traces, ADVERSARIAL_TARGETS)
         assert [r.target_n_ranks for r in sweep.results] == ADVERSARIAL_TARGETS
-        for res in sweep.results:
-            assert res.trace.extrapolated
-            assert res.trace.n_ranks == res.target_n_ranks
-            assert_physical(res.trace)
+        synthesized = [r.trace for r in sweep.results]
+        if path == "reference":
+            oracle = reference_matrices(
+                sweep.report, range(len(sweep.report.pair_keys)),
+                ADVERSARIAL_TARGETS, forms=PAPER_FORMS, rate_trust_factor=2.0,
+            )
+            synthesized = [
+                t.with_features(m) for t, m in zip(synthesized, oracle)
+            ]
+        for target, trace in zip(ADVERSARIAL_TARGETS, synthesized):
+            assert trace.extrapolated
+            assert trace.n_ranks == target
+            assert_physical(trace)
 
     @given(trace_series())
     @settings(max_examples=10, deadline=None)
