@@ -65,7 +65,7 @@ LOAD = LoadSpec(
 
 
 @pytest.fixture(scope="module")
-def served_model():
+def served_model(bw_machine):
     if SMOKE:
         traces = _synthetic_training()
         app = "synt"
@@ -83,7 +83,9 @@ def served_model():
         cache_engine="reuse" if not SMOKE else "exact",
         code_version="bench",
     )
-    return FittedModel(spec=spec, report=report, template=template)
+    return FittedModel(
+        spec=spec, report=report, template=template, profile=bw_machine
+    )
 
 
 def _serve(

@@ -9,11 +9,10 @@ constant hit rates, the log-growing reduction counts) can be trusted at
 the target; elements that fail are flagged for the analyst — typically
 the working sets crossing a cache level right at the training boundary.
 
-Every element is refitted at once: the kept traces' feature matrices
-are stacked into one ``(n_elements, n_kept)`` matrix, fitted by
-:func:`repro.core.batchfit.batch_fit_series`, and evaluated at the
-held-out count with the same physicality-aware selection and bounds
-clamp the extrapolation path applies.
+Every element is refitted at once by the production fit,
+:func:`repro.core.extrapolate.fit_traces` on the kept traces, and
+evaluated at the held-out count with the same physicality-aware
+selection and bounds clamp the extrapolation path applies.
 
 This is an extension beyond the paper (its natural "how much should I
 trust this extrapolation?" companion).  It is wired into the pipeline
@@ -34,10 +33,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.batchfit import batch_fit_series
 from repro.core.canonical import CanonicalForm, PAPER_FORMS
 from repro.core.errors import abs_rel_error
-from repro.core.extrapolate import check_series
+from repro.core.extrapolate import check_series, fit_traces
 from repro.core.fitting import row_bounds
 from repro.trace.tracefile import TraceFile
 
@@ -109,10 +107,7 @@ def cross_validate_traces(
     held_out, kept = traces[-1], traces[:-1]
     schema = held_out.schema
     pair_keys = held_out.pair_keys()
-    x = np.array([t.n_ranks for t in kept], dtype=np.float64)
-    # (n_pairs * n_features, n_kept): pair-major, feature-minor
-    Y = np.stack([t.features for t in kept], axis=2).reshape(-1, x.size)
-    batch = batch_fit_series(x, Y, forms)
+    batch = fit_traces(kept, forms=forms)[0].batch
     # mirror the production extrapolation path: bounds-aware selection
     # among all candidate fits, then clamping
     lo, hi = row_bounds(schema, len(pair_keys))

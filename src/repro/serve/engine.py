@@ -24,9 +24,10 @@ coroutine calls and answers them through three stages:
 ``kind="features"`` answers with the synthesized (n_pairs, n_features)
 matrix of the target.  ``kind="runtime"`` additionally synthesizes the
 target trace and replays it through
-:func:`~repro.pipeline.predict.predict_runtime`; synthesis+prediction
-amortize per *distinct* target in the batch, the replay itself is
-per-query work.
+:func:`~repro.pipeline.predict.predict_runtime` against the model's own
+machine profile (:attr:`~repro.serve.registry.FittedModel.profile`);
+synthesis+prediction amortize per *distinct* target in the batch, the
+replay itself is per-query work.
 
 Fault discipline (see :mod:`repro.serve.resilience`):
 
@@ -61,6 +62,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.apps.registry import get_app
 from repro.exec import faults
 from repro.exec.resilience import run_tasks_resilient
 from repro.obs.metrics import REGISTRY, CounterSet, timer_summary
@@ -259,7 +261,6 @@ class QueryEngine:
         # f-string per query raises the allocation rate enough to drag
         # GC pauses into the dispatch hot loop
         self._metric_names: Dict[tuple, str] = {}
-        self._runtime_ctx: Dict[str, tuple] = {}
         # (model digest, target) -> recorded job, shared by the replay
         # threads: a job is a read-only table
         self._jobs: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
@@ -571,16 +572,6 @@ class QueryEngine:
             )
         return model
 
-    def _runtime_context(self, model: FittedModel) -> tuple:
-        ctx = self._runtime_ctx.get(model.digest)
-        if ctx is None:
-            from repro.apps.registry import get_app
-            from repro.machine.systems import get_machine
-
-            ctx = (get_app(model.spec.app), get_machine(model.spec.machine))
-            self._runtime_ctx[model.digest] = ctx
-        return ctx
-
     def _runtime_job(self, digest: str, app, target: int):
         """The job ``app`` records at ``target``, kept for later answers.
 
@@ -676,7 +667,7 @@ class QueryEngine:
         runtimes: Dict[int, float] = {}
         failures: Dict[int, BaseException] = {}
         if kind == "runtime":
-            app, machine = self._runtime_context(model)
+            app, machine = get_app(model.spec.app), model.profile
             keys = [f"serve:replay:{digest[:12]}:{t}" for t in targets]
 
             def _replay():

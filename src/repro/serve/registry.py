@@ -1,33 +1,39 @@
 """Fitted-model registry: fit once, answer forever.
 
-A *model* is everything needed to answer extrapolation queries without
-touching the training pipeline again: the batched fit matrices
-(:class:`~repro.core.batchfit.BatchFitResult` behind a
-:class:`~repro.core.fitting.BatchedFitReport`) plus the synthesis
-template trace.  Models are keyed by a SHA-256 **content digest** of
-their identity — application, machine, training core counts, cache
-engine, canonical-form set, and the code version that fitted them (a
-digest of the package's sources) — so a registry can never
-serve a stale fit for changed inputs: a different identity is a
-different digest is a different entry.
+A *model* is everything needed to answer every query kind without
+touching the training pipeline or probing the machine again: the
+batched fit matrices (:class:`~repro.core.batchfit.BatchFitResult`
+behind a :class:`~repro.core.fitting.BatchedFitReport`), the synthesis
+template trace, and the machine profile runtime queries replay against
+(built once, when the model is fitted).  Models are keyed by a SHA-256
+**content digest** of their identity — application, machine, training
+core counts, cache engine, canonical-form set, and the code version
+that fitted them (a digest of the package's sources) — so a registry
+can never serve a stale fit for changed inputs: a different identity is
+a different digest is a different entry.
 
 Persistence is one :class:`~repro.util.store.Store` (DESIGN.md §7.13):
 each model is a ``<digest[:2]>/<digest>/`` directory of ``fit.npz``
 (:meth:`~repro.core.fitting.BatchedFitReport.save_npz`, the file the
-pipeline DAG's fit node commits), ``template.npz`` and a ``meta.json``
-manifest with the spec, behind a small memory LRU (``serve.registry.*``
-metrics).  The store makes the registry self-healing and bounded: a
-load that fails verification is quarantined and reported as a **miss**,
-so ``get_or_fit`` refits; an optional ``budget_mb`` GCs
-least-recently-used entries after each store; and ``get_or_fit`` fits
-under a per-digest lock, so concurrent processes fit a model once (a
-lock older than ``lock_stale_s`` is taken over).
+pipeline DAG's fit node commits), ``template.npz``, ``machine.pkl``
+(the :class:`~repro.machine.profile.MachineProfile`, pickled as the
+machine-profile store keeps it) and a ``meta.json`` manifest with the
+spec and every member's digest, behind a small memory LRU
+(``serve.registry.*`` metrics).  A server started on an existing entry
+neither probes the machine nor imports scipy.  The store makes the
+registry self-healing and bounded: a load that fails verification is
+quarantined and reported as a **miss**, so ``get_or_fit`` refits; an
+optional ``budget_mb`` GCs least-recently-used entries after each
+store; and ``get_or_fit`` fits under a per-digest lock, so concurrent
+processes fit a model once (a lock older than ``lock_stale_s`` is taken
+over).
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -36,6 +42,8 @@ from repro.cache.engine import ENGINE_NAMES
 from repro.core.canonical import FORM_SETS
 from repro.core.extrapolate import fit_traces, synthesize_from_prediction
 from repro.core.fitting import BatchedFitReport, SweepPrediction
+from repro.machine.profile import MachineProfile
+from repro.machine.systems import STORE_DIR, get_machine
 from repro.obs.manifest import default_code_version
 from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import span
@@ -43,12 +51,21 @@ from repro.trace.tracefile import TraceFile
 from repro.util.errors import ServeError
 from repro.util.store import EVENTS, Store
 
-#: 2: one fit bundle per entry instead of a file per matrix
-SCHEMA_VERSION = 2
+#: 2: one fit bundle per entry instead of a file per matrix;
+#: 3: the entry carries the model's machine profile
+SCHEMA_VERSION = 3
+
+#: the entry member holding the model's machine profile
+MACHINE_FILE = "machine.pkl"
 
 #: fault-plan ``feature`` → the entry file a ``corrupt-model-entry``
 #: spec truncates
-FAULT_FILES = {"meta": "meta.json", "matrix": "fit.npz", "template": "template.npz"}
+FAULT_FILES = {
+    "meta": "meta.json",
+    "matrix": "fit.npz",
+    "template": "template.npz",
+    "machine": MACHINE_FILE,
+}
 
 
 @dataclass(frozen=True)
@@ -123,11 +140,14 @@ class ModelSpec:
 
 @dataclass
 class FittedModel:
-    """One registry entry: spec + fit report + synthesis template."""
+    """One registry entry: spec + fit report + synthesis template, plus
+    the machine profile runtime queries replay against."""
 
     spec: ModelSpec
     report: BatchedFitReport
     template: TraceFile
+    #: the profile of ``spec.machine``, built by :func:`fit_model`
+    profile: MachineProfile
 
     @property
     def digest(self) -> str:
@@ -163,7 +183,10 @@ def fit_model(spec: ModelSpec, *, config=None, report=None) -> FittedModel:
     analytical reuse-distance), fitting through
     :func:`repro.core.extrapolate.fit_traces` — the identical code the offline sweep API uses, so served answers are
     bit-identical to what a fresh ``extrapolate_trace_many`` would
-    produce.
+    produce.  The machine profile is built here, once per model: like
+    ``run_table1``, a fit with a signature cache keeps it in the
+    machine-profile store beside the cache, so a profile a ``table1``
+    run already built is loaded, not probed.
     """
     # local imports: keep registry loading cheap and cycle-free
     from repro.apps.registry import get_app
@@ -184,7 +207,13 @@ def fit_model(spec: ModelSpec, *, config=None, report=None) -> FittedModel:
             app, list(spec.train_counts), config, report=report
         )
         fit_report, template = fit_traces(traces, forms=FORM_SETS[spec.forms])
-    return FittedModel(spec=spec, report=fit_report, template=template)
+        machine = get_machine(
+            spec.machine,
+            root=None if config.cache is None else config.cache.root / STORE_DIR,
+        )
+    return FittedModel(
+        spec=spec, report=fit_report, template=template, profile=machine
+    )
 
 
 @dataclass
@@ -221,7 +250,12 @@ def _encode(model: FittedModel) -> Tuple[Dict[str, bytes], dict]:
     fit, template = io.BytesIO(), io.BytesIO()
     model.report.save_npz(fit, forms=model.spec.forms)
     model.template.save_npz(template)
-    files = {"fit.npz": fit.getvalue(), "template.npz": template.getvalue()}
+    files = {
+        "fit.npz": fit.getvalue(),
+        "template.npz": template.getvalue(),
+        # the machine-profile store's codec: one profile format
+        MACHINE_FILE: pickle.dumps(model.profile),
+    }
     return files, {"schema_version": SCHEMA_VERSION, "spec": model.spec.to_dict()}
 
 
@@ -241,6 +275,7 @@ def _decode(digest: str, meta: dict, files: Dict[str, bytes]) -> FittedModel:
         spec=spec,
         report=BatchedFitReport.load_npz(io.BytesIO(files["fit.npz"])),
         template=TraceFile.load_npz(io.BytesIO(files["template.npz"])),
+        profile=pickle.loads(files[MACHINE_FILE]),
     )
 
 

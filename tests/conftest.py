@@ -74,8 +74,9 @@ def jacobi_traces(small_jacobi, bw_machine):
 
 
 @pytest.fixture(scope="session")
-def serve_model(jacobi_traces):
-    """A fitted serving model over the small Jacobi training trio."""
+def serve_model(jacobi_traces, bw_machine):
+    """A fitted serving model over the small Jacobi training trio; it
+    carries the reduced-budget profile, so runtime queries never probe."""
     from repro.core.extrapolate import fit_traces
     from repro.serve import FittedModel, ModelSpec
 
@@ -86,4 +87,6 @@ def serve_model(jacobi_traces):
         train_counts=(4, 8, 16),
         code_version="test-build",
     )
-    return FittedModel(spec=spec, report=report, template=template)
+    return FittedModel(
+        spec=spec, report=report, template=template, profile=bw_machine
+    )

@@ -64,6 +64,38 @@ class TestCrossValidation:
         errors = [e.held_out_error for e in flagged]
         assert errors == sorted(errors, reverse=True)
 
+    def test_refit_is_the_production_fit(
+        self, small_jacobi, bw_machine, monkeypatch
+    ):
+        """The leave-last-out refit is ``fit_traces`` on the kept traces,
+        bit for bit.  The batched fit's last bits follow the memory
+        layout of its series matrix, and on this series a refit stacked
+        row-major differed from the production fit in 46 parameters."""
+        import repro.core.fitting as fitting
+        from repro.pipeline.collect import collect_signature
+        from tests.conftest import FAST_SETTINGS
+
+        traces = [
+            collect_signature(
+                small_jacobi, p, bw_machine.hierarchy, FAST_SETTINGS
+            ).slowest_trace()
+            for p in (4, 8, 16, 32)
+        ]
+        fits = []
+        batch_fit_series = fitting.batch_fit_series
+
+        def recorded(*args):
+            fits.append(batch_fit_series(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(fitting, "batch_fit_series", recorded)
+        cross_validate_traces(traces)
+        fit_traces(traces[:-1])
+        assert len(fits) == 2, "the refit bypassed fit_traces"
+        refit, production = fits
+        for a, b in zip(refit.params, production.params):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestCrossValidationRefusals:
     """Cross-validation refuses every training series fitting refuses."""

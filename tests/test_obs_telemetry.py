@@ -362,10 +362,7 @@ BREAKER_OPEN_S = 0.05
 class TestChaosRecorder:
     """Breaker transitions land in the interval where they happened."""
 
-    def test_transitions_in_their_intervals(
-        self, tmp_path, serve_model, bw_machine
-    ):
-        from repro.apps.registry import get_app
+    def test_transitions_in_their_intervals(self, tmp_path, serve_model):
         from repro.serve import ModelRegistry, Query, QueryEngine, ServeConfig
 
         digest = serve_model.digest
@@ -391,7 +388,6 @@ class TestChaosRecorder:
                 breaker_open_s=BREAKER_OPEN_S,
             ),
         )
-        engine._runtime_ctx[digest] = (get_app("jacobi"), bw_machine)
         sampler = TelemetrySampler(
             engine, TelemetryConfig(out=tmp_path / "flight.jsonl")
         )

@@ -32,7 +32,6 @@ from repro.exec import faults
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import REGISTRY
 from repro.serve import (
-    FittedModel,
     ModelRegistry,
     Query,
     QueryEngine,
@@ -83,13 +82,9 @@ def _chaos_plan(digest_a: str, digest_b: str) -> faults.FaultPlan:
 
 
 @pytest.fixture()
-def chaos_setup(tmp_path, serve_model, bw_machine):
-    from repro.apps.registry import get_app
-
-    model_b = FittedModel(
-        spec=replace(serve_model.spec, code_version="build-b"),
-        report=serve_model.report,
-        template=serve_model.template,
+def chaos_setup(tmp_path, serve_model):
+    model_b = replace(
+        serve_model, spec=replace(serve_model.spec, code_version="build-b")
     )
     probe = ModelRegistry(tmp_path / "probe")
     probe.put(serve_model)
@@ -111,10 +106,6 @@ def chaos_setup(tmp_path, serve_model, bw_machine):
                 breaker_threshold=2,
                 breaker_open_s=BREAKER_OPEN_S,
             ),
-        )
-        # session-fixture machine profile: skip the expensive rebuild
-        engine._runtime_ctx[serve_model.digest] = (
-            get_app("jacobi"), bw_machine
         )
         return engine
 

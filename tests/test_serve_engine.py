@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    FittedModel,
     ModelRegistry,
     Query,
     QueryEngine,
@@ -64,10 +63,8 @@ def test_batched_answers_bit_identical_to_sequential(serve_model):
 
 
 def test_distinct_models_never_share_a_batch(serve_model):
-    other = FittedModel(
-        spec=replace(serve_model.spec, code_version="other-build"),
-        report=serve_model.report,
-        template=serve_model.template,
+    other = replace(
+        serve_model, spec=replace(serve_model.spec, code_version="other-build")
     )
 
     async def main():

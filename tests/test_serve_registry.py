@@ -8,12 +8,13 @@ ProfileCache idiom (mem/disk hits, misses, stores, evictions).
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.serve import FittedModel, ModelRegistry, ModelSpec
+from repro.serve import FittedModel, ModelRegistry, ModelSpec, Query, QueryEngine
 from repro.util.errors import ServeError
 
 TARGETS = [32, 64, 128]
@@ -21,11 +22,7 @@ TARGETS = [32, 64, 128]
 
 def _variant(model: FittedModel, **spec_changes) -> FittedModel:
     """The same fit under a different identity (for multi-model tests)."""
-    return FittedModel(
-        spec=replace(model.spec, **spec_changes),
-        report=model.report,
-        template=model.template,
-    )
+    return replace(model, spec=replace(model.spec, **spec_changes))
 
 
 class TestModelSpec:
@@ -181,3 +178,91 @@ class TestRegistryTiers:
     def test_bad_mem_entries_rejected(self):
         with pytest.raises(ServeError):
             ModelRegistry(root=None, mem_entries=0)
+
+
+class TestColdRestart:
+    def test_restarted_registry_answers_runtime_without_probing(
+        self, tmp_path, serve_model, monkeypatch
+    ):
+        """A server restarted on a stored entry replays runtime queries
+        against the entry's own profile: MultiMAPS never runs."""
+        import repro.machine.multimaps as multimaps
+        import repro.machine.profile as profile
+        import repro.machine.systems as systems
+
+        def runtime_s(registry) -> float:
+            async def main():
+                engine = QueryEngine(registry, default_model=serve_model.digest)
+                await engine.start()
+                answer = await engine.query(Query(target=64, kind="runtime"))
+                await engine.stop()
+                return answer.runtime_s
+
+            return asyncio.run(main())
+
+        root = tmp_path / "models"
+        first = ModelRegistry(root)
+        first.put(serve_model)
+        in_process = runtime_s(first)
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a restarted server probed the machine")
+
+        monkeypatch.setattr(multimaps, "run_multimaps", no_probe)
+        monkeypatch.setattr(profile, "run_multimaps", no_probe)
+        monkeypatch.setattr(systems, "_PROFILE_CACHE", {})
+        restarted = ModelRegistry(root)
+        assert runtime_s(restarted) == in_process
+        assert restarted.stats.disk_hits == 1
+        loaded, stored = restarted.get(serve_model.spec).profile, serve_model.profile
+        assert loaded is not stored
+        for name in ("sample_hit_rates", "sample_bandwidths_gbs", "coefficients"):
+            assert (
+                getattr(loaded.surface, name).tobytes()
+                == getattr(stored.surface, name).tobytes()
+            ), name
+        assert loaded.fp_rates_gflops == stored.fp_rates_gflops
+
+
+class TestFitModel:
+    def test_fit_loads_the_profile_stored_beside_its_cache(
+        self, tmp_path, bw_machine, monkeypatch
+    ):
+        """A fit with a signature cache takes the profile a ``table1`` run
+        stored under ``<cache-dir>/machines``: MultiMAPS never runs."""
+        import pickle
+
+        import repro.machine.multimaps as multimaps
+        import repro.machine.profile as profile
+        import repro.machine.systems as systems
+        from repro.exec.sigcache import SignatureCache
+        from repro.pipeline.experiment import Table1Config
+        from repro.serve.registry import fit_model
+        from repro.util.store import Store
+        from tests.conftest import FAST_SETTINGS
+
+        cache = SignatureCache(tmp_path / "signatures")
+        # the reduced-budget profile under the default budget's key: a
+        # probe could not produce it
+        key = systems.profile_key(systems.get_spec("blue_waters_p1"), 100_000)
+        Store(cache.root / systems.STORE_DIR, suffix=".pkl").put(
+            key, bw_machine, pickle.dumps
+        )
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("fit_model probed a stored machine")
+
+        monkeypatch.setattr(multimaps, "run_multimaps", no_probe)
+        monkeypatch.setattr(profile, "run_multimaps", no_probe)
+        monkeypatch.setattr(systems, "_PROFILE_CACHE", {})
+        model = fit_model(
+            ModelSpec(app="jacobi", machine="blue_waters_p1",
+                      train_counts=(4, 8, 16), code_version="test-build"),
+            config=Table1Config(collection=FAST_SETTINGS, cache=cache),
+        )
+        for name in ("sample_hit_rates", "sample_bandwidths_gbs", "coefficients"):
+            assert (
+                getattr(model.profile.surface, name).tobytes()
+                == getattr(bw_machine.surface, name).tobytes()
+            ), name
+        assert model.profile.fp_rates_gflops == bw_machine.fp_rates_gflops

@@ -32,7 +32,7 @@ from repro.serve import (
     ServeConfig,
     ServeReport,
 )
-from repro.serve.registry import FAULT_FILES
+from repro.serve.registry import FAULT_FILES, MACHINE_FILE
 from repro.util.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -53,11 +53,7 @@ def _engine(serve_model, **config_kwargs) -> QueryEngine:
 
 
 def _variant(model: FittedModel, **spec_changes) -> FittedModel:
-    return FittedModel(
-        spec=replace(model.spec, **spec_changes),
-        report=model.report,
-        template=model.template,
-    )
+    return replace(model, spec=replace(model.spec, **spec_changes))
 
 
 class TestCircuitBreaker:
@@ -313,19 +309,12 @@ class TestOffload:
         for a in answers:
             assert np.array_equal(a.values, expected)
 
-    def test_runtime_replay_offloads_and_matches_sequential(
-        self, serve_model, bw_machine
-    ):
+    def test_runtime_replay_offloads_and_matches_sequential(self, serve_model):
         from repro.apps.registry import get_app
         from repro.pipeline.predict import predict_runtime
 
         async def main():
             engine = _engine(serve_model)
-            # pre-seed the runtime context with the session fixture so
-            # the test does not pay a full machine-profile build
-            engine._runtime_ctx[serve_model.digest] = (
-                get_app("jacobi"), bw_machine
-            )
             await engine.start()
             answer = await engine.query(Query(target=64, kind="runtime"))
             await engine.stop()
@@ -338,31 +327,30 @@ class TestOffload:
         sweep = serve_model.predict([64])
         trace = serve_model.synthesize(64, prediction=sweep)
         expected = predict_runtime(
-            get_app("jacobi"), 64, trace, bw_machine
+            get_app("jacobi"), 64, trace, serve_model.profile
         ).runtime_s
         assert answer.runtime_s == expected
 
     def test_runtime_replays_reuse_the_recorded_job(
-        self, serve_model, bw_machine, monkeypatch
+        self, serve_model, monkeypatch
     ):
         """Each target's job is recorded once and replayed by every later
         answer; a target whose recording fails fails on its own."""
-        from repro.apps.registry import get_app
+        from repro.apps.jacobi import JacobiProxy
 
-        app = get_app("jacobi")
+        record = JacobiProxy.build_job
         recorded = []
 
-        def build_job(n_ranks):
+        def build_job(app, n_ranks):
             recorded.append(n_ranks)
             if n_ranks == 96:
                 raise ValueError("cannot record 96 ranks")
-            return type(app).build_job(app, n_ranks)
+            return record(app, n_ranks)
 
-        monkeypatch.setattr(app, "build_job", build_job)
+        monkeypatch.setattr(JacobiProxy, "build_job", build_job)
 
         async def main():
             engine = _engine(serve_model)
-            engine._runtime_ctx[serve_model.digest] = (app, bw_machine)
             await engine.start()
             answers = [
                 await engine.query(Query(target=t, kind="runtime"))
@@ -419,12 +407,8 @@ class TestOffload:
         assert errors == []
         assert len(sizes) == 8 * 300 and max(sizes) == RUNTIME_JOBS
 
-    def test_worker_crash_during_replay_fails_one_query(
-        self, serve_model, bw_machine
-    ):
+    def test_worker_crash_during_replay_fails_one_query(self, serve_model):
         """An exhausted-retry replay fails its own query, not the batch."""
-        from repro.apps.registry import get_app
-
         digest = serve_model.digest
         key = f"serve:replay:{digest[:12]}:64"
         plan = faults.FaultPlan(
@@ -437,7 +421,6 @@ class TestOffload:
 
         async def main():
             engine = _engine(serve_model, max_batch=4, window_s=0.02)
-            engine._runtime_ctx[digest] = (get_app("jacobi"), bw_machine)
             await engine.start()
             doomed = asyncio.ensure_future(
                 engine.query(Query(target=64, kind="runtime"))
@@ -575,9 +558,16 @@ class TestCorruptModelEntryFault:
         assert model.digest == digest
         assert fitted == [serve_model.spec]
         assert reg.stats.quarantined == 1 and reg.stats.fits == 1
-        # the refit entry is healthy: a cold get loads it from disk
+        # the refit entry is healthy: a cold get loads it from disk, and
+        # it carries the machine profile again
         reg.clear_memory()
-        assert reg.get(serve_model.spec) is not None
+        loaded = reg.get(serve_model.spec)
+        assert loaded is not None
+        assert (reg.store.path(digest) / MACHINE_FILE).is_file()
+        np.testing.assert_array_equal(
+            loaded.profile.surface.coefficients,
+            serve_model.profile.surface.coefficients,
+        )
         assert reg.stats.quarantined == 1  # no second quarantine
 
 

@@ -76,9 +76,12 @@ def test_extrapolated_npz_bytes_pinned(collected, key):
     assert _sha(trace.save_npz) == EXTRAPOLATED[key]
 
 
-def test_model_npz_bytes_pinned():
+def test_model_npz_bytes_pinned(bw_machine, monkeypatch):
+    from repro.serve import registry
     from repro.serve.registry import ModelSpec, fit_model
 
+    # the profile is no part of the pinned bytes: skip the full probe
+    monkeypatch.setattr(registry, "get_machine", lambda name, root=None: bw_machine)
     model = fit_model(
         ModelSpec(app="jacobi", machine="blue_waters_p1",
                   train_counts=(4, 8, 16), code_version="pin"),
