@@ -20,7 +20,9 @@ overhead ceiling.
 """
 
 import os
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -248,7 +250,7 @@ def test_dag_incremental_speedup(tmp_path):
     The tentpole's payoff, measured: a second ``dag run`` over an
     unchanged spec revalidates 15 committed artifacts instead of
     recomputing them, and dirtying one leaf (deleting the what-if
-    report) recomputes exactly that leaf.  Results land in
+    report's entry) recomputes exactly that leaf.  Results land in
     ``BENCH_pipeline.json`` under ``dag_incremental_speedup``.
     """
     from repro.exec.resilience import ResilienceConfig
@@ -275,7 +277,7 @@ def test_dag_incremental_speedup(tmp_path):
     assert warm.stats.executed == 0
     assert warm.digests == cold.digests
 
-    os.remove(cold.artifacts["report:whatif"])
+    shutil.rmtree(Path(cold.artifacts["report:whatif"]).parent)
     t0 = time.perf_counter()
     dirty = run_dag(spec, root, resilience=resilience)
     t_dirty = time.perf_counter() - t0

@@ -257,7 +257,11 @@ def test_job_build_throughput():
 from repro.apps.jacobi import JacobiParams, JacobiProxy  # noqa: E402
 from repro.exec.sigcache import SignatureCache  # noqa: E402
 from repro.instrument.collector import CollectorConfig  # noqa: E402
-from repro.pipeline.collect import CollectionSettings, collect_signature  # noqa: E402
+from repro.pipeline.collect import (  # noqa: E402
+    CollectionSettings,
+    collect_signature,
+    collect_signatures,
+)
 
 _COLLECT_APP = JacobiProxy(JacobiParams(global_cells=(64, 64, 64), n_steps=2))
 _COLLECT_RANKS = 16
@@ -286,22 +290,23 @@ def test_collect_signature_cold(benchmark, bw_machine):
 def test_collect_signature_memoized(benchmark, bw_machine, tmp_path):
     """Warm-cache path: every round is a disk hit, no recollection."""
     cache = SignatureCache(tmp_path)
-    warm = collect_signature(
+    (warm,) = collect_signatures(
         _COLLECT_APP,
-        _COLLECT_RANKS,
+        [_COLLECT_RANKS],
         bw_machine.hierarchy,
         _COLLECT_SETTINGS,
         cache=cache,
     )
 
     def run():
-        return collect_signature(
+        (signature,) = collect_signatures(
             _COLLECT_APP,
-            _COLLECT_RANKS,
+            [_COLLECT_RANKS],
             bw_machine.hierarchy,
             _COLLECT_SETTINGS,
             cache=cache,
         )
+        return signature
 
     signature = benchmark(run)
     assert cache.stats.hits >= 1
@@ -322,18 +327,18 @@ def test_record_pipeline_baseline(bw_machine, tmp_path):
 
     cache = SignatureCache(tmp_path / "sigcache")
     t0 = time.perf_counter()
-    collect_signature(
+    collect_signatures(
         _COLLECT_APP,
-        _COLLECT_RANKS,
+        [_COLLECT_RANKS],
         bw_machine.hierarchy,
         _COLLECT_SETTINGS,
         cache=cache,
     )
     entry["collect_cold_s"] = round(time.perf_counter() - t0, 4)
     t0 = time.perf_counter()
-    collect_signature(
+    collect_signatures(
         _COLLECT_APP,
-        _COLLECT_RANKS,
+        [_COLLECT_RANKS],
         bw_machine.hierarchy,
         _COLLECT_SETTINGS,
         cache=cache,

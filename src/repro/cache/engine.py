@@ -42,7 +42,6 @@ from repro.util.errors import CollectionError
 from repro.util.rng import RngStream, stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.guard.config import GuardConfig
     from repro.instrument.pebil import InstrumentationReport, InstrumentedProgram
 
 #: recognized engine names, in CLI-choices order
@@ -77,26 +76,16 @@ class ExactEngine(CacheEngine):
 
 
 class ReuseEngine(CacheEngine):
-    """The analytical engine: reuse profiles instead of replay.
+    """The analytical engine: reuse profiles instead of replay, always
+    behind the cross-engine spot check.
 
-    Parameters
-    ----------
-    guard:
-        Guard policy (:class:`~repro.guard.config.GuardConfig`); the
-        cross-engine check runs unless it is ``policy="off"``.
-    cache:
-        Profile store; defaults to the process-global
-        :func:`repro.cache.reuse.profile_cache`.
+    ``cache`` is the profile store; it defaults to the process-global
+    :func:`repro.cache.reuse.profile_cache`.
     """
 
     name = "reuse"
 
-    def __init__(
-        self,
-        guard: Optional["GuardConfig"] = None,
-        cache: Optional[ProfileCache] = None,
-    ):
-        self._guard = guard
+    def __init__(self, cache: Optional[ProfileCache] = None):
         self._cache = cache
 
     def run(
@@ -181,7 +170,7 @@ class ReuseEngine(CacheEngine):
         """Cross-engine guard gate: refuse silent reuse/exact divergence."""
         from repro.guard.gates import cache_engine_spot_check
 
-        if not profiled or (self._guard is not None and not self._guard.enabled):
+        if not profiled:
             return
         outcome = cache_engine_spot_check(
             instrumented.hierarchy,
@@ -199,23 +188,20 @@ class ReuseEngine(CacheEngine):
                 f"{len(outcome.flags)} spot-checked level(s); worst: block "
                 f"{worst.block_id} {worst.feature} off by {worst.score:.4f} "
                 f"(tolerance {worst.threshold:g}) — rerun with "
-                f"--cache-engine exact or --guard off",
+                f"--cache-engine exact",
                 stage="collect",
                 task_key=f"cachesim:{instrumented.program.name}",
             )
 
 
 def get_engine(
-    name: str,
-    *,
-    guard: Optional["GuardConfig"] = None,
-    cache: Optional[ProfileCache] = None,
+    name: str, *, cache: Optional[ProfileCache] = None
 ) -> CacheEngine:
-    """Build the named engine (``guard``/``cache`` apply to ``reuse``)."""
+    """Build the named engine (``cache`` applies to ``reuse``)."""
     if name == "exact":
         return ExactEngine()
     if name == "reuse":
-        return ReuseEngine(guard=guard, cache=cache)
+        return ReuseEngine(cache=cache)
     raise ValueError(
         f"unknown cache engine {name!r}; known engines: {ENGINE_NAMES}"
     )

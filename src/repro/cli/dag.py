@@ -146,7 +146,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
                    help="code-version token in node keys (default: "
                         "SHA-256 of the repro package's sources)")
     p.add_argument("--dag-root", default=None, metavar="DIR",
-                   help="artifact/state directory (default: "
+                   help="node-entry directory (default: "
                         "$REPRO_DAG_ROOT or ~/.cache/repro/dag)")
 
 
@@ -157,9 +157,10 @@ def add_parsers(sub) -> None:
         description="The full sweep (collect, fit, extrapolate, "
                     "convolve, predict, measure, report) as a "
                     "content-addressed DAG: every node is keyed by a "
-                    "digest over its inputs, config, and code version; "
-                    "completions are journaled durably; re-running "
-                    "recomputes only dirty nodes, bit-identically.",
+                    "digest over its inputs, config, and code version, "
+                    "and commits one self-verifying entry atomically; "
+                    "re-running recomputes only dirty nodes, "
+                    "bit-identically.",
     )
     dag_sub = p.add_subparsers(dest="dag_command", required=True)
 
@@ -168,8 +169,8 @@ def add_parsers(sub) -> None:
     )
     _add_spec_flags(dp)
     dp.add_argument("--fresh", action="store_true",
-                    help="ignore all prior node state and recompute "
-                         "everything (truncates the state store); without "
+                    help="remove every committed node entry under "
+                         "--dag-root and recompute everything; without "
                          "it, committed nodes of earlier or interrupted "
                          "runs are reused")
     options.add_pool_flags(dp)

@@ -231,7 +231,7 @@ def add_guard_flags(
 ) -> None:
     g = p.add_argument_group("guardrails")
     g.add_argument(
-        "--guard", choices=POLICIES, default="degrade",
+        "--guard", choices=(*POLICIES, "off"), default="degrade",
         help="stage-boundary guardrails: 'strict' refuses on the first "
              "violation with an element-addressed message, 'degrade' "
              "(default) repairs what it can (hold nearest-collected "

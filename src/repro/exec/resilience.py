@@ -122,6 +122,14 @@ class RunReport(CounterSet):
         REGISTRY.inc("resilience.events")
         log.warning("%s", message)
 
+    def absorb(self, nested: "RunReport") -> None:
+        """Add the tally a pool worker kept for a nested fan-out, but not
+        to the registry: the worker's metrics already carried it there."""
+        for name, n in nested.counters().items():
+            setattr(self, name, getattr(self, name) + n)
+        self.quarantined.extend(nested.quarantined)
+        self.events.extend(nested.events)
+
 
 def backoff_s(key: str, attempt: int, config: ResilienceConfig) -> float:
     """Deterministic jittered exponential backoff before a retry.

@@ -1,12 +1,12 @@
 """Guard policy and thresholds.
 
 ``GuardConfig`` is the single knob bundle threaded through the pipeline
-(CLI ``--guard``/``--trust-threshold`` flags build one).  The policy
-selects a rung style on the degradation ladder:
+(CLI ``--guard``/``--trust-threshold`` flags build one).  No config
+(``None``, what ``--guard off`` builds) disables the guards entirely:
+the pipeline behaves exactly as if this package did not exist.  The
+policy selects a rung style on the degradation ladder:
 
 =========  ==========================================================
-``off``    guards disabled entirely; the pipeline behaves exactly as
-           if this package did not exist
 ``degrade``validate and gate, repair what can be repaired (hold
            nearest-collected values, substitute the largest collected
            trace), refuse only when nothing on the ladder applies
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from repro.util.validation import check_in_range, check_positive
 
 #: recognized guard policies
-POLICIES = ("strict", "degrade", "off")
+POLICIES = ("strict", "degrade")
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class GuardConfig:
     readers (:mod:`repro.guard.gates`, :mod:`repro.guard.engine`).
     """
 
-    #: ladder behavior: "strict" | "degrade" | "off"
+    #: ladder behavior: "strict" | "degrade"
     policy: str = "degrade"
     #: leave-one-out held-out relative error above which an element is
     #: flagged by the cross-validation gate (advisory)
@@ -60,10 +60,6 @@ class GuardConfig:
             "max_degraded_fraction", self.max_degraded_fraction,
             low=0.0, high=1.0,
         )
-
-    @property
-    def enabled(self) -> bool:
-        return self.policy != "off"
 
     @property
     def strict(self) -> bool:

@@ -159,12 +159,12 @@ def guarded_extrapolate_many(
 
     Same signature and semantics as
     :func:`~repro.core.extrapolate.extrapolate_trace_many`, plus a
-    :class:`~repro.guard.config.GuardConfig` (``None`` or policy
-    ``"off"`` disables everything) and an optional shared
+    :class:`~repro.guard.config.GuardConfig` (``None`` disables
+    everything) and an optional shared
     :class:`~repro.guard.degrade.DegradationReport` to accumulate into.
     Returns ``(sweep, report)``.
     """
-    if config is None or not config.enabled:
+    if config is None:
         sweep = extrapolate_trace_many(
             traces,
             targets,
@@ -462,7 +462,7 @@ def check_signature(
     (the poison is caught again, and repaired, at fit time),
     ``strict`` refuses.
     """
-    if config is None or not config.enabled:
+    if config is None:
         return []
     violations: List[GuardViolation] = []
     for rank in sorted(signature.traces):
@@ -491,7 +491,7 @@ def check_prediction_inputs(
     ``strict`` and are recorded under ``degrade`` (a standalone trace
     has no training series to hold values from).
     """
-    if config is None or not config.enabled:
+    if config is None:
         return []
     violations = validate_trace(trace, boundary="trace->predict")
     profile_violations = validate_machine_profile(machine)

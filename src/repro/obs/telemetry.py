@@ -29,8 +29,7 @@ three pieces:
   interval so a scraper never reads a torn file.
 
 Reading the recorder back (:func:`read_flight_records`) tolerates a
-torn final line — the file may be read mid-run or after a kill, the
-same tolerance the pipeline journal gives its JSONL — and
+torn final line — the file may be read mid-run or after a kill — and
 :func:`stats_doc` digests the records into the document that
 ``repro stats`` renders.  Everything here
 is observability-only: no RNG, no influence on any served answer, and
@@ -462,9 +461,9 @@ def read_flight_records(
     """Load a flight-recorder JSONL file, tolerating a torn final line.
 
     The recorder may be read mid-run or after a kill: a final line cut
-    off mid-write is silently dropped (the journal's tolerance).  A
-    malformed line anywhere *else* is corruption, not a torn tail, and
-    always raises; ``strict=True`` makes the tail strict too.
+    off mid-write is silently dropped.  A malformed line anywhere
+    *else* is corruption, not a torn tail, and always raises;
+    ``strict=True`` makes the tail strict too.
     """
     path = Path(path)
     if not path.exists():

@@ -12,7 +12,6 @@ Wires the substrates together into the paper's workflows:
   protocol: train on small counts, extrapolate, predict, compare with
   collected-trace prediction and measured runtime).
 - :mod:`repro.pipeline.report` — table rendering of experiment results.
-- :mod:`repro.pipeline.journal` — the DAG's durable node-state store.
 - :mod:`repro.pipeline.dag` — the workflows above as a crash-consistent
   content-addressed DAG with incremental recomputation (``repro dag``).
 """
@@ -34,7 +33,6 @@ from repro.pipeline.dag import (
     node_key,
     run_dag,
 )
-from repro.pipeline.journal import RunJournal
 from repro.pipeline.predict import (
     PredictionResult,
     measure_runtime,
@@ -63,7 +61,6 @@ __all__ = [
     "CollectionSettings",
     "collect_signature",
     "collect_signatures",
-    "RunJournal",
     "PredictionResult",
     "predict_runtime",
     "measure_runtime",

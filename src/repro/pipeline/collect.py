@@ -22,11 +22,12 @@ unfinished units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.apps.base import AppModel
 from repro.cache.hierarchy import CacheHierarchy
 from repro.exec import faults
+from repro.exec.pool import in_worker
 from repro.exec.resilience import ResilienceConfig, RunReport, run_tasks_resilient
 from repro.exec.sigcache import SignatureCache
 from repro.instrument.collector import CollectorConfig, collect_trace
@@ -102,7 +103,6 @@ def collect_signature(
     settings: Optional[CollectionSettings] = None,
     *,
     job: Optional[Job] = None,
-    cache: Optional[SignatureCache] = None,
     report: Optional[RunReport] = None,
 ) -> ApplicationSignature:
     """Collect an application signature at one core count.
@@ -119,22 +119,13 @@ def collect_signature(
         Rank selection, collector knobs, pool size, and retry policy.
     job:
         Pre-built job (to avoid rebuilding when the caller also replays).
-    cache:
-        Optional on-disk memoization; hits skip collection entirely.
     report:
         Resilience report to accumulate recovery events into.
+
+    For memoized collection, call :func:`collect_signatures` with
+    ``cache=``.
     """
     settings = settings or CollectionSettings()
-    key = None
-    if cache is not None:
-        if report is not None:
-            cache.bind_report(report)
-        key = cache.key_for(app, n_ranks, hierarchy, settings)
-        cached = cache.get(key)
-        if cached is not None:
-            log.debug("signature cache hit: %s n=%d", app.name, n_ranks)
-            return cached
-        log.debug("signature cache miss: %s n=%d", app.name, n_ranks)
     if job is None:
         job = app.build_job(n_ranks)
     elif job.n_ranks != n_ranks:
@@ -186,8 +177,6 @@ def collect_signature(
         )
     for trace in traces:
         signature.add_trace(trace)
-    if cache is not None:
-        cache.put(key, signature)
     return signature
 
 
@@ -196,11 +185,22 @@ def _collect_signature_task(
     n_ranks: int,
     hierarchy: CacheHierarchy,
     settings: CollectionSettings,
-    job: Optional[Job] = None,
-) -> ApplicationSignature:
+    job: Optional[Job],
+    report: RunReport,
+) -> Tuple[ApplicationSignature, Optional[RunReport]]:
     """One core count's collection, for pool submission (the nested
-    rank-level pool degrades to serial inside a worker)."""
-    return collect_signature(app, n_ranks, hierarchy, settings, job=job)
+    rank-level pool degrades to serial inside a worker).
+
+    Rank-level recovery events land in ``report``.  A pool worker holds
+    only a copy of it, so there they go to a fresh report that travels
+    back with the signature, for :meth:`RunReport.absorb`.
+    """
+    nested = RunReport() if in_worker() else None
+    signature = collect_signature(
+        app, n_ranks, hierarchy, settings, job=job,
+        report=report if nested is None else nested,
+    )
+    return signature, nested
 
 
 def collect_signatures(
@@ -228,6 +228,7 @@ def collect_signatures(
     jobs = jobs or {}
     if cache is not None and report is not None:
         cache.bind_report(report)
+    report = report if report is not None else RunReport()
     results: List[Optional[ApplicationSignature]] = [None] * len(counts)
     missing: List[int] = []
     for i, count in enumerate(counts):
@@ -239,9 +240,12 @@ def collect_signatures(
         else:
             missing.append(i)
 
-    def _store(j: int, sig: ApplicationSignature) -> None:
+    def _store(j: int, value) -> None:
         i = missing[j]
+        sig, nested = value
         results[i] = sig
+        if nested is not None:
+            report.absorb(nested)
         if cache is not None:
             cache.put(
                 cache.key_for(app, counts[i], hierarchy, settings), sig
@@ -262,7 +266,7 @@ def collect_signatures(
     ):
         run_tasks_resilient(
             _collect_signature_task,
-            [(app, counts[i], hierarchy, settings, jobs.get(counts[i]))
+            [(app, counts[i], hierarchy, settings, jobs.get(counts[i]), report)
              for i in missing],
             keys=[task_key(app.name, counts[i]) for i in missing],
             workers=settings.workers,

@@ -14,26 +14,25 @@ model:
   probe budget re-keys everything.  Parent digests give early cutoff: a
   re-collected trace that hashes identically leaves the downstream
   cone clean.
-- **Durable node state.**  Node completions are appended to a
-  :class:`~repro.pipeline.journal.RunJournal` state store
-  (``state.jsonl``) with flush+fsync per record; a torn tail from a
-  SIGKILL mid-append is skipped on recovery, so the store is readable
-  after a kill at *any* instant and a committed node is never lost.
-- **Atomic, verified artifacts.**  Node outputs live in a
-  :class:`~repro.util.store.Store` (DESIGN.md §7.13): an artifact
-  commits atomically, so it either exists complete or not at all —
-  re-running after a crash recomputes exactly the nodes whose
-  artifacts did not commit, and the outputs are bit-identical to an
-  uninterrupted run.  Reuse re-verifies the digest the state store
-  recorded; a damaged artifact is quarantined and recomputed.
+- **Self-verifying node entries.**  Each node's output is one
+  directory entry of a :class:`~repro.util.store.Store` (DESIGN.md
+  §7.13), ``artifacts/<key>/``: the artifact as its one member (rules
+  read their parents by path) and the self-digesting ``meta.json``
+  naming the node and rule, whose digest of the member is the node's
+  output digest.  An entry commits in one atomic rename, so after a
+  kill at *any* instant it is either complete and verifies or absent:
+  re-running recomputes exactly the nodes that did not commit,
+  bit-identically to an uninterrupted run.  Reuse re-verifies the
+  entry; a damaged one is quarantined and recomputed.
 - **Fault isolation.**  A failing node is recorded, not raised: its
   downstream cone is marked *poisoned* (one
   :class:`~repro.guard.violations.GuardViolation` per poisoned node)
-  and every independent branch keeps executing.
+  and every independent branch keeps executing.  Its error is kept
+  under ``failures/<key>`` for ``repro dag status`` until it commits.
 - **Concurrency.**  The store's per-key lockfiles (stale-mtime
   takeover, bounded wait) let two ``repro dag run`` processes share one
-  cache directory: exactly one executes each node; the loser polls,
-  refreshes the state store, and adopts the winner's artifact.
+  cache directory: exactly one executes each node; the loser polls
+  and adopts the winner's entry.
 
 Ready nodes execute in topological waves through
 :func:`~repro.exec.resilience.run_tasks_resilient`, so per-node
@@ -46,7 +45,9 @@ plans (including the DAG-specific ``node-crash``,
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -62,12 +63,11 @@ from repro.exec.resilience import (
 )
 from repro.guard.violations import GuardViolation
 from repro.instrument.collector import CollectorConfig
-from repro.machine.systems import get_machine, get_spec
+from repro.machine.systems import STORE_DIR, get_machine, get_spec
 from repro.obs.log import get_logger
 from repro.obs.manifest import default_code_version
 from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import span
-from repro.pipeline.journal import RunJournal
 from repro.trace.tracefile import TraceFile
 from repro.util.errors import DagError
 from repro.util.store import Store
@@ -77,10 +77,11 @@ log = get_logger("pipeline.dag")
 
 #: bump when node keying or artifact formats change incompatibly —
 #: every key changes, so old stores are simply ignored, never misread
-DAG_SCHEMA_VERSION = 1
+#: (2: entries are directories whose manifest holds the output digest)
+DAG_SCHEMA_VERSION = 2
 
-STATE_FILE = "state.jsonl"
 ARTIFACTS_DIR = "artifacts"
+FAILURES_DIR = "failures"
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,11 @@ class Node:
     parents: Tuple[str, ...] = ()
     tokens: Tuple[str, ...] = ()  #: per-node identity beyond the spec
     ext: str = ".json"  #: artifact file extension
+
+    @property
+    def artifact(self) -> str:
+        """The member of the node's store entry holding its output."""
+        return f"artifact{self.ext}"
 
 
 @dataclass(frozen=True)
@@ -287,16 +293,20 @@ def node_key(
 
 
 # ---------------------------------------------------------------------------
-# rules — pure functions from (spec, parent artifacts) to one payload.
+# rules — pure functions from (spec, parent artifacts) to one payload;
+# ``root`` is the DAG root, whose machine-profile store convolve reads.
 # Module-level and argument-complete so they run in pool workers.
 # ---------------------------------------------------------------------------
+
+#: a rule's parents: node name -> artifact path
+Parents = Dict[str, Path]
 
 
 def _target_of(name: str) -> int:
     return int(name.rsplit(":", 1)[1])
 
 
-def _rule_collect(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_collect(name: str, spec: SweepSpec, parents: Parents, root: Path):
     # local import: keep DAG importable without dragging the app zoo in
     from repro.apps.registry import get_app
     from repro.pipeline.collect import CollectionSettings, collect_signature
@@ -312,7 +322,7 @@ def _rule_collect(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     return signature.slowest_trace()
 
 
-def _rule_fit(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_fit(name: str, spec: SweepSpec, parents: Parents, root: Path):
     traces = [
         TraceFile.load_npz(parents[p])
         for p in sorted(parents, key=_target_of)
@@ -321,7 +331,7 @@ def _rule_fit(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     return report
 
 
-def _rule_extrapolate(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_extrapolate(name: str, spec: SweepSpec, parents: Parents, root: Path):
     target = _target_of(name)
     report = BatchedFitReport.load_npz(parents["fit"])
     template_name = next(p for p in parents if p.startswith("collect:"))
@@ -332,12 +342,13 @@ def _rule_extrapolate(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     return synthesize_from_prediction(template, prediction, target)
 
 
-def _rule_convolve(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_convolve(name: str, spec: SweepSpec, parents: Parents, root: Path):
     from repro.psins.convolution import ComputationModel
 
     trace = TraceFile.load_npz(next(iter(parents.values())))
     machine = get_machine(
-        spec.machine, accesses_per_probe=spec.accesses_per_probe
+        spec.machine, accesses_per_probe=spec.accesses_per_probe,
+        root=root / STORE_DIR,
     )
     model = ComputationModel(trace, machine)
     return {
@@ -349,7 +360,7 @@ def _rule_convolve(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     }
 
 
-def _rule_predict(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_predict(name: str, spec: SweepSpec, parents: Parents, root: Path):
     from repro.apps.registry import get_app
     from repro.psins.replay import UniformTimer, replay_job
 
@@ -367,7 +378,7 @@ def _rule_predict(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     }
 
 
-def _rule_measure(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_measure(name: str, spec: SweepSpec, parents: Parents, root: Path):
     from repro.apps.registry import get_app
     from repro.pipeline.predict import measure_runtime
 
@@ -381,7 +392,7 @@ def _rule_measure(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     }
 
 
-def _rule_report_table1(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_report_table1(name: str, spec: SweepSpec, parents: Parents, root: Path):
     from repro.pipeline.experiment import Table1Row
     from repro.pipeline.report import table1_report
 
@@ -413,7 +424,7 @@ def _rule_report_table1(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     }
 
 
-def _rule_report_whatif(name: str, spec: SweepSpec, parents: Dict[str, Path]):
+def _rule_report_whatif(name: str, spec: SweepSpec, parents: Parents, root: Path):
     predictions = {}
     for path in parents.values():
         doc = json.loads(path.read_text())
@@ -450,9 +461,10 @@ def artifact_store(
 ) -> Store:
     """The node-artifact store under a DAG root.
 
-    Entries are ``artifacts/<node key><ext>`` files committed bare (other
-    rules read them by path), verified against the digest the state
-    store recorded; locks are per node key.
+    Entries are directories ``artifacts/<node key>/`` holding the
+    node's output as member :attr:`Node.artifact` (other rules read it
+    by path) and a manifest naming the node and rule; locks are per
+    node key.
     """
     return Store(
         root,
@@ -466,18 +478,27 @@ def artifact_store(
     )
 
 
-def _entry(node: "Node", key: str) -> str:
-    """The artifact store key of ``node`` under content key ``key``."""
-    return f"{key}{node.ext}"
+def _failure_store(root: Union[str, Path]) -> Store:
+    """Each failed node's last error, ``failures/<node key>``: a framed
+    JSON ``{node, rule, error}`` that only :func:`dag_status` reads."""
+    return Store(Path(root) / FAILURES_DIR)
 
 
-def _write(payload, spec: SweepSpec, path: Path) -> None:
+def _json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _encode(payload, spec: SweepSpec) -> bytes:
+    """A rule's payload as the bytes of its artifact file."""
     if isinstance(payload, TraceFile):
-        payload.save_npz(path)
+        buf = io.BytesIO()
+        payload.save_npz(buf)
     elif isinstance(payload, BatchedFitReport):
-        payload.save_npz(path, forms=spec.forms)
+        buf = io.BytesIO()
+        payload.save_npz(buf, forms=spec.forms)
     else:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return _json_bytes(payload)
+    return buf.getvalue()
 
 
 def _execute_node(
@@ -486,9 +507,10 @@ def _execute_node(
     spec: SweepSpec,
     parent_paths: Dict[str, str],
     root: str,
-    entry: str,
-) -> dict:
-    """Run one node and atomically commit its artifact.
+    key: str,
+    artifact: str,
+) -> str:
+    """Run one node, atomically commit its entry, return its digest.
 
     Module-level so it pickles into pool workers.  Generic fault kinds
     (``raise``/``hang``/``crash``/``node-crash``) were already applied
@@ -496,12 +518,14 @@ def _execute_node(
     """
     with span("dag.node", node=name, rule=rule):
         payload = _RULES[rule](
-            name, spec, {k: Path(v) for k, v in parent_paths.items()}
+            name, spec, {k: Path(v) for k, v in parent_paths.items()},
+            Path(root),
         )
-        sha256 = artifact_store(root).put_file(
-            entry, lambda tmp: _write(payload, spec, tmp)
+        data = _encode(payload, spec)
+        artifact_store(root).put_dir(
+            key, data, lambda data: ({artifact: data}, {"node": name, "rule": rule})
         )
-    return {"sha256": sha256}
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +581,6 @@ class DagRunResult:
         }
 
 
-def _committed(journal: RunJournal, key: str) -> Optional[str]:
-    """The artifact digest the state store committed for ``key``."""
-    meta = journal.meta(key) or {}
-    return meta.get("sha256") if meta.get("status") == "done" else None
-
-
 def run_dag(
     spec: SweepSpec,
     root: Union[str, Path],
@@ -578,17 +596,19 @@ def run_dag(
     """Execute a spec's graph incrementally under ``root``.
 
     Walks the graph in topological waves.  Per node: resolve its
-    content key from the parents' output digests, reuse the committed
-    artifact when its recorded digest still matches (``clean``),
-    quarantine-and-redo when it does not, and otherwise execute the
-    rule under a node lockfile through the resilient executor.  Node
-    completions append durably to ``state.jsonl`` as they land, so a
-    SIGKILL at any instant loses at most in-flight nodes; ``fresh=True``
-    truncates the store and recomputes everything.
+    content key from the parents' output digests, reuse its committed
+    entry when it verifies (``clean``), quarantine-and-redo when it does
+    not, and otherwise execute the rule under a node lockfile through
+    the resilient executor.  Each node commits its entry the moment it
+    finishes, so a SIGKILL at any instant loses at most in-flight
+    nodes; ``fresh=True`` removes every committed entry first and
+    recomputes everything.
     """
     dag = build_dag(spec)
     root = Path(root)
-    (root / ARTIFACTS_DIR).mkdir(parents=True, exist_ok=True)
+    if fresh:
+        for sub in (ARTIFACTS_DIR, FAILURES_DIR):
+            shutil.rmtree(root / sub, ignore_errors=True)
     report = report if report is not None else RunReport()
     stats = DagStats()
     REGISTRY.set_gauge("dag.nodes_total", float(len(dag.nodes)))
@@ -596,7 +616,6 @@ def run_dag(
         root, stats, lock_stale_s=lock_stale_s, lock_poll_s=lock_poll_s,
         lock_wait_s=lock_wait_s,
     )
-    journal = RunJournal(root / STATE_FILE, resume=not fresh)
     statuses: Dict[str, str] = {}
     digests: Dict[str, str] = {}
     artifacts: Dict[str, str] = {}
@@ -604,16 +623,14 @@ def run_dag(
     violations: List[GuardViolation] = []
     bad: Dict[str, str] = {}  # name -> root-cause description
     pending: Dict[str, Node] = dict(dag.nodes)
-    try:
-        with span("dag.run", app=spec.app, nodes=len(dag.nodes)):
-            while pending:
-                _run_wave(
-                    dag, store, journal, pending, statuses, digests,
-                    artifacts, errors, bad, violations, stats, report,
-                    workers=workers, resilience=resilience,
-                )
-    finally:
-        journal.close()
+    failures = _failure_store(root)
+    with span("dag.run", app=spec.app, nodes=len(dag.nodes)):
+        while pending:
+            _run_wave(
+                dag, store, failures, pending, statuses, digests,
+                artifacts, errors, bad, violations, stats, report,
+                workers=workers, resilience=resilience,
+            )
     log.info("dag run complete: %s", stats)
     return DagRunResult(
         spec=spec, root=root, statuses=statuses, digests=digests,
@@ -625,7 +642,7 @@ def run_dag(
 def _run_wave(
     dag: Dag,
     store: Store,
-    journal: RunJournal,
+    failures: Store,
     pending: Dict[str, Node],
     statuses: Dict[str, str],
     digests: Dict[str, str],
@@ -670,38 +687,39 @@ def _run_wave(
             )
         return
 
-    def adopt_clean(node: Node, key: str) -> None:
-        digests[node.name] = _committed(journal, key)
-        artifacts[node.name] = str(store.path(_entry(node, key)))
-        statuses[node.name] = "clean"
-        stats.bump("clean")
+    def committed(node: Node, key: str) -> Optional[str]:
+        """The output digest in the node's entry, when it verifies (the
+        store quarantines a damaged one)."""
+        return store.get_dir(
+            key, lambda meta, files: meta["files"][node.artifact],
+            fault_key=f"dag:{node.name}",
+        )
+
+    def settle(node: Node, key: str, digest: str, status: str) -> None:
+        digests[node.name] = digest
+        artifacts[node.name] = str(store.path(key) / node.artifact)
+        statuses[node.name] = status
+        stats.bump(status)
         del pending[node.name]
 
-    # split the wave: reuse committed-and-intact artifacts (the store
-    # quarantines damaged ones), run the rest
+    # split the wave: reuse committed entries that verify, run the rest
     to_run: List[Tuple[Node, str]] = []
     for node in ready:
         key = node_key(node, spec, digests)
-        if store.verify(
-            _entry(node, key), _committed(journal, key),
-            fault_key=f"dag:{node.name}",
-        ):
-            adopt_clean(node, key)
+        digest = committed(node, key)
+        if digest is not None:
+            settle(node, key, digest, "clean")
         else:
             to_run.append((node, key))
 
-    # node locks: exactly one process executes each node; losers poll,
-    # refresh the shared state store, and adopt the winner's artifact
+    # node locks: exactly one process executes each node; losers poll
+    # and adopt the winner's entry
     runnable: List[Tuple[Node, str]] = []
     for node, key in to_run:
-
-        def committed_elsewhere(node=node, key=key):
-            journal.refresh()
-            return store.intact(_entry(node, key), _committed(journal, key)) or None
-
         try:
-            adopted = store.acquire(
-                key, committed_elsewhere, fault_key=f"dag:{node.name}"
+            digest = store.acquire(
+                key, lambda node=node, key=key: committed(node, key),
+                fault_key=f"dag:{node.name}",
             )
         except TimeoutError:
             raise DagError(
@@ -709,8 +727,8 @@ def _run_wave(
                 f"node lock of {node.name}",
                 stage="dag", task_key=key,
             ) from None
-        if adopted:
-            adopt_clean(node, key)
+        if digest is not None:
+            settle(node, key, digest, "clean")
         else:
             runnable.append((node, key))
     if not runnable:
@@ -719,28 +737,12 @@ def _run_wave(
     tasks = [
         (
             node.name, node.rule, spec,
-            {p: artifacts[p] for p in node.parents}, str(store.root),
-            _entry(node, key),
+            {p: artifacts[p] for p in node.parents}, str(store.root), key,
+            node.artifact,
         )
         for node, key in runnable
     ]
     keys = [f"dag:{node.name}" for node, _key in runnable]
-
-    def on_result(i: int, value) -> None:
-        # durable per-node commit, written the moment the node settles:
-        # a SIGKILL after this line never re-executes the node
-        node, key = runnable[i]
-        if isinstance(value, Exception):
-            journal.amend(
-                key, node=node.name, rule=node.rule, status="failed",
-                error=str(value),
-            )
-        else:
-            journal.amend(
-                key, node=node.name, rule=node.rule, status="done",
-                sha256=value["sha256"],
-            )
-
     log.info(
         "wave: executing %d node(s): %s",
         len(runnable), ", ".join(n.name for n, _k in runnable),
@@ -749,15 +751,19 @@ def _run_wave(
     results, _ = run_tasks_resilient(
         _execute_node, tasks,
         keys=keys, workers=workers, config=resilience, report=report,
-        on_result=on_result, stage="dag", collect_errors=True,
+        stage="dag", collect_errors=True,
     )
     if report.crashes > crashes_before:
         stats.bump("node_crashes", report.crashes - crashes_before)
     for (node, key), value in zip(runnable, results):
         store.release(key)
-        del pending[node.name]
         if isinstance(value, Exception) or value is None:
+            del pending[node.name]
             message = str(value) if value is not None else "no result"
+            failures.put(
+                key, {"node": node.name, "rule": node.rule, "error": message},
+                _json_bytes,
+            )
             statuses[node.name] = "failed"
             errors[node.name] = message
             bad[node.name] = message
@@ -771,10 +777,8 @@ def _run_wave(
                 )
             )
         else:
-            digests[node.name] = value["sha256"]
-            artifacts[node.name] = str(store.path(_entry(node, key)))
-            statuses[node.name] = "executed"
-            stats.bump("executed")
+            failures.path(key).unlink(missing_ok=True)  # it committed
+            settle(node, key, value, "executed")
 
 
 # ---------------------------------------------------------------------------
@@ -806,21 +810,15 @@ def dag_status(spec: SweepSpec, root: Union[str, Path]) -> List[NodeStatus]:
     """What would ``repro dag run`` do right now, and why.
 
     Pure read: walks the graph in topological order resolving keys from
-    committed digests, without taking locks or writing anything.  A
-    node below a non-clean ancestor is ``blocked`` — its key cannot be
-    resolved until the ancestor recomputes.
+    the digests in verified entries, without taking locks, quarantining
+    or writing anything.  A node below a non-clean ancestor is
+    ``blocked`` — its key cannot be resolved until the ancestor
+    recomputes.
     """
     dag = build_dag(spec)
-    root = Path(root)
     store = artifact_store(root)
-    metas: Dict[str, Optional[dict]] = {}
-    state_path = root / STATE_FILE
-    if state_path.exists():
-        with RunJournal(state_path, resume=True) as journal:
-            metas = journal.metas()
-    built_names = {
-        meta.get("node") for meta in metas.values() if meta
-    }
+    failures = _failure_store(root)
+    built: Optional[set] = None  # node names of all committed entries
     digests: Dict[str, str] = {}
     out: List[NodeStatus] = []
     for node in dag.topo():
@@ -832,23 +830,23 @@ def dag_status(spec: SweepSpec, root: Union[str, Path]) -> List[NodeStatus]:
             ))
             continue
         key = node_key(node, spec, digests)
-        entry = _entry(node, key)
-        meta = metas.get(key)
-        if meta and meta.get("status") == "done":
-            if not store.path(entry).exists():
-                state, reason = "stale", "artifact missing"
-            elif not store.intact(entry, meta.get("sha256")):
-                state, reason = "stale", "artifact corrupt (will quarantine)"
-            else:
-                state, reason = "clean", "artifact matches committed digest"
-                digests[node.name] = meta["sha256"]
-        elif meta:
+        meta = store.peek(key)
+        if meta is not None:
+            state, reason = "clean", "artifact matches committed digest"
+            digests[node.name] = meta["files"][node.artifact]
+        elif key in store:
+            state, reason = "stale", "artifact corrupt (will quarantine)"
+        elif key in failures:
+            record = json.loads(failures.peek(key) or "{}")
             state = "failed"
-            reason = f"failed last run: {meta.get('error', 'unknown error')}"
-        elif node.name in built_names:
-            state, reason = "stale", "inputs or config changed"
+            reason = f"failed last run: {record.get('error', 'unknown error')}"
         else:
-            state, reason = "stale", "never built"
+            if built is None:
+                built = {(store.peek(k) or {}).get("node") for k in store.keys()}
+            state, reason = "stale", (
+                "inputs or config changed" if node.name in built
+                else "never built"
+            )
         out.append(NodeStatus(
             name=node.name, rule=node.rule, state=state, reason=reason,
             key=key,

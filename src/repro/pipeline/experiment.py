@@ -169,7 +169,7 @@ def run_table1(
     # the guarded engine validated the extrapolated trace as its
     # postcondition; the collected target trace and the machine profile
     # enter prediction unvetted, so they get their boundary check here
-    if config.guard is not None and config.guard.enabled:
+    if config.guard is not None:
         check_prediction_inputs(
             collected, machine, config=config.guard, report=degradation
         )

@@ -10,12 +10,12 @@ with the lifecycle this class owns (DESIGN.md §7.13):
 - key -> path: ``<root>/<entries>/[<key[:2]>/]<key><suffix>``;
 - commit: one file or one directory, renamed into place whole
   (:mod:`repro.util.atomic`) with the SHA-256 that verifies it — in a
-  frame header (:func:`frame`), in a directory's self-digesting
-  ``meta.json`` manifest, or, for a bare file others read by path,
-  handed back for the caller to record;
+  frame header (:func:`frame`) or in a directory's self-digesting
+  ``meta.json`` manifest;
 - verify-on-get: any read, digest or decode failure moves the entry to
   ``<root>/quarantine/<key>-<n>`` (never overwriting a copy) and is a
-  miss, so the caller recomputes;
+  miss, so the caller recomputes; :meth:`Store.peek` is the same check
+  with no side effect, for reports;
 - one ``O_CREAT|O_EXCL`` lock per key under ``<root>/locks/``, taken
   over when older than ``lock_stale_s``, waited on for at most
   ``lock_wait_s``;
@@ -26,7 +26,8 @@ with the lifecycle this class owns (DESIGN.md §7.13):
 Owners map the store's :data:`EVENTS` onto their own counters, and name
 the :mod:`repro.exec.faults` kind that fires at each fault site:
 ``put`` truncates an entry just committed, ``get`` one about to be
-verified, ``lock`` plants a stale lockfile before acquiring.
+verified, ``lock`` plants a stale lockfile before acquiring.  In a
+directory entry a fault truncates one payload member, not the manifest.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.log import get_logger
-from repro.obs.manifest import digest_file
 from repro.util.atomic import atomic_dir, atomic_writer
 from repro.util.errors import CacheCorruptionError
 
@@ -132,9 +132,9 @@ class Store:
     ``counters`` maps an event of :data:`EVENTS` to the name passed to
     ``stats.bump`` (unmapped events are not counted); ``faults`` maps a
     fault site to the fault kind that fires there; ``fault_files`` maps
-    a spec's ``feature`` to the member a ``put`` fault truncates in a
-    directory entry; ``on_quarantine(key, reason)`` follows each
-    quarantine.
+    a spec's ``feature`` to the member a fault truncates in a directory
+    entry (default: its first payload member); ``on_quarantine(key,
+    reason)`` follows each quarantine.
     """
 
     def __init__(
@@ -249,59 +249,43 @@ class Store:
                 (tmp / MANIFEST).write_bytes(_manifest(meta, files))
             self._fault_truncate("put", key)
 
-    def put_file(self, key: str, write: Callable[[Path], None]) -> str:
-        """Commit the bare file ``write(tmp)`` produces; return its
-        :func:`~repro.obs.manifest.digest_file` for :meth:`verify`."""
-        with atomic_writer(self.path(key)) as tmp:
-            write(tmp)
-        self._count("stores")
-        return digest_file(self.path(key))
-
     # -- verify-on-get --------------------------------------------------
 
     def get(self, key: str, decode: Callable[[bytes], Any]):
         """The value under ``key``, or ``None`` on a miss."""
         return self._get(key, lambda path: decode(unframe(path.read_bytes())))
 
-    def get_dir(self, key: str, decode: Callable[[dict, Dict[str, bytes]], Any]):
-        """Like :meth:`get`, for directory entries: ``decode(meta, files)``."""
-        return self._get(key, lambda path: decode(*_read_dir(path)))
+    def get_dir(
+        self,
+        key: str,
+        decode: Callable[[dict, Dict[str, bytes]], Any],
+        *,
+        fault_key: Optional[str] = None,
+    ):
+        """Like :meth:`get`, for directory entries: ``decode(meta, files)``.
+        ``fault_key`` names the entry to the fault plan instead of ``key``."""
+        return self._get(key, lambda path: decode(*_read_dir(path)), fault_key)
 
-    def verify(self, key: str, sha256: Optional[str], *, fault_key=None) -> bool:
-        """Does the bare file under ``key`` still match ``sha256``?
-
-        A damaged file is quarantined.  One with no recorded digest
-        (``None``) is not trusted, but left for the caller to overwrite.
-        """
-        if self.root is None or not self.path(key).exists():
-            return False
-        if sha256 is None:
-            self._fault_truncate("get", key, fault_key)
-            return False
-        return bool(self._load(key, lambda p: self._check(p, sha256), fault_key))
-
-    def intact(self, key: str, sha256: Optional[str]) -> bool:
-        """:meth:`verify` without side effects (no fault, no quarantine)."""
+    def peek(self, key: str):
+        """The entry under ``key``, verified as on a get but with no side
+        effect (no memory tier, counter, fault, quarantine or mtime
+        touch): a directory entry's manifest, a framed file's payload,
+        ``None`` when missing or damaged.  For reports that must not
+        repair what they read."""
         try:
-            return sha256 is not None and self._check(self.path(key), sha256)
-        except Exception:  # noqa: BLE001 - missing or unreadable
-            return False
+            path = self.path(key)
+            if path.is_dir():
+                return _read_dir(path)[0]
+            return unframe(path.read_bytes())
+        except Exception:  # noqa: BLE001 - missing, unreadable or damaged
+            return None
 
-    @staticmethod
-    def _check(path: Path, sha256: str) -> bool:
-        if digest_file(path) != sha256:
-            raise _corrupt("content digest mismatch")
-        return True
-
-    def _get(self, key: str, read: Callable[[Path], Any]):
+    def _get(self, key: str, read: Callable[[Path], Any], fault_key=None):
         value = self._mem.get(key)
         if value is not None:
             self._mem.move_to_end(key)
             self._count("mem_hits")
             return value
-        return self._load(key, read)
-
-    def _load(self, key: str, read: Callable[[Path], Any], fault_key=None):
         path = None if self.root is None else self.path(key)
         if path is not None and path.exists():
             self._fault_truncate("get", key, fault_key)
@@ -489,7 +473,10 @@ class Store:
         if spec is not None:
             path = self.path(key)
             if path.is_dir():
-                path = path / self.fault_files.get(spec.feature, MANIFEST)
+                member = self.fault_files.get(spec.feature)
+                path = path / member if member else min(
+                    p for p in path.iterdir() if p.name != MANIFEST
+                )
             data = path.read_bytes()
             path.write_bytes(data[: len(data) // 2])
             log.warning("fault plan truncated %s", path)

@@ -513,25 +513,3 @@ def test_spot_check_gate_catches_divergence(monkeypatch):
     )
     with pytest.raises(CollectionError, match="diverged from exact"):
         _collect("reuse")
-
-
-def test_reuse_engine_guard_off_skips_spot_check(monkeypatch):
-    from repro.guard.config import GuardConfig
-    from repro.instrument.pebil import InstrumentedProgram
-
-    called = []
-    monkeypatch.setattr(
-        "repro.guard.gates.cache_engine_spot_check",
-        lambda *a, **k: called.append(1),
-    )
-    engine = ReuseEngine(guard=GuardConfig(policy="off"))
-    instrumented = InstrumentedProgram(
-        _two_block_program(),
-        _small_hierarchy(),
-        sample_accesses=30_000,
-        max_sample_accesses=60_000,
-        chunk=CHUNK,
-    )
-    report = engine.run(instrumented)
-    assert not called
-    assert sorted(report.observations) == [0, 1]

@@ -5,14 +5,16 @@ The locking contract: exactly one process executes each node
 winner's committed artifact (counted in ``lock_waits``), and a lockfile
 abandoned by a SIGKILLed holder is taken over once its mtime passes the
 staleness horizon (``lock_takeovers``).  The exactly-once guarantee is
-checked at the source of truth: the shared state store must hold one
-``done`` record per node, no matter how many runners raced.
+checked at the source of truth: the shared store must hold one
+committed entry per node, no matter how many runners raced.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -22,16 +24,13 @@ from pathlib import Path
 import pytest
 
 from repro.exec.resilience import ResilienceConfig
-from repro.obs.manifest import digest_file
 from repro.pipeline.dag import (
-    STATE_FILE,
     SweepSpec,
     artifact_store,
     build_dag,
     dag_status,
     run_dag,
 )
-from repro.pipeline.journal import RunJournal
 from repro.util.errors import DagError
 
 SPEC_KW = dict(
@@ -60,7 +59,7 @@ def _fast():
 
 @pytest.fixture(scope="module")
 def seeded(tmp_path_factory):
-    """A completed run: artifacts + state store to race against."""
+    """A completed run: committed entries to race against."""
     root = tmp_path_factory.mktemp("dag-seed")
     result = run_dag(_spec(), root, resilience=_fast())
     assert result.ok
@@ -79,28 +78,19 @@ class TestLockContention:
         root, result = seeded
         victim = "report:whatif"
         key = _status_key(root, victim)
-        art = Path(result.artifacts[victim])
-        payload = art.read_bytes()
-        state_record = dict(
-            node=victim, rule="report-whatif", status="done",
-            sha256=result.digests[victim],
-        )
+        entry = Path(result.artifacts[victim]).parent
+        aside = root / "aside"
 
-        # regress the node: artifact gone, store says failed — the next
-        # runner must execute it, so a held lock actually blocks
-        art.unlink()
-        with RunJournal(root / STATE_FILE, resume=True) as store:
-            store.amend(key, node=victim, rule="report-whatif",
-                        status="failed", error="simulated")
+        # regress the node: its entry is gone, so the next runner must
+        # execute it, and a held lock actually blocks
+        os.replace(entry, aside)
         lock = artifact_store(root).lock_path(key)
         lock.parent.mkdir(parents=True, exist_ok=True)
         lock.write_text(f"{os.getpid()} winner\n")
 
         def winner_commits():
             time.sleep(0.25)  # let the loser rack up polls
-            art.write_bytes(payload)
-            with RunJournal(root / STATE_FILE, resume=True) as store:
-                store.amend(key, **state_record)
+            os.replace(aside, entry)  # one rename, as a commit is
             lock.unlink()
 
         thread = threading.Thread(target=winner_commits)
@@ -123,9 +113,9 @@ class TestLockContention:
         root, result = seeded
         victim = "report:whatif"
         key = _status_key(root, victim)
-        art = Path(result.artifacts[victim])
-        payload = art.read_bytes()
-        art.unlink()
+        entry = Path(result.artifacts[victim]).parent
+        aside = root / "aside"
+        os.replace(entry, aside)
         lock = artifact_store(root).lock_path(key)
         lock.write_text("0 forever\n")
         try:
@@ -136,7 +126,7 @@ class TestLockContention:
                 )
         finally:
             lock.unlink()
-            art.write_bytes(payload)
+            os.replace(aside, entry)
 
     def test_stale_lock_from_dead_holder_is_taken_over(self, seeded):
         """A lockfile whose holder was SIGKILLed (old mtime, no process
@@ -144,8 +134,7 @@ class TestLockContention:
         root, result = seeded
         victim = "report:whatif"
         key = _status_key(root, victim)
-        art = Path(result.artifacts[victim])
-        art.unlink()
+        shutil.rmtree(Path(result.artifacts[victim]).parent)
         lock = artifact_store(root).lock_path(key)
         lock.write_text("99999 dead-holder\n")
         stale = time.time() - 3600.0
@@ -206,19 +195,19 @@ class TestTwoProcesses:
         assert res_a["stats"]["clean"] + res_b["stats"]["clean"] == N_NODES
         assert not res_a["errors"] and not res_b["errors"]
 
-        # the source of truth agrees: one done record per node key
-        per_key = {}
-        for line in (root / STATE_FILE).read_text().splitlines():
-            entry = json.loads(line)
-            if (entry.get("meta") or {}).get("status") == "done":
-                per_key[entry["unit"]] = per_key.get(entry["unit"], 0) + 1
-        assert len(per_key) == N_NODES
-        assert all(count == 1 for count in per_key.values()), per_key
-
-        # and the artifacts on disk match the recorded digests
+        # the source of truth agrees: one committed entry per node key,
+        # none quarantined, none left half-built
         by_name = {s.name: s for s in dag_status(_spec(), root)}
+        store = artifact_store(root)
+        assert store.keys() == sorted(s.key for s in by_name.values())
+        assert store.quarantined() == {}
+        assert [p.name for p in (root / "artifacts").iterdir()
+                if p.name.startswith(".")] == []
+
+        # and the artifacts on disk match the digests both reported
         for node in build_dag(_spec()).topo():
             status = by_name[node.name]
             assert status.state == "clean"
-            art = root / "artifacts" / f"{status.key}{node.ext}"
-            assert digest_file(art) == res_a["digests"][node.name]
+            art = store.path(status.key) / node.artifact
+            digest = hashlib.sha256(art.read_bytes()).hexdigest()
+            assert digest == res_a["digests"][node.name]

@@ -176,12 +176,12 @@ class TestSignatureCache:
     def test_roundtrip_and_stats(self, tmp_path, small_jacobi, bw_machine):
         cache = SignatureCache(tmp_path)
         settings = self._settings()
-        first = collect_signature(
-            small_jacobi, 4, bw_machine.hierarchy, settings, cache=cache
+        (first,) = collect_signatures(
+            small_jacobi, [4], bw_machine.hierarchy, settings, cache=cache
         )
         assert (cache.stats.misses, cache.stats.stores) == (1, 1)
-        second = collect_signature(
-            small_jacobi, 4, bw_machine.hierarchy, settings, cache=cache
+        (second,) = collect_signatures(
+            small_jacobi, [4], bw_machine.hierarchy, settings, cache=cache
         )
         assert cache.stats.hits == 1
         assert _signatures_equal(first, second)

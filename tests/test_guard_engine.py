@@ -50,8 +50,10 @@ def _fresh_registry():
 class TestConfig:
     def test_policies_and_properties(self):
         assert GuardConfig(policy="strict").strict
-        assert GuardConfig(policy="degrade").enabled
-        assert not GuardConfig(policy="off").enabled
+        assert not GuardConfig(policy="degrade").strict
+        # off has one spelling: no config at all
+        with pytest.raises(ValueError, match="policy"):
+            GuardConfig(policy="off")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):

@@ -30,7 +30,6 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY, CounterSet
 from repro.pipeline.collect import CollectionSettings, collect_signature
-from repro.pipeline.journal import RunJournal
 from repro.util.store import FRAME_MAGIC
 from tests.conftest import FAST_COLLECTOR
 from tests.schema_utils import assert_valid
@@ -201,17 +200,6 @@ class TestMetricsMirroring:
         doc = tally.to_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert not CounterSet.clean.fget(tally)
-
-    def test_journal_stats_equal_registry(self, tmp_path):
-        with RunJournal(tmp_path / "j.jsonl") as journal:
-            journal.amend("unit:a", status="done")
-            journal.amend("unit:b", status="done")
-        with RunJournal(tmp_path / "j.jsonl", resume=True) as journal:
-            assert journal.meta("unit:a") == {"status": "done"}
-            journal.amend("unit:c", status="failed")
-            doc = journal.stats.to_dict()
-        assert doc == {"amended": 1}
-        assert REGISTRY.counters["journal.amended"] == 3
 
 
 class TestManifest:

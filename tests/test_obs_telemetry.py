@@ -9,7 +9,7 @@ Four contracts:
 - **snapshot determinism** — on a fake clock, the sampler writes
   byte-identical flight-recorder files for identical registry activity;
 - **torn-tail tolerance** — a recorder cut off mid-write reads back
-  minus its torn line (the journal's tolerance), while mid-file
+  minus its torn line, while mid-file
   corruption still raises;
 - **interval placement** — breaker transitions land in the recorder
   interval where they actually happened (the chaos-plan run), and

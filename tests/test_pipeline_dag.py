@@ -1,10 +1,10 @@
 """The crash-consistent content-addressed pipeline DAG (DESIGN.md §7.12).
 
 The contract under test: node keys cover exactly what a node's output
-depends on (so incremental runs recompute only dirty cones), node
-completions are durable the moment they land (so a SIGKILL at any
-instant loses at most in-flight nodes), artifacts commit atomically
-(so resume reproduces an uninterrupted run bit-identically), and a
+depends on (so incremental runs recompute only dirty cones), each node
+commits one self-verifying store entry atomically the moment it
+finishes (so a SIGKILL at any instant loses at most in-flight nodes,
+and resume reproduces an uninterrupted run bit-identically), and a
 failing node poisons only its downstream cone while independent
 branches keep going.
 
@@ -15,6 +15,7 @@ seconds serial, and warm/incremental assertions are near-instant.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -30,16 +31,17 @@ from repro.exec import faults
 from repro.exec.faults import FaultPlan, FaultSpec
 from repro.core.fitting import BatchedFitReport
 from repro.exec.resilience import ResilienceConfig
+from repro.machine import multimaps, profile, systems
 from repro.pipeline.dag import (
-    STATE_FILE,
     SweepSpec,
+    artifact_store,
     build_dag,
     dag_status,
     node_key,
     run_dag,
 )
 from repro.util.errors import DagError
-from repro.util.store import LOCKS_DIR
+from repro.util.store import LOCKS_DIR, MANIFEST
 
 SPEC_KW = dict(
     app="jacobi",
@@ -87,6 +89,17 @@ def warm_root(cold_run, tmp_path):
     dest = tmp_path / "dagroot"
     shutil.copytree(root, dest)
     return dest
+
+
+def _artifact(cold_run, root: Path, name: str) -> Path:
+    """``name``'s artifact file in ``root``, a copy of the cold root."""
+    cold_root, cold = cold_run
+    return root / Path(cold.artifacts[name]).relative_to(cold_root)
+
+
+def _remove_entry(cold_run, root: Path, name: str) -> None:
+    """Delete ``name``'s committed entry from a copy of the cold root."""
+    shutil.rmtree(_artifact(cold_run, root, name).parent)
 
 
 class TestGraphShape:
@@ -189,6 +202,35 @@ class TestColdWarmIncremental:
         assert "Table" in result.artifact_json("report:table1")["text"]
         assert "What-if" in result.artifact_json("report:whatif")["text"]
 
+    def test_entries_carry_their_own_digest(self, cold_run):
+        """Each node is one directory entry: its artifact plus a manifest
+        naming the node and holding the digest its children are keyed
+        by.  No second record of node state exists."""
+        root, result = cold_run
+        nodes = build_dag(_spec()).nodes
+        for name in NODE_NAMES:
+            art = Path(result.artifacts[name])
+            assert art.name == f"artifact{nodes[name].ext}"
+            assert sorted(p.name for p in art.parent.iterdir()) == sorted(
+                [art.name, MANIFEST]
+            )
+            meta = json.loads((art.parent / MANIFEST).read_text())
+            assert (meta["node"], meta["rule"]) == (name, nodes[name].rule)
+            digest = hashlib.sha256(art.read_bytes()).hexdigest()
+            assert meta["files"] == {art.name: digest}
+            assert result.digests[name] == digest
+        assert sorted(artifact_store(root).keys()) == sorted(
+            Path(result.artifacts[name]).parent.name for name in NODE_NAMES
+        )
+        assert list(root.rglob("state.jsonl")) == []
+
+    def test_fresh_run_recomputes_every_node(self, warm_root, cold_run):
+        _root, cold = cold_run
+        result = run_dag(_spec(), warm_root, fresh=True, resilience=_fast())
+        assert result.ok
+        assert result.stats.executed == len(NODE_NAMES)
+        assert result.digests == cold.digests
+
     def test_warm_run_is_a_noop_with_identical_digests(self, cold_run):
         root, cold = cold_run
         warm = run_dag(_spec(), root, resilience=_fast())
@@ -222,7 +264,7 @@ class TestColdWarmIncremental:
     ):
         _root, cold = cold_run
         victim = "predict:extrap:32"
-        os.remove(cold.artifacts[victim].replace(str(_root), str(warm_root)))
+        _remove_entry(cold_run, warm_root, victim)
         result = run_dag(_spec(), warm_root, resilience=_fast())
         assert result.ok
         executed = {n for n, s in result.statuses.items() if s == "executed"}
@@ -276,7 +318,7 @@ class TestFaultIsolation:
     def test_node_crash_retries_to_success(self, warm_root, cold_run):
         _root, cold = cold_run
         victim = "extrapolate:16"
-        os.remove(cold.artifacts[victim].replace(str(_root), str(warm_root)))
+        _remove_entry(cold_run, warm_root, victim)
         plan = FaultPlan(specs=(
             FaultSpec(key=f"dag:{victim}", kind="node-crash",
                       attempts=(1,)),
@@ -308,6 +350,15 @@ class TestFaultIsolation:
         quarantined = list((warm_root / "quarantine").iterdir())
         assert len(quarantined) == 1
         assert result.digests == cold.digests
+        # the fault rotted the artifact, not the manifest
+        (copy,) = quarantined
+        victim_art = _artifact(cold_run, warm_root, victim)
+        assert (copy / MANIFEST).read_bytes() == (
+            victim_art.parent / MANIFEST
+        ).read_bytes()
+        assert len((copy / victim_art.name).read_bytes()) < len(
+            victim_art.read_bytes()
+        )
         # and the store converged: the follow-up run is a no-op
         again = run_dag(_spec(), warm_root, resilience=_fast())
         assert again.stats.executed == 0 and again.stats.quarantined == 0
@@ -320,7 +371,7 @@ class TestFaultIsolation:
         # the status walk and the run
         _root, cold = cold_run
         victim = "collect:4"
-        art = Path(cold.artifacts[victim].replace(str(_root), str(warm_root)))
+        art = _artifact(cold_run, warm_root, victim)
         data = bytearray(art.read_bytes())
         data[len(data) // 3] ^= 0xFF
         art.write_bytes(bytes(data))
@@ -336,7 +387,7 @@ class TestFaultIsolation:
     def test_stale_lock_is_taken_over(self, warm_root, cold_run):
         _root, cold = cold_run
         victim = "report:whatif"
-        os.remove(cold.artifacts[victim].replace(str(_root), str(warm_root)))
+        _remove_entry(cold_run, warm_root, victim)
         plan = FaultPlan(specs=(
             FaultSpec(key=f"dag:{victim}", kind="stale-lock",
                       attempts=(1,)),
@@ -353,22 +404,6 @@ class TestFaultIsolation:
         assert result.digests == cold.digests
 
 
-def _done_records(state: Path) -> int:
-    """Committed (status=done) records in a state store, torn tail and
-    all — what a concurrent observer of a live run can actually see."""
-    if not state.exists():
-        return 0
-    done = 0
-    for line in state.read_text().splitlines():
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            continue  # torn tail of a live writer
-        if (entry.get("meta") or {}).get("status") == "done":
-            done += 1
-    return done
-
-
 class TestKillAndResume:
     def test_sigkill_mid_run_resumes_bit_identically(
         self, cold_run, tmp_path
@@ -377,9 +412,9 @@ class TestKillAndResume:
         and get an uninterrupted run's outputs bit-for-bit.
 
         A hang fault parks the victim run on the two report nodes once
-        all 13 upstream nodes have committed; SIGKILL then models a
-        crash at an arbitrary instant (lockfiles still planted, store
-        mid-life).  The resumed run must execute exactly the two lost
+        all 13 upstream nodes have committed their entries; SIGKILL then
+        models a crash at an arbitrary instant (lockfiles still planted,
+        store mid-life).  The resumed run must execute exactly the two lost
         nodes and converge to the reference digests.
 
         The victim plants the report nodes' locks in the wave after its
@@ -416,10 +451,10 @@ class TestKillAndResume:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
-            state = root / STATE_FILE
+            store = artifact_store(root)
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
-                if _done_records(state) >= 13 and all(  # all but the reports
+                if len(store.keys()) >= 13 and all(  # all but the reports
                     lock.exists() for lock in report_locks
                 ):
                     break
@@ -473,26 +508,50 @@ class TestDagStatus:
         # status keys resolve to the same content addresses the run used
         for name in NODE_NAMES:
             art = Path(result.artifacts[name])
-            assert art.stem == by_name[name].key
+            assert art.parent.name == by_name[name].key
 
     def test_missing_artifact_blocks_descendants(self, warm_root, cold_run):
-        _root, cold = cold_run
         victim = "extrapolate:32"
-        os.remove(cold.artifacts[victim].replace(str(_root), str(warm_root)))
+        _remove_entry(cold_run, warm_root, victim)
         by_name = {s.name: s for s in dag_status(_spec(), warm_root)}
+        # no record outlives its entry: a deleted node was never built
         assert by_name[victim].state == "stale"
-        assert by_name[victim].reason == "artifact missing"
+        assert by_name[victim].reason == "never built"
         assert by_name["convolve:extrap:32"].state == "blocked"
         assert by_name["report:table1"].state == "clean"  # other cone
 
     def test_corrupt_artifact_reported(self, warm_root, cold_run):
-        _root, cold = cold_run
         victim = "predict:coll:16"
-        art = Path(cold.artifacts[victim].replace(str(_root), str(warm_root)))
+        art = _artifact(cold_run, warm_root, victim)
         art.write_bytes(art.read_bytes()[:10])
         by_name = {s.name: s for s in dag_status(_spec(), warm_root)}
         assert by_name[victim].state == "stale"
         assert "corrupt" in by_name[victim].reason
+        # a pure read: the damaged entry stays where it was
+        assert art.exists() and not (warm_root / "quarantine").exists()
+
+    def test_failed_node_reported_until_it_commits(self, warm_root, cold_run):
+        victim = "extrapolate:16"
+        _remove_entry(cold_run, warm_root, victim)
+        plan = FaultPlan(specs=(
+            FaultSpec(key=f"dag:{victim}", kind="raise", attempts=(1,),
+                      message="boom"),
+        ))
+        with faults.injected(plan):
+            failed = run_dag(
+                _spec(), warm_root, resilience=_fast(max_retries=0)
+            )
+        assert failed.statuses[victim] == "failed"
+        by_name = {s.name: s for s in dag_status(_spec(), warm_root)}
+        assert by_name[victim].state == "failed"
+        assert by_name[victim].reason.startswith("failed last run: ")
+        assert "boom" in by_name[victim].reason
+        assert by_name["convolve:extrap:16"].state == "blocked"
+        # the healing run commits the node and drops its failure record
+        healed = run_dag(_spec(), warm_root, resilience=_fast())
+        assert healed.ok
+        assert all(s.state == "clean" for s in dag_status(_spec(), warm_root))
+        assert list((warm_root / "failures").iterdir()) == []
 
     def test_config_change_explained(self, warm_root):
         by_name = {
@@ -504,3 +563,28 @@ class TestDagStatus:
         assert by_name["extrapolate:16"].state == "stale"
         assert by_name["extrapolate:16"].reason == "inputs or config changed"
         assert by_name["convolve:extrap:16"].state == "blocked"
+
+
+class TestMachineProfile:
+    def test_added_target_loads_the_profile_from_the_root(
+        self, warm_root, monkeypatch
+    ):
+        """Convolve nodes keep the machine profile in the DAG root's
+        profile store, so a later process never re-runs the probe."""
+        monkeypatch.setattr(systems, "_PROFILE_CACHE", {})
+        first = run_dag(
+            _spec(targets=(16, 32, 64)), warm_root, resilience=_fast()
+        )
+        assert first.statuses["convolve:extrap:64"] == "executed"
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("MultiMAPS probe ran")
+
+        monkeypatch.setattr(systems, "_PROFILE_CACHE", {})
+        monkeypatch.setattr(multimaps, "run_multimaps", no_probe)
+        monkeypatch.setattr(profile, "run_multimaps", no_probe)
+        result = run_dag(
+            _spec(targets=(16, 32, 64, 128)), warm_root, resilience=_fast()
+        )
+        assert result.ok, result.errors
+        assert result.statuses["convolve:extrap:128"] == "executed"

@@ -539,6 +539,37 @@ class TestFaultInjectedTable1:
         assert report["retries"] == 1
 
 
+class TestNestedFanOutTally:
+    """A retry inside one count's rank fan-out reaches the caller's
+    report, serially and from a pool worker, and the registry counts it
+    once, like a retry of the count itself."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize(
+        "key", ["collect:jacobi:8:rank*", "collect:jacobi:8"]
+    )
+    def test_retry_reaches_the_callers_report(self, small_jacobi, workers, key):
+        from repro.obs.metrics import REGISTRY
+        from repro.pipeline.collect import (
+            CollectionSettings,
+            collect_signatures,
+        )
+
+        settings = CollectionSettings(
+            collector=FAST_COLLECTOR, workers=workers, resilience=FAST
+        )
+        report = RunReport()
+        before = REGISTRY.counters.get("resilience.retries", 0)
+        plan = FaultPlan(specs=(FaultSpec(key=key, kind="raise"),))
+        with faults.injected(plan):
+            collect_signatures(
+                small_jacobi, [4, 8], _bw_hierarchy(), settings, report=report
+            )
+        assert (report.retries, report.transient_errors) == (1, 1)
+        assert len(report.events) == 1 and key.rstrip("*") in report.events[0]
+        assert REGISTRY.counters["resilience.retries"] - before == 1
+
+
 def _bw_hierarchy():
     from repro.machine.systems import get_spec
 

@@ -10,6 +10,7 @@ evict in the order they claim to.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
@@ -84,12 +85,12 @@ class TestCommit:
     def test_failed_write_leaves_no_entry_and_no_tmp(self, tmp_path):
         store, _ = _store(tmp_path)
 
-        def half_then_boom(path):
-            path.write_bytes(b"half an artif")
-            raise OSError("disk full")
+        def half_then_boom(value):
+            # the first member lands, the second cannot be written
+            return {"a.bin": b"half an artif", "no-such-dir/b.bin": b""}, {}
 
         with pytest.raises(OSError):
-            store.put_file(KEY, half_then_boom)
+            store.put_dir(KEY, VALUE, half_then_boom)
         assert not store.path(KEY).exists()
         assert _files_under(tmp_path) == []
 
@@ -99,10 +100,8 @@ class TestCommit:
         assert store.get(KEY, pickle.loads) == VALUE
         store.put_dir("cd" + KEY[2:], "dir value", _encode_dir)
         assert store.get_dir("cd" + KEY[2:], _decode_dir) == "dir value"
-        digest = store.put_file("ef" + KEY[2:], lambda p: p.write_text("raw"))
-        assert store.verify("ef" + KEY[2:], digest)
-        assert store.keys() == sorted([KEY, "cd" + KEY[2:], "ef" + KEY[2:]])
-        assert stats["disk_hits"] == 3 and stats["quarantined"] == 0
+        assert store.keys() == sorted([KEY, "cd" + KEY[2:]])
+        assert stats["disk_hits"] == 2 and stats["quarantined"] == 0
 
 
 class TestVerifyOnGet:
@@ -136,46 +135,61 @@ class TestVerifyOnGet:
                 assert stats["quarantined"] == n
         assert stats["disk_hits"] == 0
 
-    def test_damaged_raw_file_is_quarantined_by_verify_only(self, tmp_path):
-        store, stats = _store(tmp_path, suffix=".json")
-        digest = store.put_file(KEY, lambda p: p.write_text('{"x": 1}\n'))
-        blob = store.path(KEY).read_bytes()
-        n = 0
-        for damaged in _damaged(blob):
-            store.path(KEY).write_bytes(damaged)
-            assert not store.intact(KEY, digest)  # a pure check...
-            assert store.path(KEY).exists()
-            assert not store.verify(KEY, digest)  # ...and the repair
-            n += 1
-            assert stats["quarantined"] == n
+    def test_damaged_entry_is_reported_by_peek_and_repaired_by_get(
+        self, tmp_path
+    ):
+        store, stats = _store(tmp_path)
+        store.put(KEY, VALUE, pickle.dumps)
+        assert pickle.loads(store.peek(KEY)) == VALUE
+        assert store.peek("ef" + KEY[2:]) is None  # missing
+        dir_key = "cd" + KEY[2:]
+        store.put_dir(dir_key, "v", _encode_dir)
+        assert store.peek(dir_key)["value"] == "v"
+        entry = store.path(dir_key)
+        for name in sorted(p.name for p in entry.iterdir()):
+            blob = (entry / name).read_bytes()
+            for damaged in _damaged(blob):
+                (entry / name).write_bytes(damaged)
+                assert store.peek(dir_key) is None
+            (entry / name).write_bytes(blob)
+        store.path(KEY).write_bytes(b"junk")
+        assert store.peek(KEY) is None  # a pure check...
+        assert store.path(KEY).exists()
+        assert stats["stores"] == 2 and sum(stats.values()) == 2
+        assert store.get(KEY, pickle.loads) is None  # ...and the repair
+        assert stats["quarantined"] == 1
+        assert store.get_dir(dir_key, _decode_dir) == "v"
 
     def test_damaged_raw_npz_never_raises(self, tmp_path):
-        # raw .npz digests cover member names and contents, not zip
-        # container metadata: damage that changes no content passes,
-        # everything else is quarantined — and nothing raises
-        store, stats = _store(tmp_path, suffix=".npz")
+        # an .npz member is digested as raw bytes, so every damage to it
+        # is quarantined, container metadata included, and nothing raises
+        store, stats = _store(tmp_path)
         x = np.arange(64) % 5
+        buf = io.BytesIO()
+        np.savez_compressed(buf, x=x)
+        blob = buf.getvalue()
 
-        def write(path):
-            np.savez_compressed(path, x=x)
+        def encode(data):
+            return {"artifact.npz": data}, {}
 
-        digest = store.put_file(KEY, write)
-        blob = store.path(KEY).read_bytes()
         n = 0
         for damaged in _damaged(blob):
-            store.path(KEY).write_bytes(damaged)
-            if store.verify(KEY, digest):
-                with np.load(store.path(KEY)) as data:
-                    assert np.array_equal(data["x"], x)
-            else:
-                n += 1
-                assert stats["quarantined"] == n
-        assert n > len(blob)  # most damage changes content
+            store.put_dir(KEY, blob, encode)
+            (store.path(KEY) / "artifact.npz").write_bytes(damaged)
+            assert store.get_dir(KEY, lambda meta, files: files) is None
+            n += 1
+            assert stats["quarantined"] == n
+        store.put_dir(KEY, blob, encode)
+        files = store.get_dir(KEY, lambda meta, files: files)
+        with np.load(io.BytesIO(files["artifact.npz"])) as data:
+            assert np.array_equal(data["x"], x)
 
     def test_unrecorded_raw_file_is_untrusted_but_kept(self, tmp_path):
+        # a bare file carries no digest: a pure check never trusts it
+        # and leaves it where it is, for the owner to replace
         store, stats = _store(tmp_path)
-        store.put_file(KEY, lambda p: p.write_text("{}"))
-        assert not store.verify(KEY, None)
+        store.path(KEY).write_text("{}")
+        assert store.peek(KEY) is None
         assert store.path(KEY).exists() and stats["quarantined"] == 0
 
     def test_decode_failure_is_quarantine_and_miss(self, tmp_path):
@@ -372,6 +386,21 @@ def test_put_fault_truncates_the_committed_entry(tmp_path):
         assert store.get(KEY, pickle.loads) == VALUE
         store.put(KEY, VALUE, pickle.dumps)  # store 2: truncated
     assert store.get(KEY, pickle.loads) is None
+    assert stats["quarantined"] == 1
+
+
+def test_directory_fault_truncates_a_payload_member(tmp_path):
+    store, stats = _store(tmp_path, faults={"get": "corrupt-node-artifact"})
+    store.put_dir(KEY, "v", _encode_dir)
+    manifest = (store.path(KEY) / "meta.json").read_bytes()
+    plan = FaultPlan(specs=(
+        FaultSpec(key="node:x", kind="corrupt-node-artifact"),
+    ))
+    with faults.injected(plan):
+        assert store.get_dir(KEY, _decode_dir, fault_key="node:x") is None
+    (copy,) = store.quarantined()[KEY]
+    assert (copy / "meta.json").read_bytes() == manifest
+    assert (copy / "a.bin").read_bytes() == FILES["a.bin"][:2]
     assert stats["quarantined"] == 1
 
 
