@@ -29,20 +29,29 @@ from repro.util.errors import ReproError
 log = obs_log.get_logger("cli")
 
 
-def _feature_summary(answer, schema) -> dict:
+#: feature summaries a stdin server keeps (oldest dropped first)
+SUMMARY_ENTRIES = 4096
+
+
+def _feature_summary(answer, schema, summaries: dict) -> dict:
     """Compact JSONL view of one answer's feature matrix.
 
     ``features_sha256`` digests the raw float64 bytes, so two serving
     runs (batched or not) can be compared for bit-identity from the
-    protocol alone.
+    protocol alone.  An answer's bytes are pure in its (model, target),
+    so ``summaries`` keeps each view under that key and digests it once.
     """
+    key = (answer.model, answer.target)
+    doc = summaries.get(key)
+    if doc is not None:
+        return doc
     import hashlib
 
     import numpy as np
 
     values = np.ascontiguousarray(answer.values, dtype=np.float64)
     hr = values[:, schema.hit_rate_slice]
-    return {
+    doc = {
         "n_pairs": int(values.shape[0]),
         "features_sha256": hashlib.sha256(values.tobytes()).hexdigest(),
         "mean_hit_rates": {
@@ -50,9 +59,13 @@ def _feature_summary(answer, schema) -> dict:
             for j, level in enumerate(schema.level_names)
         },
     }
+    if len(summaries) >= SUMMARY_ENTRIES:
+        del summaries[next(iter(summaries))]
+    summaries[key] = doc
+    return doc
 
 
-async def _answer_one(engine, req_id, query, schema) -> None:
+async def _answer_one(engine, req_id, query, schema, summaries) -> None:
     """Resolve one JSONL request and print its response line."""
     try:
         answer = await engine.query(query)
@@ -71,7 +84,7 @@ async def _answer_one(engine, req_id, query, schema) -> None:
             "kind": answer.kind,
             "batch_size": answer.batch_size,
             "latency_ms": round(answer.latency_s * 1e3, 3),
-            **_feature_summary(answer, schema),
+            **_feature_summary(answer, schema, summaries),
         }
         if answer.runtime_s is not None:
             doc["runtime_s"] = answer.runtime_s
@@ -142,6 +155,7 @@ async def _serve_stdin_loop(
                 return
 
     pending: set = set()
+    summaries: dict = {}
     drained = False
     async with _serving(engine, telemetry, lambda: lines.put_nowait(None)):
         threading.Thread(target=_reader, name="serve-stdin", daemon=True).start()
@@ -176,7 +190,7 @@ async def _serve_stdin_loop(
                 )
                 continue
             task = asyncio.ensure_future(
-                _answer_one(engine, req_id, query, schema)
+                _answer_one(engine, req_id, query, schema, summaries)
             )
             pending.add(task)
             task.add_done_callback(pending.discard)

@@ -30,7 +30,8 @@ def _render_stats(doc: dict) -> str:
     out.append(
         f"totals: queries={totals['queries']} "
         f"answered={totals['answered']} failed={totals['failed']} "
-        f"rejected={totals['rejected']} batches={totals['batches']} "
+        f"rejected={totals['rejected']} memo_hits={totals['memo_hits']} "
+        f"batches={totals['batches']} "
         f"mean_batch={totals['mean_batch']} "
         f"registry_hit_rate={totals['registry_hit_rate']}"
     )

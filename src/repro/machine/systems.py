@@ -17,7 +17,7 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Set, Tuple, Union
 
 from repro.cache import configs as cache_configs
 from repro.cache.hierarchy import CacheHierarchy
@@ -122,7 +122,9 @@ MACHINE_BUILDERS: Dict[str, Callable[[], MachineSpec]] = {
 }
 
 _SPEC_CACHE: Dict[str, MachineSpec] = {}
-_PROFILE_CACHE: Dict[Tuple[str, int], MachineProfile] = {}
+#: (name, accesses_per_probe) -> the profile and the store roots it has
+#: been checked into
+_PROFILE_CACHE: Dict[Tuple[str, int], Tuple[MachineProfile, Set[Path]]] = {}
 
 #: the profile store's directory under a signature cache's root
 STORE_DIR = "machines"
@@ -189,33 +191,40 @@ def get_machine(
 
     ``root`` is the directory of a profile store: a profile found there
     is loaded instead of probed (a damaged entry is quarantined and
-    rebuilt), and a profile built here is stored there.  Without one,
-    nothing is written.
+    rebuilt), and a profile built or loaded here is stored there if the
+    store lacks it.  Each root is checked once per process.  Without
+    one, nothing is written.
     """
     key = (name, accesses_per_probe)
-    if key not in _PROFILE_CACHE:
-        spec = get_spec(name)
-        store = entry = profile = None
-        if root is not None:
-            store = Store(
-                root, suffix=".pkl", stats=ProfileStoreStats(),
-                counters=_COUNTERS,
-            )
-            entry = profile_key(spec, accesses_per_probe)
+    profile, roots = _PROFILE_CACHE.get(key, (None, set()))
+    if root is not None and Path(root) not in roots:
+        store = Store(
+            root, suffix=".pkl", stats=ProfileStoreStats(), counters=_COUNTERS,
+        )
+        entry = profile_key(get_spec(name), accesses_per_probe)
+        if profile is None:
             profile = store.get(entry, pickle.loads)
         if profile is None:
-            profile = build_profile(
-                spec.name,
-                spec.hierarchy,
-                spec.timing,
-                spec.network,
-                accesses_per_probe=accesses_per_probe,
-            )
-            if store is not None:
-                try:
-                    store.put(entry, profile, pickle.dumps)
-                except OSError as exc:  # the built profile still serves
-                    log.warning("could not store machine profile %s: %s",
-                                entry[:12], exc)
-        _PROFILE_CACHE[key] = profile
-    return _PROFILE_CACHE[key]
+            profile = _probe(name, accesses_per_probe)
+        if entry not in store:
+            try:
+                store.put(entry, profile, pickle.dumps)
+            except OSError as exc:  # the built profile still serves
+                log.warning("could not store machine profile %s: %s",
+                            entry[:12], exc)
+        roots.add(Path(root))
+    elif profile is None:
+        profile = _probe(name, accesses_per_probe)
+    _PROFILE_CACHE[key] = (profile, roots)
+    return profile
+
+
+def _probe(name: str, accesses_per_probe: int) -> MachineProfile:
+    spec = get_spec(name)
+    return build_profile(
+        spec.name,
+        spec.hierarchy,
+        spec.timing,
+        spec.network,
+        accesses_per_probe=accesses_per_probe,
+    )

@@ -581,6 +581,7 @@ def stats_doc(records: List[dict], top: int) -> Dict[str, Any]:
             "answered": totals.get("serve.answered", 0),
             "failed": totals.get("serve.failed", 0),
             "rejected": totals.get("serve.rejected", 0),
+            "memo_hits": totals.get("serve.memo_hits", 0),
             "batches": batches,
             "mean_batch": round(
                 totals.get("serve.batch.queries", 0) / batches, 2

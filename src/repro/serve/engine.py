@@ -12,10 +12,13 @@ coroutine calls and answers them through three stages:
    contract clients can retry against.
 2. **Fair dispatch** — a single dispatcher task round-robins across
    tenant queues, taking at most one query per tenant per cycle, so a
-   tenant flooding its queue cannot starve a light tenant.
-3. **Micro-batched execution** — dispatched queries enter the
-   :class:`~repro.serve.batcher.MicroBatcher` keyed by (model digest,
-   query kind); compatible queries coalesce into one
+   tenant flooding its queue cannot starve a light tenant.  A query
+   whose (model digest, target) was answered before is answered here
+   from the engine's answer memo, while its model's breaker is closed:
+   an answer is pure in that key, so no batch, window or replay runs.
+3. **Micro-batched execution** — every other dispatched query enters
+   the :class:`~repro.serve.batcher.MicroBatcher` keyed by (model
+   digest, query kind); compatible queries coalesce into one
    ``predict_many`` array pass and fan back out.  Batched answers are
    bit-identical to what a sequential per-query ``predict_many`` would
    return — ``predict_many`` computes each target column independently,
@@ -89,6 +92,9 @@ QUERY_KINDS = ("features", "runtime")
 #: recorded jobs an engine keeps for runtime replays (least recently
 #: used dropped first)
 RUNTIME_JOBS = 8
+#: bytes of answer matrices an engine keeps memoized (least recently
+#: used dropped first)
+ANSWER_MEMO_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,13 @@ class Answer:
     model: str
     tenant: str
     #: (n_pairs, n_features) synthesized features — a read-only array,
-    #: shared by every query for the same target in the same batch
+    #: shared by every query for the same target in the same batch and
+    #: by every later answer from the memo
     values: np.ndarray
     runtime_s: Optional[float]  #: predicted runtime (kind="runtime" only)
-    batch_size: int  #: how many queries shared this answer's array pass
+    #: how many queries shared this answer's array pass (1 for an answer
+    #: from the memo, which ran none)
+    batch_size: int
     latency_s: float  #: admission-to-answer wall clock
 
 
@@ -212,6 +221,7 @@ class EngineStats(CounterSet):
     failed: int = 0
     rejected: int = 0
     backpressure_waits: int = 0
+    memo_hits: int = 0  #: answered from the memo (also in ``answered``)
 
 
 class QueryEngine:
@@ -265,6 +275,11 @@ class QueryEngine:
         # threads: a job is a read-only table
         self._jobs: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
         self._jobs_lock = threading.Lock()
+        # (model digest, target) -> [matrix, runtime_s or None]: every
+        # successful answer, kept until ANSWER_MEMO_BYTES of matrices
+        # push it out; only the event loop touches it
+        self._memo: "OrderedDict[Tuple[str, int], list]" = OrderedDict()
+        self._memo_bytes = 0
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._inflight: set = set()
         self._wake: Optional[asyncio.Event] = None
@@ -495,7 +510,14 @@ class QueryEngine:
                                     self._deadline_error(q, "dispatch")
                                 )
                             continue
-                        if not self._breaker(q.model).allow_dispatch(now):
+                        breaker = self._breaker(q.model)
+                        if breaker.state == "closed":
+                            hit = self._memo_get(q)
+                            if hit is not None:
+                                self.stats.bump("memo_hits")
+                                self._answer(q, fut, t0, *hit, batch_size=1)
+                                continue
+                        if not breaker.allow_dispatch(now):
                             self.report.bump("breaker_rejected")
                             self.stats.bump("failed")
                             self._tenant_inc("failed", tenant)
@@ -542,7 +564,18 @@ class QueryEngine:
             if not fut.done():
                 fut.set_exception(exc)
             return
-        payload = bfut.result()
+        self._answer(q, fut, t0, **bfut.result())
+
+    def _answer(
+        self,
+        q: Query,
+        fut: asyncio.Future,
+        t0: float,
+        values: np.ndarray,
+        runtime_s: Optional[float],
+        batch_size: int,
+    ) -> None:
+        """Count one answered query and resolve its caller future."""
         latency = perf_counter() - t0
         self._latencies.observe(latency)
         REGISTRY.observe("serve.latency_s", latency)
@@ -550,16 +583,57 @@ class QueryEngine:
         self._tenant_inc("answered", q.tenant)
         if self.telemetry is not None:
             self.telemetry.record_query(q, latency)
-        answer = Answer(
-            target=q.target,
-            kind=q.kind,
-            model=q.model,
-            tenant=q.tenant,
-            latency_s=latency,
-            **payload,
-        )
         if not fut.done():
-            fut.set_result(answer)
+            fut.set_result(
+                Answer(
+                    target=q.target,
+                    kind=q.kind,
+                    model=q.model,
+                    tenant=q.tenant,
+                    values=values,
+                    runtime_s=runtime_s,
+                    batch_size=batch_size,
+                    latency_s=latency,
+                )
+            )
+
+    # -- answer memo ----------------------------------------------------
+
+    def _memo_get(
+        self, q: Query
+    ) -> Optional[Tuple[np.ndarray, Optional[float]]]:
+        """The memoized ``(values, runtime_s)`` that answer ``q``, if any
+        (a ``kind="runtime"`` query needs a replayed runtime)."""
+        key = (q.model, int(q.target))
+        entry = self._memo.get(key)
+        if entry is None or (q.kind == "runtime" and entry[1] is None):
+            return None
+        self._memo.move_to_end(key)
+        return entry[0], entry[1] if q.kind == "runtime" else None
+
+    def _remember(
+        self,
+        digest: str,
+        matrices: Dict[int, np.ndarray],
+        runtimes: Dict[int, float],
+        failures: Dict[int, BaseException],
+    ) -> None:
+        """Memoize a batch's answers; a failed target keeps nothing."""
+        for target, matrix in matrices.items():
+            if target in failures:
+                continue
+            key = (digest, target)
+            entry = self._memo.get(key)
+            if entry is None:
+                entry = self._memo[key] = [matrix, None]
+                self._memo_bytes += matrix.nbytes
+            else:
+                self._memo.move_to_end(key)
+            if target in runtimes:
+                entry[1] = runtimes[target]
+        while self._memo_bytes > ANSWER_MEMO_BYTES:
+            _, (matrix, _) = self._memo.popitem(last=False)
+            self._memo_bytes -= matrix.nbytes
 
     # -- batch execution ------------------------------------------------
 
@@ -644,6 +718,7 @@ class QueryEngine:
             targets, rate_trust_factor=self.config.rate_trust_factor
         )
         matrices = self._matrices(sweep, targets)
+        self._remember(digest, matrices, {}, {})
         return self._payloads(queries, matrices, {}, {})
 
     async def _execute_offloaded(
@@ -693,6 +768,7 @@ class QueryEngine:
                 else:
                     runtimes[target] = float(value)
         matrices = self._matrices(sweep, targets)
+        self._remember(digest, matrices, runtimes, failures)
         return self._payloads(queries, matrices, runtimes, failures)
 
     @staticmethod

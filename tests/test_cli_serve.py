@@ -352,6 +352,33 @@ class TestServeStdin:
         bad = [d for d in docs if d["id"] is None]
         assert len(bad) == 1 and not bad[0]["ok"]
 
+    def test_feature_summary_is_digested_once_per_model_and_target(
+        self, monkeypatch
+    ):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from repro.cli import serve as cli_serve
+
+        monkeypatch.setattr(cli_serve, "SUMMARY_ENTRIES", 2)
+        schema = SimpleNamespace(hit_rate_slice=slice(0, 1), level_names=("L1",))
+
+        def summary(target, fill):
+            answer = SimpleNamespace(
+                model="m", target=target, values=np.full((3, 2), fill)
+            )
+            return cli_serve._feature_summary(answer, schema, summaries)
+
+        summaries = {}
+        first = summary(64, 0.5)
+        assert first["mean_hit_rates"] == {"L1": 0.5}
+        # the same key returns the kept view: its bytes are the same
+        assert summary(64, 0.25) is first
+        summary(128, 0.5)
+        summary(256, 0.5)  # past the bound: the oldest view is dropped
+        assert list(summaries) == [("m", 128), ("m", 256)]
+
     def test_answers_are_bit_identical_across_runs(
         self, tmp_path, capsys, monkeypatch
     ):

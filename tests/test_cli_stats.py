@@ -19,8 +19,8 @@ TAG = "ab12cd34ef56"
 
 GOLDEN = """\
 flight recorder: 3 records over 1.500s (complete)
-totals: queries=11 answered=9 failed=2 rejected=0 batches=4 \
-mean_batch=2.5 registry_hit_rate=0.8
+totals: queries=11 answered=9 failed=2 rejected=0 memo_hits=1 \
+batches=4 mean_batch=2.5 registry_hit_rate=0.8
 loop lag: mean=1.5ms max=2.0ms
 
 rate timeline
@@ -90,6 +90,7 @@ def _recorder_records() -> list:
         {"schema": 1, "seq": 2, "t_s": 1.5, "wall_time": 1.7e9 + 1.5,
          "interval_s": 0.5, "final": True, "loop_lag_s": 0.001,
          "counters": {"serve.answered": 1, "serve.queries": 1,
+                      "serve.memo_hits": 1,
                       "serve.tenant.queries.acme": 1,
                       "serve.tenant.answered.acme": 1,
                       "serve.registry.mem_hits": 1},
@@ -134,7 +135,8 @@ class TestStatsRendering:
         assert doc["records"] == 3
         assert doc["totals"] == {
             "queries": 11, "answered": 9, "failed": 2, "rejected": 0,
-            "batches": 4, "mean_batch": 2.5, "registry_hit_rate": 0.8,
+            "memo_hits": 1, "batches": 4, "mean_batch": 2.5,
+            "registry_hit_rate": 0.8,
         }
         assert doc["tenants"] == {
             "acme": {"queries": 11, "answered": 9, "failed": 2,

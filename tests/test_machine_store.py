@@ -148,6 +148,38 @@ def test_no_root_writes_nothing(tmp_path, monkeypatch, builds):
     assert machine_counters() == before
 
 
+def test_a_later_root_stores_the_cached_profile(tmp_path, builds):
+    """A profile built without a root is stored under the first root a
+    later call passes (checked once, not on every call), and a fresh
+    process loads it from there without probing."""
+    name = "opteron_2level"
+    get_machine(name, accesses_per_probe=PROBE)
+    before = machine_counters()
+    for _ in range(2):
+        get_machine(name, accesses_per_probe=PROBE, root=tmp_path)
+    assert builds == ["Opteron-2L"]
+    assert machine_counters() == {**before, "machine.stores":
+                                  before.get("machine.stores", 0) + 1}
+    key = profile_key(get_spec(name), PROBE)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.pkl"]
+
+    probe_fails = (
+        "import sys\n"
+        "from repro.machine import systems\n"
+        "def probe(*args, **kwargs):\n"
+        "    raise AssertionError('probed')\n"
+        "systems.build_profile = probe\n"
+        f"systems.get_machine({name!r}, accesses_per_probe={PROBE}, "
+        "root=sys.argv[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe_fails, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 #: runs ``repro`` with argv[2:], then writes whether scipy was imported
 #: to argv[1]
 DRIVER = (

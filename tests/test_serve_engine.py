@@ -344,3 +344,63 @@ def test_summary_reports_all_layers(serve_model):
     assert summary["latency"]["count"] == 1
     assert summary["latency"]["p95_s"] >= summary["latency"]["p50_s"] >= 0.0
     assert "mem_hits" in summary["registry"]
+
+
+async def _ask_in_turn(engine, queries):
+    """Answer ``queries`` one after another on a started engine."""
+    await engine.start()
+    answers = [await engine.query(q) for q in queries]
+    await engine.stop()
+    return answers
+
+
+def test_memo_hit_equals_a_fresh_batched_answer(serve_model):
+    """A repeated (model, target) is answered from the memo, bit for bit
+    what a fresh engine's batch computes; a runtime query waits for a
+    replayed runtime, and the books still close."""
+    engine = _engine(serve_model)
+    queries = [
+        Query(target=64),  # batch: memoizes the matrix
+        Query(target=64, kind="runtime"),  # batch: no runtime memoized yet
+        Query(target=64, kind="runtime"),  # memo
+        Query(target=64),  # memo
+    ]
+    answers = asyncio.run(_ask_in_turn(engine, queries))
+    fresh_features, fresh_runtime = (
+        asyncio.run(_ask_in_turn(_engine(serve_model), [q]))[0]
+        for q in queries[:2]
+    )
+    assert engine.batcher.stats.batches == 2
+    assert engine.stats.memo_hits == 2
+    runtime_hit, features_hit = answers[2], answers[3]
+    assert runtime_hit.batch_size == features_hit.batch_size == 1
+    assert runtime_hit.values.tobytes() == fresh_runtime.values.tobytes()
+    assert runtime_hit.runtime_s == fresh_runtime.runtime_s
+    assert features_hit.values.tobytes() == fresh_features.values.tobytes()
+    assert features_hit.runtime_s is None
+    assert not features_hit.values.flags.writeable
+    summary = engine.summary()["engine"]
+    assert summary["memo_hits"] == 2 and summary["answered"] == 4
+    assert summary["answered"] == (
+        summary["queries"] - summary["failed"] - summary["rejected"]
+    )
+
+
+def test_memo_evicts_least_recently_used_past_its_byte_bound(
+    serve_model, monkeypatch
+):
+    from repro.serve import engine as engine_module
+
+    nbytes = serve_model.predict([32]).values[0].nbytes
+    monkeypatch.setattr(engine_module, "ANSWER_MEMO_BYTES", 2 * nbytes)
+    engine = _engine(serve_model)
+    # 32 and 64 fill the bound; the hit on 32 leaves 64 least recently
+    # used, so 128 pushes 64 out and 32 is still answered from the memo
+    targets = [32, 64, 32, 128, 32, 64]
+    asyncio.run(_ask_in_turn(engine, [Query(target=t) for t in targets]))
+    assert engine.stats.memo_hits == 2
+    assert engine.batcher.stats.batches == 4
+    assert list(engine._memo) == [
+        (serve_model.digest, 32), (serve_model.digest, 64)
+    ]
+    assert engine._memo_bytes == 2 * nbytes

@@ -290,6 +290,126 @@ class TestBreakerInEngine:
         )
 
 
+class TestAnswerMemo:
+    """The memo answers only what a clean batch computed, and only while
+    the model's breaker is closed; deadlines are checked first."""
+
+    def test_failed_batches_store_nothing(self, serve_model):
+        from repro.util.errors import TaskCrashError
+
+        tag = serve_model.digest[:12]
+        raise_once = faults.FaultPlan(
+            specs=(
+                faults.FaultSpec(
+                    key=f"serve:batch:{tag}:features",
+                    kind="predict-raise", attempts=(1,),
+                ),
+            )
+        )
+        # every replay attempt of one call: the call fails for good
+        crash = faults.FaultPlan(
+            specs=(
+                faults.FaultSpec(
+                    key=f"serve:replay:{tag}:128", kind="crash",
+                    attempts=(1, 2, 3),
+                ),
+            )
+        )
+
+        async def main():
+            engine = _engine(serve_model)
+            await engine.start()
+            try:
+                with faults.injected(raise_once), pytest.raises(ServeError):
+                    await engine.query(Query(target=64))
+                await engine.query(Query(target=64))  # a batch again
+                with faults.injected(crash), pytest.raises(TaskCrashError):
+                    await engine.query(Query(target=128, kind="runtime"))
+                # the crashed target kept neither its matrix nor a runtime
+                await engine.query(Query(target=128))
+                replayed = await engine.query(
+                    Query(target=128, kind="runtime")
+                )
+                memoized = await engine.query(
+                    Query(target=128, kind="runtime")
+                )
+            finally:
+                await engine.stop()
+            return engine, replayed, memoized
+
+        engine, replayed, memoized = asyncio.run(main())
+        assert engine.batcher.stats.batches == 5
+        assert engine.stats.memo_hits == 1
+        assert memoized.runtime_s == replayed.runtime_s
+        assert engine.report.batch_failures == 1
+
+    def test_half_open_probe_runs_a_batch_for_a_memoized_target(
+        self, serve_model
+    ):
+        tag = serve_model.digest[:12]
+        plan = faults.FaultPlan(
+            specs=(
+                faults.FaultSpec(
+                    key=f"serve:batch:{tag}:features",
+                    kind="predict-raise", attempts=(2, 3),
+                ),
+            )
+        )
+
+        async def main():
+            engine = _engine(
+                serve_model, breaker_threshold=2, breaker_open_s=0.05
+            )
+            await engine.start()
+            try:
+                await engine.query(Query(target=64))  # memoized
+                for _ in range(2):  # two failing batches open the breaker
+                    with pytest.raises(ServeError):
+                        await engine.query(Query(target=128))
+                await asyncio.sleep(0.08)
+                # the probe is a batch, memo or not, and closes the breaker
+                probe = await engine.query(Query(target=64))
+                batches = engine.batcher.stats.batches
+                hit = await engine.query(Query(target=64))
+            finally:
+                await engine.stop()
+            return engine, probe, hit, batches
+
+        with faults.injected(plan):
+            engine, probe, hit, batches = asyncio.run(main())
+        assert batches == 4
+        assert engine.batcher.stats.batches == 4
+        assert engine.stats.memo_hits == 1
+        assert engine.report.transitions == [
+            f"{tag}:open", f"{tag}:half_open", f"{tag}:closed"
+        ]
+        assert probe.values.tobytes() == hit.values.tobytes()
+
+    def test_lapsed_deadline_is_never_answered_from_the_memo(
+        self, serve_model
+    ):
+        async def main():
+            engine = _engine(serve_model)
+            await engine.start()
+            await engine.query(Query(target=64))  # memoized
+            await engine.stop()
+            # the deadline lapses in the tenant queue, before dispatch
+            task = asyncio.ensure_future(
+                engine.query(Query(target=64, deadline_ms=10.0))
+            )
+            await asyncio.sleep(0.03)
+            await engine.start()
+            with pytest.raises(DeadlineExceededError, match="dispatch"):
+                await task
+            await engine.stop()
+            return engine
+
+        engine = asyncio.run(main())
+        assert engine.report.deadline_dispatch == 1
+        assert engine.stats.memo_hits == 0
+        assert engine.stats.failed == 1 and engine.stats.answered == 1
+
+
 class TestOffload:
     def test_large_feature_batches_offload(self, serve_model):
         async def main():
