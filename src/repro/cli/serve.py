@@ -5,9 +5,21 @@ on stdin/stdout (one request per line, ``{"id", "target", "kind",
 "tenant", "deadline_ms"}``; one answer per line in completion order; a
 malformed line gets an error answer, never a crash) or as a replayable
 synthetic load (``--load-gen``).  Both modes run inside :func:`_serving`,
-and SIGTERM/SIGINT drain gracefully to exit status 0.  ``repro.serve``
-and ``asyncio`` are imported inside the functions, so ``import
-repro.cli`` stays cheap for the batch commands.
+and SIGTERM/SIGINT drain gracefully to exit status 0.
+
+The stdin server starts no thread.  It reads fd 0 from the event loop
+(one ``os.read`` per readiness event) and handles each complete line in
+that loop turn: it parses the line, submits the query, and writes the
+answer at once when the engine answered at admission (a memo hit), or
+from the query future's done-callback otherwise.  Stdin that epoll
+cannot watch (a regular file, ``/dev/null``, an in-memory stream) is
+read in chunks from loop callbacks instead, and a missing stdin is an
+empty one.  If an answer cannot be written (the reader of stdout went
+away), serving stops: admitted queries finish unwritten, the summary
+and manifest are still written, and the exit status is 1.
+
+``repro.serve`` and ``asyncio`` are imported inside the functions, so
+``import repro.cli`` stays cheap for the batch commands.
 """
 
 from __future__ import annotations
@@ -17,7 +29,9 @@ import contextlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Optional
 
 from repro.cli import options
 from repro.cli.options import Checked, at_least, file_out, parse_counts, positive
@@ -31,6 +45,8 @@ log = obs_log.get_logger("cli")
 
 #: feature summaries a stdin server keeps (oldest dropped first)
 SUMMARY_ENTRIES = 4096
+#: bytes one read of stdin takes at most
+READ_CHUNK = 1 << 16
 
 
 def _feature_summary(answer, schema, summaries: dict) -> dict:
@@ -65,32 +81,6 @@ def _feature_summary(answer, schema, summaries: dict) -> dict:
     return doc
 
 
-async def _answer_one(engine, req_id, query, schema, summaries) -> None:
-    """Resolve one JSONL request and print its response line."""
-    try:
-        answer = await engine.query(query)
-    except ReproError as exc:
-        doc = {
-            "id": req_id,
-            "ok": False,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-        }
-    else:
-        doc = {
-            "id": req_id,
-            "ok": True,
-            "target": answer.target,
-            "kind": answer.kind,
-            "batch_size": answer.batch_size,
-            "latency_ms": round(answer.latency_s * 1e3, 3),
-            **_feature_summary(answer, schema, summaries),
-        }
-        if answer.runtime_s is not None:
-            doc["runtime_s"] = answer.runtime_s
-    print(json.dumps(doc), flush=True)
-
-
 @contextlib.asynccontextmanager
 async def _serving(engine, telemetry, on_signal):
     """Run the body with the engine and telemetry up and SIGTERM/SIGINT
@@ -123,84 +113,188 @@ async def _serving(engine, telemetry, on_signal):
             await telemetry.stop()
 
 
-async def _serve_stdin_loop(
-    engine, schema, *, deadline_ms=None, telemetry=None
-) -> bool:
-    """JSONL request/response over stdin/stdout until EOF or a signal.
+class _StdinServer:
+    """The JSONL protocol on the event loop.
 
-    Returns True when the exit was a graceful drain (SIGTERM/SIGINT):
-    admission stops, open batches deadline-flush, in-flight queries are
-    answered — never a mid-batch teardown.
+    Each request line is parsed, built into a :class:`~repro.serve.Query`
+    and submitted in the loop turn that read it; an answer the engine
+    gives at admission is written in that turn too, and any other
+    answer is written by its future's done-callback.  ``ended``
+    resolves with how serving ended: ``"eof"``, ``"drain"``
+    (SIGTERM/SIGINT) or ``"broken"`` (an answer write failed, kept in
+    ``write_error``).
+    """
+
+    def __init__(self, engine, schema, deadline_ms, loop):
+        from repro.serve import Query
+
+        self._query = Query
+        self.engine = engine
+        self.schema = schema
+        self.deadline_ms = deadline_ms
+        self.loop = loop
+        self.ended = loop.create_future()
+        self.write_error: Optional[OSError] = None
+        #: futures of submitted requests still waiting for an answer
+        self.pending: set = set()
+        self._summaries: dict = {}
+        self._tail = b""
+        self._reader_fd: Optional[int] = None
+
+    def start_reading(self) -> None:
+        stdin = sys.stdin
+        if stdin is None:  # fd 0 was closed when the interpreter started
+            self.feed(b"")
+            return
+        try:
+            fd = stdin.fileno()
+            self.loop.add_reader(fd, self._on_readable, fd)
+            self._reader_fd = fd
+        except (OSError, ValueError, NotImplementedError):
+            # a regular file, /dev/null, a closed fd or an in-memory
+            # stream: epoll cannot watch it, and reading it never blocks
+            self.loop.call_soon(self._pump, getattr(stdin, "buffer", stdin))
+
+    def end(self, how: str) -> None:
+        """Stop reading stdin; the first call says how serving ended."""
+        if self._reader_fd is not None:
+            self.loop.remove_reader(self._reader_fd)
+            self._reader_fd = None
+        if not self.ended.done():
+            self.ended.set_result(how)
+
+    def _on_readable(self, fd: int) -> None:
+        try:
+            chunk = os.read(fd, READ_CHUNK)
+        except OSError as exc:
+            log.warning("cannot read stdin (%s); treating it as its end", exc)
+            chunk = b""
+        self.feed(chunk)
+
+    def _pump(self, stream) -> None:
+        """Read one chunk of a stream epoll cannot watch; reschedule."""
+        if self.ended.done():
+            return
+        try:
+            chunk = stream.read(READ_CHUNK)
+        except OSError as exc:
+            log.warning("cannot read stdin (%s); treating it as its end", exc)
+            chunk = b""
+        if isinstance(chunk, str):  # an in-memory text stream
+            chunk = chunk.encode("utf-8", "surrogatepass")
+        if chunk:  # scheduled first: a line that raises stops no reading
+            self.loop.call_soon(self._pump, stream)
+        self.feed(chunk)
+
+    def feed(self, chunk: bytes) -> None:
+        """Handle each complete line of ``chunk``; ``b""`` is end of input,
+        which answers a last line that has no newline."""
+        if self.ended.done():
+            return
+        if not chunk:
+            tail, self._tail = self._tail, b""
+            self._handle(tail)
+            self.end("eof")
+            return
+        *lines, self._tail = (self._tail + chunk).split(b"\n")
+        for line in lines:
+            self._handle(line)
+            if self.ended.done():  # stdout is gone
+                return
+
+    def _handle(self, line: bytes) -> None:
+        line = line.strip()
+        if not line:
+            return
+        req_id = None
+        try:
+            req = json.loads(line)
+            if not isinstance(req, dict):
+                raise TypeError("a request must be a JSON object")
+            req_id = req.get("id")
+            deadline = req.get("deadline_ms", self.deadline_ms)
+            query = self._query(
+                target=int(req["target"]),
+                tenant=str(req.get("tenant", "default")),
+                kind=str(req.get("kind", "features")),
+                deadline_ms=float(deadline) if deadline is not None else None,
+            )
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                ReproError) as exc:
+            self._write({"id": req_id, "ok": False, "error": str(exc)})
+            return
+        fut = self.engine.submit(query)
+        if fut.done():
+            self._deliver(req_id, fut)
+        else:
+            self.pending.add(fut)
+            fut.add_done_callback(partial(self._deliver, req_id))
+
+    def _deliver(self, req_id, fut) -> None:
+        """Write the answer line of one resolved request."""
+        self.pending.discard(fut)
+        if fut.cancelled():
+            return
+        try:
+            answer = fut.result()
+        except ReproError as exc:
+            doc = {
+                "id": req_id,
+                "ok": False,
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+            }
+        else:
+            doc = {
+                "id": req_id,
+                "ok": True,
+                "target": answer.target,
+                "kind": answer.kind,
+                "batch_size": answer.batch_size,
+                "latency_ms": round(answer.latency_s * 1e3, 3),
+                **_feature_summary(answer, self.schema, self._summaries),
+            }
+            if answer.runtime_s is not None:
+                doc["runtime_s"] = answer.runtime_s
+        self._write(doc)
+
+    def _write(self, doc: dict) -> None:
+        if self.write_error is not None:
+            return
+        try:
+            print(json.dumps(doc), flush=True)
+        except OSError as exc:
+            # the reader of stdout is gone: later answers have nowhere
+            # to go, and fd 1 goes to /dev/null so the exit-time flush
+            # of the unwritten line cannot fail again
+            self.write_error = exc
+            with contextlib.suppress(OSError, ValueError):
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            self.end("broken")
+
+
+async def _serve_stdin_loop(engine, schema, *, deadline_ms=None, telemetry=None):
+    """JSONL request/response over stdin/stdout until EOF, a signal, or
+    a failed answer write; returns the :class:`_StdinServer`.
+
+    However serving ends, admission closes and every admitted query is
+    answered (or, once stdout is gone, computed and dropped) before the
+    engine stops — never a mid-batch teardown.
     """
     import asyncio
-    import threading
 
-    from repro.serve import Query
-
-    loop = asyncio.get_running_loop()
-    #: reader → loop handoff; None is the drain sentinel, "" is EOF
-    lines: asyncio.Queue = asyncio.Queue()
-
-    def _reader() -> None:
-        # a dedicated daemon thread, NOT the default executor: a
-        # readline blocked on a quiet stdin would otherwise be joined
-        # by asyncio.run's shutdown and wedge the drain forever
-        while True:
-            line = sys.stdin.readline()
-            try:
-                loop.call_soon_threadsafe(lines.put_nowait, line)
-            except RuntimeError:  # loop already closed
-                return
-            if not line:
-                return
-
-    pending: set = set()
-    summaries: dict = {}
-    drained = False
-    async with _serving(engine, telemetry, lambda: lines.put_nowait(None)):
-        threading.Thread(target=_reader, name="serve-stdin", daemon=True).start()
-        while True:
-            line = await lines.get()
-            if line is None:
-                drained = True
-                break
-            if not line:
-                break
-            line = line.strip()
-            if not line:
-                continue
-            req_id = None
-            try:
-                req = json.loads(line)
-                req_id = req.get("id") if isinstance(req, dict) else None
-                deadline = req.get("deadline_ms", deadline_ms)
-                query = Query(
-                    target=int(req["target"]),
-                    tenant=str(req.get("tenant", "default")),
-                    kind=str(req.get("kind", "features")),
-                    deadline_ms=(
-                        float(deadline) if deadline is not None else None
-                    ),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    ReproError) as exc:
-                print(
-                    json.dumps({"id": req_id, "ok": False, "error": str(exc)}),
-                    flush=True,
-                )
-                continue
-            task = asyncio.ensure_future(
-                _answer_one(engine, req_id, query, schema, summaries)
-            )
-            pending.add(task)
-            task.add_done_callback(pending.discard)
-        # yield once so every accepted request has entered the engine —
-        # a request read before EOF/drain must not see a closed door
-        await asyncio.sleep(0)
+    server = _StdinServer(
+        engine, schema, deadline_ms, asyncio.get_running_loop()
+    )
+    async with _serving(engine, telemetry, lambda: server.end("drain")):
+        server.start_reading()
+        await server.ended
         engine.stop_admission()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-    return drained
+        if server.pending:
+            await asyncio.wait(server.pending)
+    return server
 
 
 async def _serve_load_main(engine, load_spec, digest, telemetry=None):
@@ -311,9 +405,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"errors={r['errors']}"
         )
         drained = engine.draining
+        write_error = None
     else:
         load_report = None
-        drained = asyncio.run(
+        server = asyncio.run(
             _serve_stdin_loop(
                 engine,
                 model.template.schema,
@@ -321,6 +416,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 telemetry=telemetry,
             )
         )
+        drained = server.ended.result() == "drain"
+        write_error = server.write_error
 
     summary = engine.summary()
     if load_report is not None:
@@ -359,6 +456,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache=cache,
         serve=engine.report,
     )
+    if write_error is not None:
+        print(
+            f"repro: error: cannot write answers to stdout ({write_error}); "
+            f"stopped serving",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -1,21 +1,24 @@
 """The async query engine: admission, fair queueing, batched answers.
 
 Prediction-as-a-service front-end over the model registry.  A
-:class:`QueryEngine` accepts thousands of concurrent :class:`Query`
-coroutine calls and answers them through three stages:
+:class:`QueryEngine` admits each query synchronously
+(:meth:`~QueryEngine.submit` returns a future, :meth:`~QueryEngine.query`
+awaits it) and answers it through three stages:
 
 1. **Admission** — each tenant owns a bounded FIFO queue.  When a
    tenant's queue is full, ``admission="wait"`` applies backpressure
-   (the caller's coroutine suspends until the dispatcher drains a
+   (the query waits in its tenant's line until the dispatcher drains a
    slot) while ``admission="reject"`` fails fast with
    :class:`~repro.util.errors.AdmissionError` — the load-shedding
-   contract clients can retry against.
+   contract clients can retry against.  A query whose (model digest,
+   target) was answered before is answered here from the engine's
+   answer memo, when its tenant has nothing queued and its model's
+   breaker is closed: an answer is pure in that key, so no queue,
+   batch, window or replay runs.
 2. **Fair dispatch** — a single dispatcher task round-robins across
    tenant queues, taking at most one query per tenant per cycle, so a
-   tenant flooding its queue cannot starve a light tenant.  A query
-   whose (model digest, target) was answered before is answered here
-   from the engine's answer memo, while its model's breaker is closed:
-   an answer is pure in that key, so no batch, window or replay runs.
+   tenant flooding its queue cannot starve a light tenant.  A memo hit
+   that had to queue is answered here, under the same breaker rule.
 3. **Micro-batched execution** — every other dispatched query enters
    the :class:`~repro.serve.batcher.MicroBatcher` keyed by (model
    digest, query kind); compatible queries coalesce into one
@@ -235,9 +238,9 @@ class QueryEngine:
         await engine.stop()
 
     Queries may be enqueued before :meth:`start`; they are dispatched
-    once the engine runs.  :meth:`stop` drains by default: queued and
-    in-flight queries are answered (open batches are deadline-flushed
-    immediately) before the dispatcher shuts down.
+    (and memo hits answered) once the engine runs.  :meth:`stop` drains
+    by default: queued and in-flight queries are answered (open batches
+    are deadline-flushed immediately) before the dispatcher shuts down.
     :meth:`stop_admission` closes the front door first — the graceful
     drain sequence the CLI runs on SIGTERM/SIGINT.
     """
@@ -264,7 +267,9 @@ class QueryEngine:
         #: an attached TelemetrySampler (slow-query hook); None = no-op
         self.telemetry = None
         self._queues: Dict[str, Deque[tuple]] = {}
-        self._space: Dict[str, asyncio.Event] = {}
+        # tenant -> queries waiting for a slot in its full queue, in
+        # arrival order: [query, future, t0, expiry, deadline timer]
+        self._waiting: Dict[str, Deque[list]] = {}
         self._latencies = StreamingHistogram()
         self._inflight_by_tenant: Dict[str, int] = {}
         # metric names are interned per (family, tenant): building one
@@ -395,8 +400,30 @@ class QueryEngine:
         self.report.bump("deadline_flush")
         return self._deadline_error(q, "batch flush")
 
+    def submit(self, q: Query) -> asyncio.Future:
+        """Admit one query; the returned future resolves with its
+        :class:`Answer` or fails with its typed error.
+
+        Synchronous, so a caller admits a query and acts on the outcome
+        in one event-loop turn.  While the engine runs, a memo hit whose
+        tenant has nothing queued and whose model's breaker is closed
+        is answered here, and the future comes back done; every other
+        admitted query is queued for the dispatcher.  A refused query
+        (draining, unknown model, open breaker, full queue under
+        ``admission="reject"``) comes back failed.
+        """
+        fut = asyncio.get_running_loop().create_future()
+        try:
+            self._admit(q, fut)
+        except ServeError as exc:
+            fut.set_exception(exc)
+        return fut
+
     async def query(self, q: Query) -> Answer:
         """Submit one query; resolves with its :class:`Answer`."""
+        return await self.submit(q)
+
+    def _admit(self, q: Query, fut: asyncio.Future) -> None:
         if self.draining:
             self.stats.bump("rejected")
             self._tenant_inc("rejected", q.tenant)
@@ -425,7 +452,8 @@ class QueryEngine:
         )
         self.stats.bump("queries")
         self._tenant_inc("queries", q.tenant)
-        if not self._breaker(digest).admit(t0):
+        breaker = self._breaker(digest)
+        if not breaker.admit(t0):
             self.report.bump("breaker_rejected")
             self.stats.bump("failed")
             self._tenant_inc("failed", q.tenant)
@@ -435,43 +463,60 @@ class QueryEngine:
                 task_key=f"serve:{q.tenant}",
             )
         dq = self._queues.setdefault(q.tenant, deque())
-        if len(dq) >= self.config.queue_depth:
-            if self.config.admission == "reject":
-                self.stats.bump("rejected")
-                self._tenant_inc("rejected", q.tenant)
-                raise AdmissionError(
-                    f"tenant {q.tenant!r} queue is full "
-                    f"({self.config.queue_depth} queries)",
-                    stage="serve",
-                    task_key=f"serve:{q.tenant}",
-                )
-            while len(dq) >= self.config.queue_depth:
-                self.stats.bump("backpressure_waits")
-                self._tenant_inc("waits", q.tenant)
-                event = self._space.setdefault(q.tenant, asyncio.Event())
-                event.clear()
-                if expiry is None:
-                    await event.wait()
-                    continue
-                remaining = expiry - perf_counter()
-                if remaining > 0:
-                    try:
-                        await asyncio.wait_for(event.wait(), remaining)
-                        continue
-                    except asyncio.TimeoutError:
-                        pass
-                self.report.bump("deadline_admission")
-                self.stats.bump("failed")
-                self._tenant_inc("failed", q.tenant)
-                raise self._deadline_error(q, "admission wait") from None
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        dq.append((q, fut, t0, expiry))
-        self._queue_depth_set(q.tenant, len(dq))
-        if self._wake is None:
-            self._wake = asyncio.Event()
-        self._wake.set()
-        return await fut
+        # a fresh deadline cannot have lapsed, and an empty queue means
+        # answering now overtakes none of the tenant's queries
+        if not dq and breaker.state == "closed" and self.started:
+            hit = self._memo_get(q)
+            if hit is not None:
+                self.stats.bump("memo_hits")
+                self._answer(q, fut, t0, *hit, batch_size=1)
+                return
+        if len(dq) < self.config.queue_depth:
+            dq.append((q, fut, t0, expiry))
+            self._queue_depth_set(q.tenant, len(dq))
+            if self._wake is None:
+                self._wake = asyncio.Event()
+            self._wake.set()
+            return
+        if self.config.admission == "reject":
+            self.stats.bump("rejected")
+            self._tenant_inc("rejected", q.tenant)
+            raise AdmissionError(
+                f"tenant {q.tenant!r} queue is full "
+                f"({self.config.queue_depth} queries)",
+                stage="serve",
+                task_key=f"serve:{q.tenant}",
+            )
+        self.stats.bump("backpressure_waits")
+        self._tenant_inc("waits", q.tenant)
+        waiting = self._waiting.setdefault(q.tenant, deque())
+        entry = [q, fut, t0, expiry, None]
+        if expiry is not None:
+            entry[4] = asyncio.get_running_loop().call_later(
+                q.deadline_ms / 1000.0, self._wait_expired, waiting, entry
+            )
+        waiting.append(entry)
+
+    def _wait_expired(self, waiting: Deque[list], entry: list) -> None:
+        """A waiting query's deadline passed before a slot freed."""
+        waiting.remove(entry)
+        q, fut = entry[0], entry[1]
+        if fut.done():  # its caller gave up
+            return
+        self.report.bump("deadline_admission")
+        self.stats.bump("failed")
+        self._tenant_inc("failed", q.tenant)
+        fut.set_exception(self._deadline_error(q, "admission wait"))
+
+    def _fill(self, tenant: str, dq: Deque[tuple]) -> None:
+        """Move waiting queries into the tenant's queue while it has room."""
+        waiting = self._waiting.get(tenant)
+        while waiting and len(dq) < self.config.queue_depth:
+            q, fut, t0, expiry, timer = waiting.popleft()
+            if timer is not None:
+                timer.cancel()
+            if not fut.done():
+                dq.append((q, fut, t0, expiry))
 
     # -- dispatch -------------------------------------------------------
 
@@ -494,10 +539,8 @@ class QueryEngine:
                             continue
                         progress = True
                         q, fut, t0, expiry = dq.popleft()
+                        self._fill(tenant, dq)
                         self._queue_depth_set(tenant, len(dq))
-                        event = self._space.get(tenant)
-                        if event is not None:
-                            event.set()
                         now = perf_counter()
                         REGISTRY.observe("serve.queue_wait_s", now - t0)
                         if expiry is not None and now >= expiry:

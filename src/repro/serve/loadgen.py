@@ -13,8 +13,8 @@ cold ones ride along in the same window.
 
 :func:`run_load` fires the whole trace as concurrent coroutines,
 gathers the answers, and reduces them to a :class:`LoadReport` —
-queries/s, latency percentiles, mean batch size — also mirrored into
-the ``serve.qps`` / ``serve.p95_ms`` gauges.
+queries/s, latency percentiles, queries per executed batch — also
+mirrored into the ``serve.qps`` / ``serve.p95_ms`` gauges.
 """
 
 from __future__ import annotations
@@ -110,12 +110,16 @@ class LoadReport:
     qps: float
     p50_ms: float
     p95_ms: float
+    #: queries per batch the engine executed during the load (its
+    #: batcher's tallies, as ``batcher.mean_batch`` of the summary)
     mean_batch: float
     rejected: int
     #: typed non-admission failures (deadline, breaker, serve errors) —
     #: under a fault plan these are results, not load-test bugs
     errors: int = 0
     error_kinds: Dict[str, int] = field(default_factory=dict)
+    #: mean ``batch_size`` over the answers, where a memo hit counts 1
+    mean_answer_batch: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -125,6 +129,7 @@ class LoadReport:
             "p50_ms": round(self.p50_ms, 6),
             "p95_ms": round(self.p95_ms, 6),
             "mean_batch": round(self.mean_batch, 3),
+            "mean_answer_batch": round(self.mean_answer_batch, 3),
             "rejected": self.rejected,
             "errors": self.errors,
             "error_kinds": dict(self.error_kinds),
@@ -151,6 +156,8 @@ async def run_load(
     """
     if not queries:
         raise ServeError("no queries to run", stage="serve")
+    tallies = engine.batcher.stats
+    queries0, batches0 = tallies.queries, tallies.batches
     waves = spec.waves if spec is not None else 1
     interval = spec.wave_interval_s if spec is not None else 0.0
     per_wave = (len(queries) + waves - 1) // waves
@@ -168,6 +175,8 @@ async def run_load(
             )
         )
     wall = perf_counter() - t0
+    batched = tallies.queries - queries0
+    batches = tallies.batches - batches0
     answers: List[Optional[Answer]] = []
     latencies: List[float] = []
     batch_sizes: List[int] = []
@@ -201,12 +210,13 @@ async def run_load(
         qps=len(latencies) / wall if wall > 0 else 0.0,
         p50_ms=float(p50) * 1e3,
         p95_ms=float(p95) * 1e3,
-        mean_batch=(
-            float(np.mean(batch_sizes)) if batch_sizes else 0.0
-        ),
+        mean_batch=batched / batches if batches else 0.0,
         rejected=rejected,
         errors=errors,
         error_kinds=error_kinds,
+        mean_answer_batch=(
+            float(np.mean(batch_sizes)) if batch_sizes else 0.0
+        ),
     )
     REGISTRY.set_gauge("serve.qps", report.qps)
     REGISTRY.set_gauge("serve.p95_ms", report.p95_ms)

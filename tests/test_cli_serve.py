@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,33 @@ class TestServeLoadGen:
         # the manifest digests the serve summary artifact
         doc = json.loads(manifest.read_text())
         assert "serve_summary.json" in doc["outputs"]
+
+    def test_load_mean_batch_is_queries_per_executed_batch(
+        self, tmp_path, capsys
+    ):
+        summary = tmp_path / "summary.json"
+        rc, out, _ = _run(
+            capsys,
+            BASE
+            + [
+                "--registry", str(tmp_path / "reg"),
+                "--load-gen", "200",
+                "--load-targets", "32,64,128",
+                "--summary-out", str(summary),
+            ],
+        )
+        assert rc == 0
+        line = next(
+            ln for ln in out.splitlines() if ln.startswith("serve-load:")
+        )
+        printed = float(line.split("mean_batch=")[1].split()[0])
+        doc = json.loads(summary.read_text())
+        batcher = doc["batcher"]
+        assert batcher["batches"] >= 1
+        assert printed == doc["load"]["mean_batch"]
+        assert printed == round(batcher["mean_batch"], 3)
+        # memo hits count 1 each in the per-answer mean, and only there
+        assert doc["load"]["mean_answer_batch"] < printed
 
     def test_second_run_reuses_the_registry(self, tmp_path, capsys):
         registry = tmp_path / "reg"
@@ -391,3 +419,202 @@ class TestServeStdin:
         assert (
             first[0]["features_sha256"] == second[0]["features_sha256"]
         )
+
+
+#: one request of each shape: hits and misses, two tenants, a runtime
+#: query, two malformed lines and a last line with no newline
+PROTOCOL_LINES = [
+    '{"id": 1, "target": 64}',
+    '{"id": 2, "target": 128, "tenant": "t2"}',
+    '{"id": 3, "target": 64}',
+    "not json",
+    '{"id": 5, "target": 32, "kind": "runtime"}',
+    "[64]",
+    '{"id": 6, "target": 128}',
+]
+PROTOCOL_INPUT = "\n".join(PROTOCOL_LINES)
+
+
+def _answers(out: str) -> list:
+    """Answer lines less their timing fields, in a stable order."""
+    docs = [json.loads(ln) for ln in out.splitlines() if ln]
+    for doc in docs:
+        doc.pop("latency_ms", None)
+        doc.pop("batch_size", None)
+    return sorted(docs, key=lambda d: json.dumps(d, sort_keys=True))
+
+
+@pytest.fixture(scope="module")
+def fitted_registry(tmp_path_factory):
+    """A registry holding the served jacobi model, so a server loads it."""
+    registry = tmp_path_factory.mktemp("serve") / "reg"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(""))
+        assert main(BASE + ["--registry", str(registry)]) == 0
+    return registry
+
+
+def _serve_argv(registry, *extra):
+    return [
+        sys.executable, "-m", "repro", *BASE, "--registry", str(registry),
+        *extra,
+    ]
+
+
+def _serve_env():
+    return dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+
+
+class _ChunkedStdin:
+    """A stdin epoll cannot watch: each read hands out the next chunk,
+    and notes the names of the threads alive at that moment."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+        self.threads: set = set()
+
+    def fileno(self):
+        raise io.UnsupportedOperation("no file descriptor")
+
+    def read(self, n=-1):
+        self.threads.update(t.name for t in threading.enumerate())
+        return self.chunks.pop(0) if self.chunks else ""
+
+
+class TestServeStdinSources:
+    """Every kind of stdin feeds the same line handler."""
+
+    def test_pipe_file_and_memory_give_the_same_answers(
+        self, fitted_registry, tmp_path, capsys, monkeypatch
+    ):
+        # a pipe: epoll watches it; one line is split across two writes
+        proc = subprocess.Popen(
+            _serve_argv(fitted_registry), stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=str(REPO_ROOT), env=_serve_env(),
+        )
+        head, rest = PROTOCOL_INPUT.encode().split(b'"tenant"', 1)
+        proc.stdin.write(head)
+        proc.stdin.flush()
+        time.sleep(0.2)
+        out, err = proc.communicate(b'"tenant"' + rest, timeout=240)
+        assert proc.returncode == 0, err.decode()
+        piped = _answers(out.decode())
+
+        # a regular file: epoll refuses it, so it is read in chunks
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(PROTOCOL_INPUT)
+        with requests.open("rb") as fh:
+            done = subprocess.run(
+                _serve_argv(fitted_registry), stdin=fh,
+                capture_output=True, cwd=str(REPO_ROOT), env=_serve_env(),
+                timeout=240,
+            )
+        assert done.returncode == 0, done.stderr.decode()
+        from_file = _answers(done.stdout.decode())
+
+        # an in-memory text stream, in process
+        monkeypatch.setattr("sys.stdin", io.StringIO(PROTOCOL_INPUT))
+        rc, out, _ = _run(capsys, BASE + ["--registry", str(fitted_registry)])
+        assert rc == 0
+        in_memory = _answers(out)
+
+        assert piped == from_file == in_memory
+        assert len(piped) == len(PROTOCOL_LINES)
+        bad = [d for d in piped if not d["ok"]]
+        assert [d["id"] for d in bad] == [None, None]
+        assert any("JSON object" in d["error"] for d in bad)
+        ok = {d["id"]: d for d in piped if d["ok"]}
+        assert sorted(ok) == [1, 2, 3, 5, 6]
+        assert ok[1]["features_sha256"] == ok[3]["features_sha256"]
+        assert ok[2]["features_sha256"] == ok[6]["features_sha256"]
+        assert ok[5]["runtime_s"] > 0
+        assert "Traceback" not in err.decode() + done.stderr.decode()
+
+    def test_dev_null_exits_zero_with_no_answers(self, fitted_registry):
+        done = subprocess.run(
+            _serve_argv(fitted_registry), stdin=subprocess.DEVNULL,
+            capture_output=True, cwd=str(REPO_ROOT), env=_serve_env(),
+            timeout=240,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == b""
+
+    def test_closed_stdin_is_end_of_input(self, fitted_registry):
+        # `0<&-`: the interpreter starts with no fd 0 and no sys.stdin
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" 0<&-',
+             *_serve_argv(fitted_registry)],
+            capture_output=True, cwd=str(REPO_ROOT), env=_serve_env(),
+            timeout=240,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == b""
+        assert b"Traceback" not in done.stderr
+
+    def test_split_lines_and_a_last_line_without_newline(
+        self, fitted_registry, capsys, monkeypatch
+    ):
+        stdin = _ChunkedStdin(
+            '{"id": 1, "tar', 'get": 64}\n{"id": 2, "target": 32}'
+        )
+        monkeypatch.setattr("sys.stdin", stdin)
+        before = {t.name for t in threading.enumerate()}
+        rc, out, _ = _run(capsys, BASE + ["--registry", str(fitted_registry)])
+        assert rc == 0
+        docs = {d["id"]: d for d in map(json.loads, out.splitlines())}
+        assert docs[1]["ok"] and docs[1]["target"] == 64
+        assert docs[2]["ok"] and docs[2]["target"] == 32
+        # serving read stdin from the loop: it started no thread
+        assert stdin.threads <= before
+        assert "serve-stdin" not in stdin.threads
+
+    def test_non_utf8_line_gets_an_error_answer(
+        self, fitted_registry, capsys, monkeypatch
+    ):
+        raw = b'{"id": 1, "target": 64, "tenant": "\xff\xfe"}\n{"id": 2, "target": 64}\n'
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        rc, out, _ = _run(capsys, BASE + ["--registry", str(fitted_registry)])
+        assert rc == 0
+        docs = [json.loads(ln) for ln in out.splitlines()]
+        assert len(docs) == 2
+        bad = [d for d in docs if not d["ok"]]
+        assert len(bad) == 1 and bad[0]["id"] is None
+        assert [d["id"] for d in docs if d["ok"]] == [2]
+
+    def test_closed_stdout_stops_serving_with_one_line(
+        self, fitted_registry, tmp_path
+    ):
+        summary = tmp_path / "summary.json"
+        manifest = tmp_path / "manifest.json"
+        proc = subprocess.Popen(
+            _serve_argv(
+                fitted_registry, "--summary-out", str(summary),
+                "--manifest-out", str(manifest),
+            ),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, cwd=str(REPO_ROOT), env=_serve_env(),
+        )
+        try:
+            proc.stdin.write(b'{"id": 1, "target": 64}\n')
+            proc.stdin.flush()
+            assert json.loads(TestServeDrain._readline(proc))["ok"]
+            proc.stdout.close()  # the client stops reading answers
+            proc.stdin.write(b'{"id": 2, "target": 64}\n')
+            proc.stdin.flush()
+            # the server ends on the failed write, with stdin still open
+            proc.wait(timeout=120)
+            err = proc.stderr.read().decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdin.close()
+            proc.stderr.close()
+        assert proc.returncode == 1
+        lines = [ln for ln in err.splitlines() if ln.strip()]
+        assert len(lines) == 1 and "stdout" in lines[0], err
+        assert "Traceback" not in err
+        # the run's artifacts are still written
+        engine = json.loads(summary.read_text())["engine"]
+        assert engine["queries"] == engine["answered"] == 2
+        assert "serve_summary.json" in json.loads(manifest.read_text())["outputs"]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,6 +161,31 @@ def test_admission_wait_applies_backpressure_without_loss(serve_model):
     assert len(answers) == 3 and all(a.values is not None for a in answers)
 
 
+def test_waiting_queries_enter_the_queue_in_arrival_order(serve_model):
+    dispatched = []  # target per query, in dispatch order
+
+    async def main():
+        engine = _engine(serve_model, queue_depth=1, admission="wait")
+        enqueue = engine.batcher.enqueue
+
+        def recording_enqueue(key, query, expiry=None):
+            dispatched.append(query.target)
+            return enqueue(key, query, expiry)
+
+        engine.batcher.enqueue = recording_enqueue
+        # the dispatcher is not running: one query fills the queue and
+        # three wait in line for its slot
+        futs = [engine.submit(Query(target=t)) for t in (32, 64, 128, 256)]
+        await engine.start()
+        await asyncio.gather(*futs)
+        await engine.stop()
+        return engine
+
+    engine = asyncio.run(main())
+    assert dispatched == [32, 64, 128, 256]
+    assert engine.stats.backpressure_waits == 3  # once per waiting query
+
+
 def test_dispatch_round_robins_across_tenants(serve_model):
     dispatched = []  # tenant per query, in dispatch order
 
@@ -299,12 +326,15 @@ def test_loadgen_percentiles_match_hand_computed_values(serve_model):
     25 ms, p95 at position 2.85 is 30 + 0.85 * 10 = 38.5 ms.
     """
     from repro.serve import Answer, LoadSpec, run_load, synthetic_queries
+    from repro.serve.batcher import BatcherStats
 
     latencies_ms = [30.0, 10.0, 40.0, 20.0]  # submission order
 
     class _StubEngine:
         def __init__(self):
             self.n = 0
+            # runs no batch: only the per-answer mean sees batch_size
+            self.batcher = SimpleNamespace(stats=BatcherStats())
 
         async def query(self, q):
             i = self.n
@@ -326,7 +356,7 @@ def test_loadgen_percentiles_match_hand_computed_values(serve_model):
     assert len(answers) == 4 and all(a is not None for a in answers)
     assert report.p50_ms == pytest.approx(25.0)
     assert report.p95_ms == pytest.approx(38.5)
-    assert report.mean_batch == pytest.approx(2.0)
+    assert report.mean_answer_batch == pytest.approx(2.0)
     assert report.rejected == 0 and report.errors == 0
 
 
@@ -404,3 +434,60 @@ def test_memo_evicts_least_recently_used_past_its_byte_bound(
         (serve_model.digest, 32), (serve_model.digest, 64)
     ]
     assert engine._memo_bytes == 2 * nbytes
+
+
+def test_memo_hit_is_answered_at_admission(serve_model):
+    """A hit for a tenant with nothing queued is answered by ``submit``
+    itself: the future comes back done and no batch is touched."""
+
+    async def main():
+        engine = _engine(serve_model)
+        await engine.start()
+        first = await engine.query(Query(target=64))
+        before = engine.batcher.stats.to_dict()
+        fut = engine.submit(Query(target=64))
+        done_at_admission = fut.done()
+        hit = await fut
+        after = engine.batcher.stats.to_dict()
+        await engine.stop()
+        return engine, first, hit, done_at_admission, before, after
+
+    engine, first, hit, done_at_admission, before, after = asyncio.run(main())
+    assert done_at_admission
+    assert after == before
+    assert engine.stats.memo_hits == 1 and engine.stats.answered == 2
+    assert hit.batch_size == 1
+    assert hit.values.tobytes() == first.values.tobytes()
+
+
+def test_memo_hit_queued_behind_its_tenant_is_answered_after_it(serve_model):
+    """A tenant with a query in its queue gets no answer at admission:
+    its memo hits wait their turn, and are answered at dispatch in
+    arrival order, after the queries ahead of them were dispatched."""
+
+    async def main():
+        engine = _engine(serve_model)
+        await engine.start()
+        await engine.query(Query(target=64))  # memoized
+        events = []
+
+        def note(name, _fut):
+            events.append((name, engine.batcher.stats.queries))
+
+        # one loop turn: a miss, then two hits behind it
+        futs = [engine.submit(Query(target=t)) for t in (128, 64, 64)]
+        queued = [not f.done() for f in futs]
+        for name, fut in zip(("miss", "hit1", "hit2"), futs):
+            fut.add_done_callback(partial(note, name))
+        await asyncio.gather(*futs)
+        await engine.stop()
+        return engine, queued, events
+
+    engine, queued, events = asyncio.run(main())
+    assert queued == [True, True, True]
+    names = [name for name, _ in events]
+    assert names.index("hit1") < names.index("hit2")
+    # the miss had entered its batch before either hit was answered
+    assert dict(events)["hit1"] == dict(events)["hit2"] == 2
+    assert engine.stats.memo_hits == 2
+    assert engine.batcher.stats.batches == 2
