@@ -212,9 +212,18 @@ class _StdinServer:
             if not isinstance(req, dict):
                 raise TypeError("a request must be a JSON object")
             req_id = req.get("id")
+            target = req["target"]
+            # int() would answer 64.9 with target 64's answer and true
+            # with target 1's
+            if isinstance(target, bool) or (
+                isinstance(target, float) and not target.is_integer()
+            ):
+                raise ValueError(
+                    f"target must be an integer, got {json.dumps(target)}"
+                )
             deadline = req.get("deadline_ms", self.deadline_ms)
             query = self._query(
-                target=int(req["target"]),
+                target=int(target),
                 tenant=str(req.get("tenant", "default")),
                 kind=str(req.get("kind", "features")),
                 deadline_ms=float(deadline) if deadline is not None else None,
@@ -361,7 +370,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             admission=args.admission,
             breaker_threshold=args.breaker_threshold,
             breaker_open_s=args.breaker_open_ms / 1e3,
-            runtime_workers=args.runtime_workers,
         ),
     )
     telemetry = None
@@ -551,11 +559,6 @@ def add_parser(sub) -> None:
                    help="disk budget for the model registry: after "
                         "each store, least-recently-used entries are "
                         "evicted until under budget (default: unbounded)")
-    p.add_argument("--runtime-workers", type=int, default=0, metavar="N",
-                   action=Checked, check=at_least(0),
-                   help="worker processes for offloaded runtime replay "
-                        "(default 0: serial in the offload thread, "
-                        "which still never blocks the event loop)")
     p.add_argument("--summary-out", default=None, metavar="FILE",
                    action=Checked, check=file_out,
                    help="also write serve_summary.json (engine, "

@@ -33,8 +33,8 @@ Fault kinds:
            that exercises the guard subsystem's degradation ladder
 ``slow-predict``  sleep ``seconds`` inside a serving batch execution
            (matched against the batch key ``serve:batch:<digest>:<kind>``
-           with the attempt number counting that key's batches) — the
-           fault that exercises per-query deadlines
+           with the attempt number counting that key's batches in flush
+           order) — the fault that exercises per-query deadlines
 ``predict-raise``  raise :class:`~repro.util.errors.ServeError` inside
            a serving batch execution — the fault that drives the
            per-model circuit breaker
@@ -318,24 +318,24 @@ def planned(key: str, *kinds: str) -> Optional[FaultSpec]:
     return plan.spec_for(key, _COUNTS[kinds, key], kinds=kinds)
 
 
-def apply_serve_fault(key: str) -> Optional[FaultSpec]:
-    """Fire any serving fault planned for this batch-execution key.
+def serve_fault(key: str) -> float:
+    """Look up the serving fault planned for this batch of ``key``.
 
-    Called by the query engine at the top of every batch execution with
-    the batch key (``serve:batch:<digest12>:<kind>``); the attempt
-    number is the per-key batch count, so "fail the third batch" is one
-    spec.  ``slow-predict`` sleeps in place and returns its spec (the
-    engine tallies it); ``predict-raise`` raises a
+    Called by the query engine on its event loop as it flushes each
+    batch, with the batch key (``serve:batch:<digest12>:<kind>``); the
+    attempt number is the per-key batch count in flush order, so "fail
+    the third batch" is one spec.  Returns the seconds a planned
+    ``slow-predict`` stalls the batch (the engine sleeps where the batch
+    runs), else 0.0; a planned ``predict-raise`` raises a
     :class:`~repro.util.errors.ServeError` that fans out to the batch
-    and feeds the model's circuit breaker.  A no-op without a plan.
+    and feeds the model's circuit breaker.
     """
     kinds = ("slow-predict", "predict-raise")
     spec = planned(key, *kinds)
     if spec is None:
-        return None
+        return 0.0
     if spec.kind == "slow-predict":
-        time.sleep(spec.seconds)
-        return spec
+        return spec.seconds
     raise ServeError(
         spec.message, stage="serve", task_key=key, attempts=_COUNTS[kinds, key]
     )

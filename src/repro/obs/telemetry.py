@@ -52,6 +52,9 @@ from repro.util.errors import ReproError
 #: flight-recorder format version, stamped into every record
 TELEMETRY_SCHEMA_VERSION = 1
 
+#: slowest queries each flight-recorder record lists (top-N per interval)
+SLOW_QUERIES = 8
+
 #: linear sub-buckets per power-of-two octave; the max relative width of
 #: one bucket — and so the quantile interpolation error bound — is 1/16
 SUBBUCKETS = 16
@@ -246,19 +249,12 @@ class TelemetryConfig:
     interval_s: float = 1.0
     out: Optional[Union[str, Path]] = None  #: flight-recorder JSONL path
     prom_out: Optional[Union[str, Path]] = None  #: Prometheus text path
-    slow_queries: int = 8  #: top-N slow-query log entries per interval
 
     def __post_init__(self):
         if not self.interval_s > 0:
             raise ReproError(
                 f"telemetry interval must be positive, got "
                 f"{self.interval_s}",
-                stage="telemetry",
-            )
-        if self.slow_queries < 0:
-            raise ReproError(
-                f"slow-query log size must be >= 0, got "
-                f"{self.slow_queries}",
                 stage="telemetry",
             )
 
@@ -292,7 +288,7 @@ class TelemetrySampler:
         self.engine = engine
         self.config = config or TelemetryConfig()
         self.registry = registry
-        self.slow = SlowQueryLog(self.config.slow_queries)
+        self.slow = SlowQueryLog(SLOW_QUERIES)
         self.records_written = 0
         self._clock = clock
         self._wall = wall_clock

@@ -12,12 +12,14 @@ a service:
 - :mod:`repro.serve.batcher` — micro-batching of compatible concurrent
   queries (size/deadline flush, per-query fan-out);
 - :mod:`repro.serve.engine` — the asyncio front-end: admission control,
-  per-tenant fair queueing, batched execution;
+  per-tenant fair queueing, the answer memo (each (model, target) is
+  computed once), and batched execution: ``features`` batches on the
+  event loop, ``runtime`` batches in a worker thread;
 - :mod:`repro.serve.loadgen` — replayable keyed-RNG synthetic load for
   benchmarking the above;
 - :mod:`repro.serve.resilience` — the serving fault discipline:
   per-model circuit breakers, the :class:`ServeReport` recovery tally,
-  and the worker-offload replay task.
+  and the runtime replay task.
 
 See DESIGN.md §7.9 for the keying, batching-window, and fairness
 semantics, §7.10 for the serve fault model, and ``repro serve --help``

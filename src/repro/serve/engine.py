@@ -32,8 +32,15 @@ matrix of the target.  ``kind="runtime"`` additionally synthesizes the
 target trace and replays it through
 :func:`~repro.pipeline.predict.predict_runtime` against the model's own
 machine profile (:attr:`~repro.serve.registry.FittedModel.profile`);
-synthesis+prediction amortize per *distinct* target in the batch, the
-replay itself is per-query work.
+prediction, synthesis and replay all amortize per *distinct* target in
+the batch.
+
+A batch's kind alone decides where it runs.  A ``features`` batch runs
+on the event loop at flush, so its answers are memoized before the
+dispatcher hands out the next query: a burst over a few targets runs
+one batch and answers the rest from the memo.  A ``runtime`` batch runs
+as one worker-thread call (predict, synthesize, replay), so the loop
+keeps serving other tenants while it replays.
 
 Fault discipline (see :mod:`repro.serve.resilience`):
 
@@ -45,12 +52,12 @@ Fault discipline (see :mod:`repro.serve.resilience`):
   after ``breaker_threshold`` consecutive batch failures its queries
   are shed fast with :class:`~repro.util.errors.CircuitOpenError`
   until a half-open probe succeeds;
-- ``kind="runtime"`` replay — and any batch with at least
-  ``offload_batch_size`` queries — runs off the event loop:
-  prediction in a worker thread, replay through
-  :func:`~repro.exec.resilience.run_tasks_resilient` so crashes,
-  hangs, and retries get the batch pipeline's recovery treatment
-  while the loop keeps serving other tenants;
+- the serve fault plan is consulted on the loop at flush, for both
+  kinds, so a key's batches are numbered in flush order;
+- runtime replays go through
+  :func:`~repro.exec.resilience.run_tasks_resilient` (serially, in the
+  batch's worker thread), so a crashed or failing replay is retried
+  and then fails only its own target's queries;
 - every recovery event lands in the engine's
   :class:`~repro.serve.resilience.ServeReport` (mirrored to
   ``serve.resilience.*`` metrics and the run manifest).
@@ -59,11 +66,10 @@ Fault discipline (see :mod:`repro.serve.resilience`):
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from functools import partial
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -92,9 +98,6 @@ from repro.util.errors import (
 
 ADMISSION_POLICIES = ("wait", "reject")
 QUERY_KINDS = ("features", "runtime")
-#: recorded jobs an engine keeps for runtime replays (least recently
-#: used dropped first)
-RUNTIME_JOBS = 8
 #: bytes of answer matrices an engine keeps memoized (least recently
 #: used dropped first)
 ANSWER_MEMO_BYTES = 32 * 2**20
@@ -157,23 +160,15 @@ class Answer:
 
 @dataclass
 class ServeConfig:
-    """Engine knobs: batching window, queue bounds, admission policy.
-
-    ``runtime_workers=0`` replays runtime queries serially *in the
-    offload thread* — the loop is still never blocked, and crash faults
-    are retried in place; >0 uses a process pool with the full
-    kill/rebuild ladder.
-    """
+    """Engine knobs: batching window, queue bounds, admission policy,
+    circuit breaker."""
 
     max_batch: int = 64
     window_s: float = 0.002
     queue_depth: int = 256
     admission: str = "wait"
-    rate_trust_factor: float = 2.0
     breaker_threshold: int = BREAKER_THRESHOLD
     breaker_open_s: float = BREAKER_OPEN_S
-    runtime_workers: int = 0
-    offload_batch_size: int = 256
 
     def __post_init__(self):
         if self.admission not in ADMISSION_POLICIES:
@@ -197,17 +192,6 @@ class ServeConfig:
             raise ServeError(
                 f"breaker open window must be positive, got "
                 f"{self.breaker_open_s}",
-                stage="serve",
-            )
-        if self.runtime_workers < 0:
-            raise ServeError(
-                f"runtime workers must be >= 0, got {self.runtime_workers}",
-                stage="serve",
-            )
-        if self.offload_batch_size < 1:
-            raise ServeError(
-                f"offload batch size must be >= 1, got "
-                f"{self.offload_batch_size}",
                 stage="serve",
             )
         # max_batch / window_s are validated by MicroBatcher
@@ -276,10 +260,6 @@ class QueryEngine:
         # f-string per query raises the allocation rate enough to drag
         # GC pauses into the dispatch hot loop
         self._metric_names: Dict[tuple, str] = {}
-        # (model digest, target) -> recorded job, shared by the replay
-        # threads: a job is a read-only table
-        self._jobs: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
-        self._jobs_lock = threading.Lock()
         # (model digest, target) -> [matrix, runtime_s or None]: every
         # successful answer, kept until ANSWER_MEMO_BYTES of matrices
         # push it out; only the event loop touches it
@@ -424,14 +404,6 @@ class QueryEngine:
         return await self.submit(q)
 
     def _admit(self, q: Query, fut: asyncio.Future) -> None:
-        if self.draining:
-            self.stats.bump("rejected")
-            self._tenant_inc("rejected", q.tenant)
-            raise AdmissionError(
-                "engine is draining; admission is closed",
-                stage="serve",
-                task_key=f"serve:{q.tenant}",
-            )
         digest = q.model or self.default_model
         if digest is None:
             raise ServeError(
@@ -447,11 +419,21 @@ class QueryEngine:
         if q.model != digest:
             q = replace(q, model=digest)
         t0 = perf_counter()
+        # counted before any refusal, so that answered == queries -
+        # failed - rejected holds while draining too
+        self.stats.bump("queries")
+        self._tenant_inc("queries", q.tenant)
+        if self.draining:
+            self.stats.bump("rejected")
+            self._tenant_inc("rejected", q.tenant)
+            raise AdmissionError(
+                "engine is draining; admission is closed",
+                stage="serve",
+                task_key=f"serve:{q.tenant}",
+            )
         expiry = (
             t0 + q.deadline_ms / 1000.0 if q.deadline_ms is not None else None
         )
-        self.stats.bump("queries")
-        self._tenant_inc("queries", q.tenant)
         breaker = self._breaker(digest)
         if not breaker.admit(t0):
             self.report.bump("breaker_rejected")
@@ -465,12 +447,8 @@ class QueryEngine:
         dq = self._queues.setdefault(q.tenant, deque())
         # a fresh deadline cannot have lapsed, and an empty queue means
         # answering now overtakes none of the tenant's queries
-        if not dq and breaker.state == "closed" and self.started:
-            hit = self._memo_get(q)
-            if hit is not None:
-                self.stats.bump("memo_hits")
-                self._answer(q, fut, t0, *hit, batch_size=1)
-                return
+        if not dq and self.started and self._memo_answer(q, fut, t0, breaker):
+            return
         if len(dq) < self.config.queue_depth:
             dq.append((q, fut, t0, expiry))
             self._queue_depth_set(q.tenant, len(dq))
@@ -554,12 +532,8 @@ class QueryEngine:
                                 )
                             continue
                         breaker = self._breaker(q.model)
-                        if breaker.state == "closed":
-                            hit = self._memo_get(q)
-                            if hit is not None:
-                                self.stats.bump("memo_hits")
-                                self._answer(q, fut, t0, *hit, batch_size=1)
-                                continue
+                        if self._memo_answer(q, fut, t0, breaker):
+                            continue
                         if not breaker.allow_dispatch(now):
                             self.report.bump("breaker_rejected")
                             self.stats.bump("failed")
@@ -642,41 +616,23 @@ class QueryEngine:
 
     # -- answer memo ----------------------------------------------------
 
-    def _memo_get(
-        self, q: Query
-    ) -> Optional[Tuple[np.ndarray, Optional[float]]]:
-        """The memoized ``(values, runtime_s)`` that answer ``q``, if any
-        (a ``kind="runtime"`` query needs a replayed runtime)."""
+    def _memo_answer(
+        self, q: Query, fut: asyncio.Future, t0: float, breaker: CircuitBreaker
+    ) -> bool:
+        """Answer ``q`` from the memo if its model's breaker is closed and
+        the memo holds its answer (a ``kind="runtime"`` query needs a
+        replayed runtime); False when it must take the batch path."""
+        if breaker.state != "closed":
+            return False
         key = (q.model, int(q.target))
         entry = self._memo.get(key)
         if entry is None or (q.kind == "runtime" and entry[1] is None):
-            return None
+            return False
         self._memo.move_to_end(key)
-        return entry[0], entry[1] if q.kind == "runtime" else None
-
-    def _remember(
-        self,
-        digest: str,
-        matrices: Dict[int, np.ndarray],
-        runtimes: Dict[int, float],
-        failures: Dict[int, BaseException],
-    ) -> None:
-        """Memoize a batch's answers; a failed target keeps nothing."""
-        for target, matrix in matrices.items():
-            if target in failures:
-                continue
-            key = (digest, target)
-            entry = self._memo.get(key)
-            if entry is None:
-                entry = self._memo[key] = [matrix, None]
-                self._memo_bytes += matrix.nbytes
-            else:
-                self._memo.move_to_end(key)
-            if target in runtimes:
-                entry[1] = runtimes[target]
-        while self._memo_bytes > ANSWER_MEMO_BYTES:
-            _, (matrix, _) = self._memo.popitem(last=False)
-            self._memo_bytes -= matrix.nbytes
+        self.stats.bump("memo_hits")
+        runtime_s = entry[1] if q.kind == "runtime" else None
+        self._answer(q, fut, t0, entry[0], runtime_s, batch_size=1)
+        return True
 
     # -- batch execution ------------------------------------------------
 
@@ -689,44 +645,25 @@ class QueryEngine:
             )
         return model
 
-    def _runtime_job(self, digest: str, app, target: int):
-        """The job ``app`` records at ``target``, kept for later answers.
-
-        ``None`` when recording fails: the replay task then records it
-        itself and fails alone, so its batch mates are still answered.
-        """
-        key = (digest, target)
-        with self._jobs_lock:
-            job = self._jobs.get(key)
-            if job is not None:
-                self._jobs.move_to_end(key)
-                return job
-        try:
-            job = app.build_job(target)
-        except Exception:  # noqa: BLE001 - raised again by the task
-            return None
-        with self._jobs_lock:
-            self._jobs[key] = job
-            if len(self._jobs) > RUNTIME_JOBS:
-                self._jobs.popitem(last=False)
-        return job
-
-    @staticmethod
-    def _batch_key(digest: str, kind: str) -> str:
-        return f"serve:batch:{digest[:12]}:{kind}"
-
     def _run_batch(self, key: Tuple[str, str], queries: List[Query]):
+        """Run one flushed batch: a ``features`` batch on the loop, a
+        ``runtime`` batch as a coroutine the batcher schedules."""
         digest, kind = key
-        if kind == "runtime" or len(queries) >= self.config.offload_batch_size:
-            # coroutine: the batcher schedules it as a task and the
-            # heavy work runs off-loop
-            return self._run_batch_offloaded(digest, kind, queries)
         breaker = self._breaker(digest)
+        targets = sorted({int(q.target) for q in queries})
         try:
-            spec = faults.apply_serve_fault(self._batch_key(digest, kind))
-            if spec is not None and spec.kind == "slow-predict":
+            slow_s = faults.serve_fault(f"serve:batch:{digest[:12]}:{kind}")
+            if slow_s:
                 self.report.bump("slow_predicts")
-            results = self._execute_sync(digest, queries)
+            model = self._model(digest)
+            if kind == "runtime":
+                return self._run_replays(
+                    digest, model, targets, queries, breaker, slow_s
+                )
+            if slow_s:
+                sleep(slow_s)
+            sweep = model.predict(targets)
+            results = self._answers(digest, queries, sweep, targets, {}, {})
         except Exception:
             self.report.bump("batch_failures")
             breaker.record_failure(perf_counter())
@@ -734,120 +671,104 @@ class QueryEngine:
         breaker.record_success()
         return results
 
-    async def _run_batch_offloaded(
-        self, digest: str, kind: str, queries: List[Query]
+    async def _run_replays(
+        self,
+        digest: str,
+        model: FittedModel,
+        targets: List[int],
+        queries: List[Query],
+        breaker: CircuitBreaker,
+        slow_s: float,
     ) -> List[Any]:
-        breaker = self._breaker(digest)
+        """A ``runtime`` batch: predict, synthesize and replay in one
+        worker-thread call; each replay records its own job."""
         self.report.bump("offloads")
+
+        def work():
+            if slow_s:
+                sleep(slow_s)
+            sweep = model.predict(targets)
+            app, machine = get_app(model.spec.app), model.profile
+            tasks = [
+                (app, machine, t, model.synthesize(t, prediction=sweep))
+                for t in targets
+            ]
+            values, _ = run_tasks_resilient(
+                replay_runtime_task,
+                tasks,
+                keys=[f"serve:replay:{digest[:12]}:{t}" for t in targets],
+                workers=0,
+                report=self.report.worker,
+                stage="serve",
+                collect_errors=True,
+            )
+            return sweep, values
+
+        loop = asyncio.get_running_loop()
         try:
-            results = await self._execute_offloaded(digest, kind, queries)
+            sweep, values = await loop.run_in_executor(None, work)
         except Exception:
             self.report.bump("batch_failures")
             breaker.record_failure(perf_counter())
             raise
+        runtimes: Dict[int, float] = {}
+        failures: Dict[int, BaseException] = {}
+        for target, value in zip(targets, values):
+            if isinstance(value, BaseException):
+                failures[target] = value
+            else:
+                runtimes[target] = float(value)
         # a per-item failure (one target's replay died for good) counts
         # against the model without failing its batch mates
-        if any(isinstance(r, BaseException) for r in results):
+        if failures:
             breaker.record_failure(perf_counter())
         else:
             breaker.record_success()
-        return results
+        return self._answers(digest, queries, sweep, targets, runtimes, failures)
 
-    def _execute_sync(self, digest: str, queries: List[Query]) -> List[dict]:
-        """A small ``kind="features"`` batch, answered on the loop."""
-        model = self._model(digest)
-        targets = sorted({int(q.target) for q in queries})
-        sweep = model.predict(
-            targets, rate_trust_factor=self.config.rate_trust_factor
-        )
-        matrices = self._matrices(sweep, targets)
-        self._remember(digest, matrices, {}, {})
-        return self._payloads(queries, matrices, {}, {})
-
-    async def _execute_offloaded(
-        self, digest: str, kind: str, queries: List[Query]
+    def _answers(
+        self,
+        digest: str,
+        queries: List[Query],
+        sweep,
+        targets: List[int],
+        runtimes: Dict[int, float],
+        failures: Dict[int, BaseException],
     ) -> List[Any]:
-        loop = asyncio.get_running_loop()
-        model = self._model(digest)
-        targets = sorted({int(q.target) for q in queries})
-        batch_key = self._batch_key(digest, kind)
-        rtf = self.config.rate_trust_factor
-
-        def _predict():
-            # fault hook runs off-loop with the prediction so an
-            # injected slow-predict stalls this batch, not the server
-            spec = faults.apply_serve_fault(batch_key)
-            return spec, model.predict(targets, rate_trust_factor=rtf)
-
-        spec, sweep = await loop.run_in_executor(None, _predict)
-        if spec is not None and spec.kind == "slow-predict":
-            self.report.bump("slow_predicts")
-        runtimes: Dict[int, float] = {}
-        failures: Dict[int, BaseException] = {}
-        if kind == "runtime":
-            app, machine = get_app(model.spec.app), model.profile
-            keys = [f"serve:replay:{digest[:12]}:{t}" for t in targets]
-
-            def _replay():
-                tasks = [
-                    (app, machine, t, model.synthesize(t, prediction=sweep),
-                     self._runtime_job(digest, app, t))
-                    for t in targets
-                ]
-                return run_tasks_resilient(
-                    replay_runtime_task,
-                    tasks,
-                    keys=keys,
-                    workers=self.config.runtime_workers,
-                    report=self.report.worker,
-                    stage="serve",
-                    collect_errors=True,
-                )
-
-            values, _ = await loop.run_in_executor(None, _replay)
-            for target, value in zip(targets, values):
-                if isinstance(value, BaseException):
-                    failures[target] = value
-                else:
-                    runtimes[target] = float(value)
-        matrices = self._matrices(sweep, targets)
-        self._remember(digest, matrices, runtimes, failures)
-        return self._payloads(queries, matrices, runtimes, failures)
-
-    @staticmethod
-    def _matrices(sweep, targets: List[int]) -> Dict[int, np.ndarray]:
+        """Memoize a batch's answers and fan them out, one result per
+        query; a failed target keeps nothing and fails its queries."""
         # one detached read-only matrix per *distinct* target, shared by
         # every query for it: copying per query would dominate the
         # amortized batch cost, and a view would pin the whole sweep
         matrices: Dict[int, np.ndarray] = {}
         for target in targets:
-            m = sweep.matrix_for(target).copy()
-            m.setflags(write=False)
-            matrices[target] = m
-        return matrices
-
-    @staticmethod
-    def _payloads(
-        queries: List[Query],
-        matrices: Dict[int, np.ndarray],
-        runtimes: Dict[int, float],
-        failures: Dict[int, BaseException],
-    ) -> List[Any]:
-        n = len(queries)
-        out: List[Any] = []
-        for q in queries:
-            target = int(q.target)
+            matrix = sweep.matrix_for(target).copy()
+            matrix.setflags(write=False)
+            matrices[target] = matrix
             if target in failures:
-                out.append(failures[target])
                 continue
-            out.append(
-                {
-                    "values": matrices[target],
-                    "runtime_s": runtimes.get(target),
-                    "batch_size": n,
-                }
-            )
-        return out
+            key = (digest, target)
+            entry = self._memo.get(key)
+            if entry is None:
+                entry = self._memo[key] = [matrix, None]
+                self._memo_bytes += matrix.nbytes
+            else:
+                self._memo.move_to_end(key)
+            if target in runtimes:
+                entry[1] = runtimes[target]
+        while self._memo_bytes > ANSWER_MEMO_BYTES:
+            _, (old, _) = self._memo.popitem(last=False)
+            self._memo_bytes -= old.nbytes
+        n = len(queries)
+        return [
+            failures[t] if t in failures
+            else {
+                "values": matrices[t],
+                "runtime_s": runtimes.get(t),
+                "batch_size": n,
+            }
+            for t in (int(q.target) for q in queries)
+        ]
 
     # -- reporting ------------------------------------------------------
 

@@ -153,26 +153,16 @@ class FittedModel:
     def digest(self) -> str:
         return self.spec.digest()
 
-    def predict(
-        self, targets: Sequence[int], *, rate_trust_factor: float = 2.0
-    ) -> SweepPrediction:
+    def predict(self, targets: Sequence[int]) -> SweepPrediction:
         """Vectorized multi-target sweep (one array pass, no re-fit)."""
-        return self.report.predict_many(
-            targets, rate_trust_factor=rate_trust_factor
-        )
+        return self.report.predict_many(targets)
 
     def synthesize(
-        self,
-        target: int,
-        *,
-        prediction: Optional[SweepPrediction] = None,
-        rate_trust_factor: float = 2.0,
+        self, target: int, *, prediction: Optional[SweepPrediction] = None
     ) -> TraceFile:
         """The synthetic trace of one target (for runtime replay)."""
         if prediction is None or target not in prediction.targets:
-            prediction = self.predict(
-                [target], rate_trust_factor=rate_trust_factor
-            )
+            prediction = self.predict([target])
         return synthesize_from_prediction(self.template, prediction, target)
 
 

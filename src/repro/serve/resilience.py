@@ -19,17 +19,17 @@ never a hang:
 - :class:`ServeReport` — the serving analogue of
   :class:`~repro.exec.resilience.RunReport`: one tally per recovery
   event (deadline expiries by boundary, breaker transitions, batch
-  failures, worker offloads), mirrored into ``serve.resilience.*``
-  metrics by construction and embedding the worker-pool
-  :class:`~repro.exec.resilience.RunReport` that runtime-replay offload
-  accumulates into.  The chaos acceptance test holds the report, the
+  failures, runtime batches run in a worker thread), mirrored into
+  ``serve.resilience.*`` metrics by construction and embedding the
+  :class:`~repro.exec.resilience.RunReport` that runtime replays
+  accumulate into.  The chaos acceptance test holds the report, the
   metrics registry, and the run manifest to *exactly* the injected
   fault tallies.
-- :func:`replay_runtime_task` — the module-level (hence picklable)
-  unit of runtime-replay work the engine offloads through
-  :func:`~repro.exec.resilience.run_tasks_resilient`, so MultiMAPS
-  replay never blocks the event loop and a crashed or hung replay gets
-  the existing retry/backoff/pool-rebuild treatment.
+- :func:`replay_runtime_task` — the unit of runtime-replay work a
+  runtime batch runs through
+  :func:`~repro.exec.resilience.run_tasks_resilient`, so a crashed or
+  failing replay is retried with backoff and then fails only its own
+  target.
 
 Deadline bookkeeping itself lives in the engine/batcher (it is a
 property of a query's journey, not a standalone object); the typed
@@ -75,12 +75,12 @@ class ServeReport(CounterSet):
     - ``slow_predicts`` — injected ``slow-predict`` faults observed
       (chaos-harness bookkeeping so the report can be asserted against
       the plan);
-    - ``offloads`` — batch executions routed through the worker path
-      instead of running on the event loop.
+    - ``offloads`` — ``kind="runtime"`` batches run in a worker thread
+      (a ``features`` batch runs on the event loop and never counts).
 
-    ``worker`` is the shared :class:`RunReport` every offloaded
-    ``run_tasks_resilient`` call accumulates into — worker crashes,
-    retries, and timeouts land there under the PR-3 taxonomy.
+    ``worker`` is the shared :class:`RunReport` every runtime batch's
+    ``run_tasks_resilient`` call accumulates into — replay crashes,
+    retries, and timeouts land there under the executor's taxonomy.
     """
 
     PREFIX = "serve.resilience"
@@ -97,7 +97,7 @@ class ServeReport(CounterSet):
     offloads: int = 0
     #: model-tagged breaker transitions in event order: "ab12cd34ef56:open"
     transitions: List[str] = field(default_factory=list)
-    #: worker-pool recovery tallies from offloaded runtime replay
+    #: recovery tallies of the runtime replays
     worker: RunReport = field(default_factory=RunReport)
 
     def transition(self, model: str, state: str) -> None:
@@ -230,15 +230,12 @@ class CircuitBreaker:
             self._open(now)
 
 
-def replay_runtime_task(app, machine, target, trace, job) -> float:
-    """One offloadable runtime replay: pure in its arguments.
-
-    Module-level so pool workers can pickle it; pure so a retry after a
-    crash (or the serial in-thread fallback) replays bit-identically.
-    ``job`` is ``app``'s recorded job at ``target``, which the engine
-    records once per target and passes to every replay of it (``None``:
-    record it here).
+def replay_runtime_task(app, machine, target, trace) -> float:
+    """One runtime replay, pure in its arguments, so a retry after a
+    failure replays bit-identically.  It records ``app``'s job at
+    ``target`` itself; the engine's answer memo runs each target's
+    replay once.
     """
     from repro.pipeline.predict import predict_runtime
 
-    return predict_runtime(app, int(target), trace, machine, job=job).runtime_s
+    return predict_runtime(app, int(target), trace, machine).runtime_s

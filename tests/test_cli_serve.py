@@ -368,6 +368,10 @@ class TestServeStdin:
                 "not json at all",
                 '{"id": 3, "target": -5}',
                 '{"id": 4, "target": 128, "tenant": "t2"}',
+                '{"id": 5, "target": 64.9}',
+                '{"id": 6, "target": true}',
+                '{"id": 7, "target": 1e3}',
+                '{"id": 8, "target": "64"}',
             ],
         )
         assert rc == 0
@@ -379,6 +383,16 @@ class TestServeStdin:
         assert not by_id[3]["ok"] and "positive" in by_id[3]["error"]
         bad = [d for d in docs if d["id"] is None]
         assert len(bad) == 1 and not bad[0]["ok"]
+        # 64.9 and true are refused, not answered as targets 64 and 1
+        for req_id, shown in ((5, "64.9"), (6, "true")):
+            assert not by_id[req_id]["ok"]
+            assert f"target must be an integer, got {shown}" in (
+                by_id[req_id]["error"]
+            )
+        # an integral float and a numeric string are still targets
+        assert by_id[7]["ok"] and by_id[7]["target"] == 1000
+        assert by_id[8]["ok"] and by_id[8]["target"] == 64
+        assert by_id[8]["features_sha256"] == by_id[1]["features_sha256"]
 
     def test_feature_summary_is_digested_once_per_model_and_target(
         self, monkeypatch

@@ -491,3 +491,55 @@ def test_memo_hit_queued_behind_its_tenant_is_answered_after_it(serve_model):
     assert dict(events)["hit1"] == dict(events)["hit2"] == 2
     assert engine.stats.memo_hits == 2
     assert engine.batcher.stats.batches == 2
+
+
+def test_features_burst_runs_one_batch_and_the_rest_from_the_memo(
+    serve_model,
+):
+    """A features batch runs on the loop as it flushes, so its answers
+    are memoized before the dispatcher hands out the next query: a
+    200-query burst over 3 targets at max_batch=64 runs one batch and
+    answers the other 136 from the memo."""
+    targets = (32, 64, 128)
+
+    async def main():
+        engine = _engine(serve_model, max_batch=64)
+        await engine.start()
+        futs = [engine.submit(Query(target=targets[i % 3])) for i in range(200)]
+        answers = await asyncio.gather(*futs)
+        await engine.stop()
+        return engine, answers
+
+    engine, answers = asyncio.run(main())
+    assert engine.batcher.stats.batches == engine.batcher.stats.size_flushes == 1
+    assert engine.stats.memo_hits == 136
+    assert engine.stats.answered == 200
+    assert [a.batch_size for a in answers].count(64) == 64
+    assert engine.report.offloads == 0
+
+
+def test_query_refused_while_draining_is_counted(serve_model):
+    """A query refused after stop_admission counts in ``queries`` (in
+    total and per tenant) as well as in ``rejected``, so the books
+    close: answered == queries - failed - rejected."""
+    from repro.obs.metrics import REGISTRY
+
+    names = ("serve.tenant.queries.late", "serve.tenant.rejected.late")
+    before = [REGISTRY.counters.get(name, 0) for name in names]
+
+    async def main():
+        engine = _engine(serve_model)
+        await engine.start()
+        await engine.query(Query(target=64, tenant="late"))
+        engine.stop_admission()
+        refused = engine.submit(Query(target=64, tenant="late"))
+        await engine.stop()
+        return engine, refused
+
+    engine, refused = asyncio.run(main())
+    assert isinstance(refused.exception(), AdmissionError)
+    stats = engine.stats
+    assert (stats.queries, stats.answered, stats.rejected) == (2, 1, 1)
+    assert stats.answered == stats.queries - stats.failed - stats.rejected
+    after = [REGISTRY.counters.get(name, 0) for name in names]
+    assert [a - b for a, b in zip(after, before)] == [2, 1]

@@ -411,24 +411,6 @@ class TestAnswerMemo:
 
 
 class TestOffload:
-    def test_large_feature_batches_offload(self, serve_model):
-        async def main():
-            engine = _engine(
-                serve_model, offload_batch_size=2, max_batch=8
-            )
-            await engine.start()
-            answers = await asyncio.gather(
-                *(engine.query(Query(target=64)) for _ in range(4))
-            )
-            await engine.stop()
-            return engine, answers
-
-        engine, answers = asyncio.run(main())
-        assert engine.report.offloads >= 1
-        expected = serve_model.predict([64]).values[0]
-        for a in answers:
-            assert np.array_equal(a.values, expected)
-
     def test_runtime_replay_offloads_and_matches_sequential(self, serve_model):
         from repro.apps.registry import get_app
         from repro.pipeline.predict import predict_runtime
@@ -451,11 +433,12 @@ class TestOffload:
         ).runtime_s
         assert answer.runtime_s == expected
 
-    def test_runtime_replays_reuse_the_recorded_job(
+    def test_runtime_targets_replay_once_and_fail_alone(
         self, serve_model, monkeypatch
     ):
-        """Each target's job is recorded once and replayed by every later
-        answer; a target whose recording fails fails on its own."""
+        """A repeated runtime target is answered from the memo, so each
+        target is replayed, and its job recorded, once; a target whose
+        recording fails fails only its own query."""
         from repro.apps.jacobi import JacobiProxy
 
         record = JacobiProxy.build_job
@@ -470,62 +453,96 @@ class TestOffload:
         monkeypatch.setattr(JacobiProxy, "build_job", build_job)
 
         async def main():
-            engine = _engine(serve_model)
+            engine = _engine(serve_model, window_s=0.02)
             await engine.start()
             answers = [
                 await engine.query(Query(target=t, kind="runtime"))
                 for t in (64, 128, 64, 64)
             ]
+            # one batch: 96's recording fails, 32 rides along
+            doomed = engine.submit(Query(target=96, kind="runtime"))
+            mate = await engine.query(Query(target=32, kind="runtime"))
             with pytest.raises(ValueError, match="cannot record 96"):
-                await engine.query(Query(target=96, kind="runtime"))
+                await doomed
             await engine.stop()
-            return answers
+            return engine, answers, mate
 
-        answers = asyncio.run(main())
-        assert recorded[:2] == [64, 128]
-        assert set(recorded[2:]) == {96}  # never cached, raised in the task
+        engine, answers, mate = asyncio.run(main())
+        assert recorded == [64, 128, 32, 96]
+        assert engine.stats.memo_hits == 2
         assert answers[0].runtime_s == answers[2].runtime_s == answers[3].runtime_s
+        assert mate.batch_size == 2 and mate.runtime_s > 0
+        assert engine.report.offloads == 3
 
-    def test_recorded_jobs_shared_by_racing_threads(self, serve_model):
-        """Replay threads share the recorded jobs: under a tiny switch
-        interval every call still gets its own target's job, and the
-        table never holds more than its bound."""
-        import sys
-        from types import SimpleNamespace
+    def test_runtime_batch_faults_are_numbered_in_flush_order(
+        self, serve_model
+    ):
+        """The plan is looked up on the loop as each batch flushes: a
+        second runtime batch, flushed while the first still runs in its
+        thread, is attempt 2 and fails at once; the first is slowed."""
+        key = f"serve:batch:{serve_model.digest[:12]}:runtime"
+        plan = faults.FaultPlan(
+            specs=(
+                faults.FaultSpec(
+                    key=key, kind="slow-predict", attempts=(1,), seconds=0.4
+                ),
+                faults.FaultSpec(
+                    key=key, kind="predict-raise", attempts=(2,)
+                ),
+            )
+        )
 
-        from repro.serve.engine import RUNTIME_JOBS
+        async def main():
+            engine = _engine(serve_model)
+            await engine.start()
+            slowed = engine.submit(Query(target=64, kind="runtime"))
+            await asyncio.sleep(0.05)  # batch 1 flushed; its thread sleeps
+            with pytest.raises(ServeError):
+                await engine.query(Query(target=128, kind="runtime"))
+            running = not slowed.done()
+            answer = await slowed
+            await engine.stop()
+            return engine, answer, running
 
-        engine = _engine(serve_model)
-        app = SimpleNamespace(build_job=lambda n: SimpleNamespace(n_ranks=n))
-        errors, sizes = [], []
+        with faults.injected(plan):
+            engine, answer, running = asyncio.run(main())
+        assert running
+        assert answer.target == 64 and answer.runtime_s > 0
+        report = engine.report
+        assert report.slow_predicts == 1 and report.batch_failures == 1
+        # the failed batch never reached a worker thread
+        assert report.offloads == 1
 
-        def replay_thread(seed):
-            try:
-                for i in range(300):
-                    target = (seed * 7 + i) % (2 * RUNTIME_JOBS) + 1
-                    job = engine._runtime_job("model", app, target)
-                    assert job.n_ranks == target
-                    with engine._jobs_lock:
-                        sizes.append(len(engine._jobs))
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
+    def test_slow_runtime_batch_does_not_delay_features(self, serve_model):
+        """A runtime batch sleeps its slow-predict in its own thread, so
+        a features answer given meanwhile is not held up."""
+        plan = faults.FaultPlan(
+            specs=(
+                faults.FaultSpec(
+                    key=f"serve:batch:{serve_model.digest[:12]}:runtime",
+                    kind="slow-predict", seconds=0.5,
+                ),
+            )
+        )
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=replay_thread, args=(k,))
-                for k in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(sizes) == 8 * 300 and max(sizes) == RUNTIME_JOBS
+        async def main():
+            engine = _engine(serve_model)
+            await engine.start()
+            t0 = time.perf_counter()
+            slowed = engine.submit(Query(target=64, kind="runtime"))
+            await asyncio.sleep(0.05)  # the runtime batch is sleeping
+            features = await engine.query(Query(target=128))
+            waited = time.perf_counter() - t0
+            running = not slowed.done()
+            await slowed
+            await engine.stop()
+            return engine, features, waited, running
+
+        with faults.injected(plan):
+            engine, features, waited, running = asyncio.run(main())
+        assert running and features.target == 128
+        assert waited < 0.25
+        assert engine.report.slow_predicts == 1
 
     def test_worker_crash_during_replay_fails_one_query(self, serve_model):
         """An exhausted-retry replay fails its own query, not the batch."""
